@@ -42,9 +42,13 @@
 #     ctest suite -- every Experiment self-audits its protocol
 #     invariants and aborts the test on a violation
 #   * a checked DES smoke (bench under the sanitized+checked build)
-#   * CI_TSAN=1 additionally runs a thread,undefined build + ctest
+#   * a thread,undefined build running the event-loop reactor tests
+#     (EventLoop, WallClockWheel, AsyncUdpTransport/Runtime/Presence);
+#     CI_TSAN=1 additionally runs the sweep tests and the full suite
+#     under it
 # and writes bench_out/analysis_summary.json with machine-readable
-# results (invariant violations, tidy warning count, lint findings).
+# results (invariant violations, tidy warning count, lint findings,
+# the TSan legs).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -462,44 +466,50 @@ EOF
      "$BUILD/bench/bench_rt_scale" --endpoints=100000 --duration=3 \
        --d-min=0.5)
 
-  # --- optional: thread,undefined matrix leg (slow; opt-in). Runs the
-  # full suite -- which now includes the SweepRunner thread-pool tests
-  # (tests/test_sweep.cpp), the parallel surface TSan exists to vet --
-  # with an explicit sweep-focused pass first so a data race there
-  # fails fast with a readable filter line.
+  # --- dynamic: thread,undefined build. The reactor leg always runs:
+  # start/stop churn under a concurrent scrape, cross-thread post(), and
+  # the async transport/presence stack -- the loop-confinement contract
+  # TSan exists to vet. CI_TSAN=1 (slow; opt-in) adds the SweepRunner
+  # thread-pool tests and then the full suite.
+  TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
+  TSAN_REACTOR='EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)'
+  echo "==> sanitizer matrix: thread,undefined (${TSAN_BUILD})"
+  cmake -B "$TSAN_BUILD" -S "$ROOT" \
+    -DPROBEMON_SANITIZE=thread,undefined >/dev/null
+  cmake --build "$TSAN_BUILD" -j >/dev/null
+  # scripts/tsan.supp silences one sanitizer-runtime false positive
+  # (UBSan's IsAccessibleMemoryRange pipe probe); see the file.
+  export TSAN_OPTIONS="suppressions=$ROOT/scripts/tsan.supp ${TSAN_OPTIONS:-}"
+  echo "==> tsan: event-loop reactor tests"
+  ctest --test-dir "$TSAN_BUILD" --output-on-failure -j -R "$TSAN_REACTOR"
+  TSAN_REACTOR_TESTS="$(ctest --test-dir "$TSAN_BUILD" -N -R "$TSAN_REACTOR" |
+    sed -n 's/^Total Tests: //p')"
+  TSAN_FULL_STATUS="skipped"
   if [[ "${CI_TSAN:-0}" == "1" ]]; then
-    TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-    echo "==> sanitizer matrix: thread,undefined (${TSAN_BUILD})"
-    cmake -B "$TSAN_BUILD" -S "$ROOT" \
-      -DPROBEMON_SANITIZE=thread,undefined >/dev/null
-    cmake --build "$TSAN_BUILD" -j >/dev/null
-    # scripts/tsan.supp silences one sanitizer-runtime false positive
-    # (UBSan's IsAccessibleMemoryRange pipe probe); see the file.
-    export TSAN_OPTIONS="suppressions=$ROOT/scripts/tsan.supp ${TSAN_OPTIONS:-}"
     echo "==> tsan: sweep-runner tests"
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -j \
       -R 'Sweep(Runner|Determinism)'
-    # The reactor surface: start/stop churn under a concurrent scrape,
-    # cross-thread post(), and the async transport/presence stack --
-    # the loop-confinement contract TSan exists to vet.
-    echo "==> tsan: event-loop reactor tests"
-    ctest --test-dir "$TSAN_BUILD" --output-on-failure -j \
-      -R 'EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)'
     echo "==> tsan: full suite"
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -j
+    TSAN_FULL_STATUS="passed"
   fi
 
   # --- machine-readable summary. The checked suite aborts on any
   # invariant violation, so reaching this line means the tally is 0.
   python3 - "$SUMMARY_DIR/analysis_summary.json" "$SCRATCH/lint.json" \
-    "$TIDY_COUNT" "$TSA_BUILD_STATUS" "$TSA_SELFTEST_STATUS" <<'EOF'
+    "$TIDY_COUNT" "$TSA_BUILD_STATUS" "$TSA_SELFTEST_STATUS" \
+    "$TSAN_REACTOR_TESTS" "$TSAN_FULL_STATUS" <<'EOF'
 import json, sys
 out, lint_path, tidy, tsa_build, tsa_selftest = sys.argv[1:6]
+tsan_reactor_tests, tsan_full = sys.argv[6:8]
 lint = json.load(open(lint_path))
 json.dump({
     "invariant_violations": 0,
     "checked_suite": "passed",
-    "sanitizers": ["address", "undefined"],
+    "sanitizers": ["address", "undefined", "thread"],
+    "tsan_reactor_leg": "passed",
+    "tsan_reactor_tests": int(tsan_reactor_tests),
+    "tsan_full_suite": tsan_full,
     "tidy_warnings": None if tidy == "skipped" else int(tidy),
     "tidy_ran": tidy != "skipped",
     "lint_findings": len(lint["findings"]),

@@ -15,23 +15,25 @@ ControlPointBase::ControlPointBase(des::Simulation& sim, net::Network& network,
                                    ProtocolObserver* observer)
     : sim_(sim),
       network_(network),
-      arena_(arena),
       observer_(observer),
-      cycle_(timeouts),
-      cid_(arena.add_cp()),
       device_(device),
-      id_(network.attach(*this)),
-      continue_after_absence_(continue_after_absence) {}
+      cycle_(timeouts),
+      arena_(arena),
+      continue_after_absence_(continue_after_absence) {
+  // Attach only once cycle_ has validated the timeouts: a throwing
+  // constructor must not leave the network pointing at this object.
+  id_ = network_.attach(*this);
+  arena_.add_cp();
+}
 
 ControlPointBase::~ControlPointBase() {
   stop();
-  arena_.remove_cp(cid_);
+  arena_.remove_cp();
 }
 
 void ControlPointBase::start(double initial_jitter) {
-  CpState& st = state();
-  if (st.running) return;
-  st.running = true;
+  if (state_.running) return;
+  state_.running = true;
   if (initial_jitter > 0) {
     arm(initial_jitter);
   } else {
@@ -40,8 +42,8 @@ void ControlPointBase::start(double initial_jitter) {
 }
 
 void ControlPointBase::stop() {
-  if (!state().running && !network_.attached(id_)) return;
-  state().running = false;
+  if (!state_.running && !network_.attached(id_)) return;
+  state_.running = false;
   cancel_cycle();
   if (network_.attached(id_)) network_.detach(id_);
 }
@@ -102,13 +104,13 @@ void ControlPointBase::schedule_cycle(double delay) {
   PROBEMON_CONTRACT(std::isfinite(delay) && delay >= 0,
                     "inter-cycle delay must be finite and non-negative, got "
                         << delay);
-  state().current_delay = delay;
+  state_.current_delay = delay;
   if (observer_) observer_->on_delay_updated(id_, sim_.now(), delay);
   arm(delay);
 }
 
 void ControlPointBase::handle_success(const net::Message& reply) {
-  if (!state().running) return;
+  if (!state_.running) return;
   learn_overlay(reply);
   if (observer_) {
     observer_->on_cycle_success(
@@ -117,12 +119,12 @@ void ControlPointBase::handle_success(const net::Message& reply) {
   }
   // A successful probe is evidence of presence: clear a stale verdict
   // (e.g. the device came back after a silent period).
-  state().device_present = true;
+  state_.device_present = true;
   schedule_cycle(std::max(0.0, delay_after_success(reply)));
 }
 
 void ControlPointBase::handle_failure() {
-  if (!state().running) return;
+  if (!state_.running) return;
   mark_absent(/*learned=*/false);
   if (continue_after_absence_) {
     schedule_cycle(std::max(0.0, delay_after_failure()));
@@ -130,7 +132,7 @@ void ControlPointBase::handle_failure() {
 }
 
 void ControlPointBase::mark_absent(bool learned) {
-  CpState& st = state();
+  CpState& st = state_;
   const bool was_present = st.device_present;
   st.device_present = false;
   if (was_present) {
@@ -163,7 +165,7 @@ void ControlPointBase::disseminate(net::NodeId subject, std::uint8_t ttl) {
 }
 
 void ControlPointBase::learn_overlay(const net::Message& reply) {
-  CpState& st = state();
+  CpState& st = state_;
   for (net::NodeId peer : reply.last_probers) {
     if (peer == net::kInvalidNode || peer == id_) continue;
     const auto end = st.overlay.begin() + st.overlay_count;
@@ -183,7 +185,7 @@ void ControlPointBase::learn_overlay(const net::Message& reply) {
 void ControlPointBase::on_message(const net::Message& msg) {
   switch (msg.kind) {
     case net::MessageKind::kReply:
-      if (msg.from == device_ && state().running) {
+      if (msg.from == device_ && state_.running) {
         if (cycle_.offer_reply(msg)) {
           disarm();
           handle_success(msg);
@@ -198,20 +200,19 @@ void ControlPointBase::on_message(const net::Message& msg) {
         mark_absent(/*learned=*/true);
       }
       break;
-    case net::MessageKind::kNotify: {
-      if (msg.subject == device_ && state().device_present) {
+    case net::MessageKind::kNotify:
+      if (msg.subject == device_ && state_.device_present) {
         cancel_cycle();
         mark_absent(/*learned=*/true);
         // mark_absent already gossiped if enabled, but honour the
         // incoming TTL when it is smaller than ours.
-        CpState& st = state();
-        if (st.dissemination_ttl > 0 && msg.ttl > 0 && !st.notified_peers) {
-          st.notified_peers = true;
+        if (state_.dissemination_ttl > 0 && msg.ttl > 0 &&
+            !state_.notified_peers) {
+          state_.notified_peers = true;
           disseminate(msg.subject, msg.ttl);
         }
       }
       break;
-    }
     case net::MessageKind::kProbe:
       break;  // CPs are never probed
   }

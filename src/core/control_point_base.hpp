@@ -14,12 +14,16 @@
 // stores one event id rather than two timers and their callbacks.
 //
 // Mutable monitoring state (running flag, presence verdict, absence
-// time, current delay, the overlay) lives in a `core::EntityArena` slab
-// addressed by a generation-tagged `CpId`; the wrapper keeps only
-// immutable identity, the cycle FSM and the timer's event id.
+// time, current delay, the overlay) is the object's first member, right
+// after the vptr, followed by what every reply and timer touches — the
+// timer's event id, the addresses, the cycle FSM. A delivery thus finds
+// the CP's hot state in the two cache lines the network prefetched when
+// the reply was sent.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "core/config.hpp"
@@ -30,6 +34,20 @@
 #include "net/network.hpp"
 
 namespace probemon::core {
+
+/// All mutable monitoring state of one control point.
+struct CpState {
+  double absence_time = std::numeric_limits<double>::quiet_NaN();
+  double current_delay = std::numeric_limits<double>::quiet_NaN();
+  /// Overlay neighbours learned from reply piggyback data, oldest first;
+  /// only the first `overlay_count` entries are meaningful.
+  std::array<net::NodeId, 4> overlay{};
+  std::uint8_t overlay_count = 0;
+  std::uint8_t dissemination_ttl = 0;
+  bool running = false;
+  bool device_present = true;
+  bool notified_peers = false;
+};
 
 class ControlPointBase : public net::INetworkClient {
  public:
@@ -44,8 +62,6 @@ class ControlPointBase : public net::INetworkClient {
 
   net::NodeId id() const noexcept { return id_; }
   net::NodeId device() const noexcept { return device_; }
-  /// Arena handle for this CP's state slab.
-  CpId entity_id() const noexcept { return cid_; }
 
   /// Begin monitoring: the first probe cycle starts `initial_jitter`
   /// seconds from now (jitter desynchronizes joining bursts).
@@ -54,16 +70,16 @@ class ControlPointBase : public net::INetworkClient {
   /// Leave the network: abort any cycle, cancel timers, detach.
   void stop();
 
-  bool running() const noexcept { return state().running; }
+  bool running() const noexcept { return state_.running; }
   /// False once this CP has declared or learned the device's absence.
   bool device_considered_present() const noexcept {
-    return state().device_present;
+    return state_.device_present;
   }
   /// Time the CP declared/learned absence (NaN while present).
-  double absence_time() const noexcept { return state().absence_time; }
+  double absence_time() const noexcept { return state_.absence_time; }
 
   /// Most recent inter-cycle delay (NaN before the first success).
-  double current_delay() const noexcept { return state().current_delay; }
+  double current_delay() const noexcept { return state_.current_delay; }
 
   const ProbeCycle& cycle() const noexcept { return cycle_; }
 
@@ -71,13 +87,12 @@ class ControlPointBase : public net::INetworkClient {
   /// forwarding budget (extension; the paper mentions but does not
   /// analyze the dissemination phase).
   void enable_dissemination(std::uint8_t ttl) {
-    state().dissemination_ttl = ttl;
+    state_.dissemination_ttl = ttl;
   }
 
   /// Overlay neighbours learned from reply piggyback data.
   std::span<const net::NodeId> overlay_neighbors() const noexcept {
-    const CpState& st = state();
-    return {st.overlay.data(), st.overlay_count};
+    return {state_.overlay.data(), state_.overlay_count};
   }
 
   // INetworkClient:
@@ -100,8 +115,6 @@ class ControlPointBase : public net::INetworkClient {
   ProtocolObserver* observer() noexcept { return observer_; }
 
  private:
-  CpState& state() noexcept { return arena_.cp(cid_); }
-  const CpState& state() const noexcept { return arena_.cp(cid_); }
   void arm(double delay);
   void disarm();
   void on_timer();
@@ -115,18 +128,18 @@ class ControlPointBase : public net::INetworkClient {
   void learn_overlay(const net::Message& reply);
   void schedule_cycle(double delay);
 
+  CpState state_;  ///< first: shares the vptr's cache line
   des::Simulation& sim_;
   net::Network& network_;
-  EntityArena& arena_;
   ProtocolObserver* observer_;
-  ProbeCycle cycle_;  ///< before cid_/id_: it validates the timeouts
-  CpId cid_;
-  net::NodeId device_;
-  net::NodeId id_ = net::kInvalidNode;
-  bool continue_after_absence_;
   /// The one timer: the probe timeout while cycle_ is active, else the
   /// delay until the next cycle.
   des::EventId timer_;
+  net::NodeId device_;
+  net::NodeId id_ = net::kInvalidNode;
+  ProbeCycle cycle_;
+  EntityArena& arena_;
+  bool continue_after_absence_;
 };
 
 }  // namespace probemon::core

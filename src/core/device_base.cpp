@@ -10,34 +10,34 @@ DeviceBase::DeviceBase(des::Simulation& sim, net::Network& network,
     : sim_(sim),
       network_(network),
       arena_(arena),
-      compute_(compute),
       observer_(observer),
-      compute_rng_(sim.rng().fork("device.compute")),
-      did_(arena.add_device()) {
+      compute_(compute),
+      compute_rng_(sim.rng().fork("device.compute")) {
   compute_.validate();
   id_ = network_.attach(*this);
+  arena_.add_device();
   // Make the per-device stream unique even with several devices.
   compute_rng_ = compute_rng_.fork(id_);
 }
 
 DeviceBase::~DeviceBase() {
   if (network_.attached(id_)) network_.detach(id_);
-  arena_.remove_device(did_);
+  arena_.queue_clear(state_.queue);
+  arena_.remove_device();
 }
 
 void DeviceBase::go_silent() {
-  DeviceState& st = state();
-  st.present = false;
-  arena_.queue_clear(did_);
-  st.busy = false;
+  state_.present = false;
+  arena_.queue_clear(state_.queue);
+  state_.busy = false;
   // Invalidate the in-progress "computation", if any: its completion
   // event carries the old epoch and bails even if the device has come
   // back in the meantime.
-  ++st.service_epoch;
+  ++state_.service_epoch;
 }
 
 void DeviceBase::leave_gracefully() {
-  for (net::NodeId cp : state().last_probers) {
+  for (net::NodeId cp : state_.last_probers) {
     if (cp == net::kInvalidNode) continue;
     net::Message bye;
     bye.kind = net::MessageKind::kBye;
@@ -49,21 +49,20 @@ void DeviceBase::leave_gracefully() {
   go_silent();
 }
 
-void DeviceBase::come_back() { state().present = true; }
+void DeviceBase::come_back() { state_.present = true; }
 
-void DeviceBase::record_prober(DeviceState& st, net::NodeId cp) {
-  if (cp == st.last_probers[0]) return;  // still the most recent
-  st.last_probers[1] = st.last_probers[0];
-  st.last_probers[0] = cp;
+void DeviceBase::record_prober(net::NodeId cp) {
+  if (cp == state_.last_probers[0]) return;  // still the most recent
+  state_.last_probers[1] = state_.last_probers[0];
+  state_.last_probers[0] = cp;
 }
 
 void DeviceBase::on_message(const net::Message& msg) {
-  DeviceState& st = state();
-  if (!st.present) return;  // a silent device ignores everything
+  if (!state_.present) return;  // a silent device ignores everything
   if (msg.kind != net::MessageKind::kProbe) return;
 
   const double t = sim_.now();
-  ++st.probes_received;
+  ++state_.probes_received;
   if (observer_) observer_->on_probe_received(id_, msg.from, t);
   on_probe_accepted(msg, t);
 
@@ -73,18 +72,17 @@ void DeviceBase::on_message(const net::Message& msg) {
   // paper's timeout calibration (TOF = 2*RTT + compute_max) tight rather
   // than vacuous: under bursts, turnaround exceeds TOF and CPs
   // retransmit.
-  arena_.queue_push(did_, msg);
-  if (!st.busy) start_service();
+  arena_.queue_push(state_.queue, msg);
+  if (!state_.busy) start_service();
 }
 
 void DeviceBase::start_service() {
-  DeviceState& st = state();
-  net::Message* head = arena_.queue_front(did_);
+  net::Message* head = arena_.queue_front(state_.queue);
   if (head == nullptr) {
-    st.busy = false;
+    state_.busy = false;
     return;
   }
-  st.busy = true;
+  state_.busy = true;
 
   // Protocol state updates at service time (the paper's "on receipt":
   // receipt and processing coincide for a serial device). The reply is
@@ -97,15 +95,15 @@ void DeviceBase::start_service() {
   reply.to = probe.from;
   reply.cycle = probe.cycle;
   reply.attempt = probe.attempt;
-  reply.last_probers = st.last_probers;
+  reply.last_probers = state_.last_probers;
   fill_reply(probe, sim_.now(), reply);
-  record_prober(st, probe.from);
+  record_prober(probe.from);
 
   const double compute = compute_rng_.uniform(compute_.min, compute_.max);
-  auto complete = [this, epoch = st.service_epoch] {
-    if (epoch != state().service_epoch) return;  // went silent mid-computation
-    network_.send(*arena_.queue_front(did_));
-    arena_.queue_pop(did_);
+  auto complete = [this, epoch = state_.service_epoch] {
+    if (epoch != state_.service_epoch) return;  // went silent mid-computation
+    network_.send(*arena_.queue_front(state_.queue));
+    arena_.queue_pop(state_.queue);
     start_service();
   };
   static_assert(des::InlineCallback::fits_inline<decltype(complete)>);

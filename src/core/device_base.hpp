@@ -12,10 +12,11 @@
 // overlay the dissemination extension uses.
 //
 // All mutable protocol state (presence, probe counters, the service
-// queue, the pending reply) lives in a `core::EntityArena` slab addressed
-// by a generation-tagged `DeviceId`; this object is a thin behaviour
-// wrapper, so a million devices share contiguous storage instead of a
-// deque and heap node each.
+// queue head) is the object's first member, right after the vptr: a
+// delivery touches one object, whose first two cache lines the network
+// prefetched when the probe was sent. The queued probes themselves sit
+// in the `core::EntityArena`'s shared node pool, so an idle device
+// carries no deque and no heap node.
 #pragma once
 
 #include <array>
@@ -29,6 +30,18 @@
 
 namespace probemon::core {
 
+/// All mutable protocol state of one device.
+struct DeviceState {
+  std::uint64_t probes_received = 0;
+  std::uint64_t service_epoch = 0;  ///< bumped on go_silent
+  /// Last two *distinct* probers, most recent first (overlay seed).
+  std::array<net::NodeId, 2> last_probers{net::kInvalidNode,
+                                          net::kInvalidNode};
+  ServiceQueue queue;  ///< the probe in service included while `busy`
+  bool present = true;
+  bool busy = false;
+};
+
 class DeviceBase : public net::INetworkClient {
  public:
   DeviceBase(des::Simulation& sim, net::Network& network, EntityArena& arena,
@@ -39,9 +52,7 @@ class DeviceBase : public net::INetworkClient {
   DeviceBase& operator=(const DeviceBase&) = delete;
 
   net::NodeId id() const noexcept { return id_; }
-  /// Arena handle for this device's state slab.
-  DeviceId entity_id() const noexcept { return did_; }
-  bool present() const noexcept { return state().present; }
+  bool present() const noexcept { return state_.present; }
 
   /// Crash-style departure: the device stays attached (so probes are
   /// still *delivered*) but never answers again.
@@ -57,19 +68,18 @@ class DeviceBase : public net::INetworkClient {
   /// Total probes accepted since creation (including ones still queued
   /// for processing).
   std::uint64_t probes_received() const noexcept {
-    return state().probes_received;
+    return state_.probes_received;
   }
 
   /// Probes waiting for the device's single-threaded processor (the one
   /// in service excluded).
   std::size_t service_queue_length() const noexcept {
-    const DeviceState& st = state();
-    return st.queue_len - (st.busy ? 1 : 0);
+    return state_.queue.len - (state_.busy ? 1 : 0);
   }
 
   /// Ids of the last two distinct probers (kInvalidNode when unknown).
   const std::array<net::NodeId, 2>& last_probers() const noexcept {
-    return state().last_probers;
+    return state_.last_probers;
   }
 
   // INetworkClient:
@@ -92,19 +102,17 @@ class DeviceBase : public net::INetworkClient {
   void notify_delta_changed(std::uint64_t delta);
 
  private:
-  DeviceState& state() noexcept { return arena_.device(did_); }
-  const DeviceState& state() const noexcept { return arena_.device(did_); }
-  void record_prober(DeviceState& st, net::NodeId cp);
+  void record_prober(net::NodeId cp);
   void start_service();
 
+  DeviceState state_;  ///< first: shares the vptr's cache line
   des::Simulation& sim_;
   net::Network& network_;
   EntityArena& arena_;
-  ComputeConfig compute_;
   ProtocolObserver* observer_;
-  util::Rng compute_rng_;
-  DeviceId did_;
   net::NodeId id_ = net::kInvalidNode;
+  ComputeConfig compute_;
+  util::Rng compute_rng_;
 };
 
 }  // namespace probemon::core

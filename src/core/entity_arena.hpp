@@ -1,30 +1,23 @@
-// Dense struct-of-arrays storage for device and control-point state.
+// Shared storage behind a fleet of devices and control points.
 //
-// Fleet-scale runs (10^5-10^6 entities in one Simulation, ROADMAP item 1)
-// are memory-layout bound: one `std::deque<Message>` per device costs
-// ~0.5 KiB of libstdc++ bookkeeping before the first probe arrives, and
-// pointer-heavy per-object state scatters the probe hot path across the
-// heap. The arena fixes both:
+// Every entity keeps its own mutable state inside its object (see
+// `DeviceState` in device_base.hpp and `CpState` in
+// control_point_base.hpp), right after the vptr, so an event that
+// touches an entity pays for one object and not for a wrapper plus a
+// record elsewhere. The arena holds what is shared across entities:
 //
-//   * `DeviceState`/`CpState` live in contiguous `util::SlabPool` slabs
-//     (stable addresses, 32-bit indices, LIFO reuse, zero steady-state
-//     allocation once the population plateaus),
 //   * every device's probe service queue is an intrusive list of
-//     `QueueNode`s drawn from ONE shared pool — an idle device costs
-//     12 bytes of queue state, not a deque,
-//   * handles are generation-tagged (`DeviceId`/`CpId`, same scheme as
-//     `des::EventId`): a stale id never aliases a reused slot.
-//
-// The wrapper classes (`DeviceBase`, `ControlPointBase`) keep behaviour
-// and network identity; all mutable protocol state lives here. Occupancy
-// and high-water gauges feed the telemetry bridge
-// (`probemon_entity_arena_*`).
+//     `QueueNode`s drawn from ONE shared `util::SlabPool` — an idle
+//     device costs a 12-byte `ServiceQueue` (head/tail/len) it owns, not
+//     a deque, and the pool stops allocating once the busiest moment of
+//     the run has passed;
+//   * entity accounting: live and peak device/CP counts, for the
+//     telemetry bridge (`probemon_entity_arena_*`) and the benchmarks.
 #pragma once
 
 #include <algorithm>
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "check/contract.hpp"
 #include "net/message.hpp"
@@ -32,201 +25,90 @@
 
 namespace probemon::core {
 
-/// Generation-tagged arena handle. Packs (generation << 32) | (index + 1);
-/// zero is the invalid handle, so a default-constructed id is never valid.
-template <class Tag>
-class EntityId {
- public:
-  constexpr EntityId() = default;
-
-  constexpr bool is_valid_handle() const noexcept { return raw_ != 0; }
-  constexpr std::uint32_t index() const noexcept {
-    return static_cast<std::uint32_t>(raw_ & 0xffff'ffffu) - 1;
-  }
-  constexpr std::uint32_t generation() const noexcept {
-    return static_cast<std::uint32_t>(raw_ >> 32);
-  }
-
-  friend constexpr bool operator==(EntityId a, EntityId b) noexcept {
-    return a.raw_ == b.raw_;
-  }
-  friend constexpr bool operator!=(EntityId a, EntityId b) noexcept {
-    return a.raw_ != b.raw_;
-  }
-
- private:
-  constexpr explicit EntityId(std::uint64_t raw) noexcept : raw_(raw) {}
-  std::uint64_t raw_ = 0;
-  friend class EntityArena;
-};
-
-using DeviceId = EntityId<struct DeviceIdTag>;
-using CpId = EntityId<struct CpIdTag>;
-
-/// All mutable state of one device. Reset on slot acquire; `gen` survives
-/// release so stale `DeviceId`s are detectable.
-struct DeviceState {
+/// One device's FIFO of probes in the arena's shared node pool. While
+/// the device is busy, the head node holds the reply being computed: the
+/// probe in service is answered in place.
+struct ServiceQueue {
   static constexpr std::uint32_t kNil = 0xffff'ffffu;
 
-  std::uint64_t probes_received = 0;
-  std::uint64_t service_epoch = 0;  ///< bumped on go_silent
-  /// Last two *distinct* probers, most recent first (overlay seed).
-  std::array<net::NodeId, 2> last_probers{net::kInvalidNode,
-                                          net::kInvalidNode};
-  /// Service queue (shared pool). While `busy`, the head node holds the
-  /// reply being computed: the probe in service is answered in place, so
-  /// an idle device carries no reply slot.
-  std::uint32_t queue_head = kNil;
-  std::uint32_t queue_tail = kNil;
-  std::uint32_t queue_len = 0;  ///< nodes, the one in service included
-  std::uint32_t gen = 0;
-  bool present = true;
-  bool busy = false;
-  bool live = false;
-};
-
-/// All mutable state of one control point.
-struct CpState {
-  double absence_time = std::numeric_limits<double>::quiet_NaN();
-  double current_delay = std::numeric_limits<double>::quiet_NaN();
-  /// Overlay neighbours learned from reply piggyback data, oldest first;
-  /// only the first `overlay_count` entries are meaningful.
-  std::array<net::NodeId, 4> overlay{};
-  std::uint32_t gen = 0;
-  std::uint8_t overlay_count = 0;
-  std::uint8_t dissemination_ttl = 0;
-  bool running = false;
-  bool device_present = true;
-  bool notified_peers = false;
-  bool live = false;
+  std::uint32_t head = kNil;
+  std::uint32_t tail = kNil;
+  std::uint32_t len = 0;  ///< nodes, the one in service included
 };
 
 class EntityArena {
  public:
-  static constexpr std::uint32_t kNil = DeviceState::kNil;
+  // --- entity accounting -------------------------------------------------
 
-  // --- devices ---------------------------------------------------------
-
-  DeviceId add_device() {
-    const std::uint32_t index = devices_.acquire();
-    DeviceState& st = devices_[index];
-    const std::uint32_t gen = st.gen;
-    st = DeviceState{};
-    st.gen = gen;
-    st.live = true;
-    device_high_water_ = std::max(device_high_water_, devices_.in_use());
-    return DeviceId{pack(gen, index)};
+  void add_device() noexcept {
+    device_high_water_ = std::max(device_high_water_, ++devices_);
   }
-
-  void remove_device(DeviceId id) {
-    DeviceState& st = device(id);
-    clear_queue(st);
-    st.live = false;
-    ++st.gen;  // invalidates every outstanding handle to this slot
-    devices_.release(id.index());
+  void remove_device() noexcept {
+    PROBEMON_CONTRACT(devices_ > 0, "remove_device with no device live");
+    --devices_;
   }
-
-  DeviceState& device(DeviceId id) noexcept {
-    PROBEMON_CONTRACT(valid(id), "stale or invalid DeviceId");
-    return devices_[id.index()];
-  }
-  const DeviceState& device(DeviceId id) const noexcept {
-    PROBEMON_CONTRACT(valid(id), "stale or invalid DeviceId");
-    return devices_[id.index()];
-  }
-
-  bool valid(DeviceId id) const noexcept {
-    if (!id.is_valid_handle() || id.index() >= devices_.capacity()) {
-      return false;
-    }
-    const DeviceState& st = devices_[id.index()];
-    return st.live && st.gen == id.generation();
-  }
-
-  // --- control points --------------------------------------------------
-
-  CpId add_cp() {
-    const std::uint32_t index = cps_.acquire();
-    CpState& st = cps_[index];
-    const std::uint32_t gen = st.gen;
-    st = CpState{};
-    st.gen = gen;
-    st.live = true;
-    cp_high_water_ = std::max(cp_high_water_, cps_.in_use());
-    return CpId{pack(gen, index)};
-  }
-
-  void remove_cp(CpId id) {
-    CpState& st = cp(id);
-    st.live = false;
-    ++st.gen;
-    cps_.release(id.index());
-  }
-
-  CpState& cp(CpId id) noexcept {
-    PROBEMON_CONTRACT(valid(id), "stale or invalid CpId");
-    return cps_[id.index()];
-  }
-  const CpState& cp(CpId id) const noexcept {
-    PROBEMON_CONTRACT(valid(id), "stale or invalid CpId");
-    return cps_[id.index()];
-  }
-
-  bool valid(CpId id) const noexcept {
-    if (!id.is_valid_handle() || id.index() >= cps_.capacity()) return false;
-    const CpState& st = cps_[id.index()];
-    return st.live && st.gen == id.generation();
+  void add_cp() noexcept { cp_high_water_ = std::max(cp_high_water_, ++cps_); }
+  void remove_cp() noexcept {
+    PROBEMON_CONTRACT(cps_ > 0, "remove_cp with no control point live");
+    --cps_;
   }
 
   // --- device service queues (one shared node pool) --------------------
 
-  void queue_push(DeviceId id, const net::Message& msg) {
-    DeviceState& st = device(id);
+  void queue_push(ServiceQueue& q, const net::Message& msg) {
     const std::uint32_t node = queue_pool_.acquire();
     QueueNode& qn = queue_pool_[node];
     qn.msg = msg;
     qn.next = kNil;
-    if (st.queue_tail == kNil) {
-      st.queue_head = node;
+    if (q.tail == kNil) {
+      q.head = node;
     } else {
-      queue_pool_[st.queue_tail].next = node;
+      queue_pool_[q.tail].next = node;
     }
-    st.queue_tail = node;
-    ++st.queue_len;
+    q.tail = node;
+    ++q.len;
     queue_high_water_ = std::max(queue_high_water_, queue_pool_.in_use());
   }
 
   /// The oldest queued message, or nullptr when the queue is empty. It
   /// stays queued — and may be rewritten in place — until queue_pop().
-  net::Message* queue_front(DeviceId id) noexcept {
-    const std::uint32_t node = device(id).queue_head;
-    return node == kNil ? nullptr : &queue_pool_[node].msg;
+  net::Message* queue_front(const ServiceQueue& q) noexcept {
+    return q.head == kNil ? nullptr : &queue_pool_[q.head].msg;
   }
 
   /// Drop the oldest queued message; the queue must not be empty.
-  void queue_pop(DeviceId id) {
-    DeviceState& st = device(id);
-    PROBEMON_CONTRACT(st.queue_head != kNil, "queue_pop on an empty queue");
-    const std::uint32_t node = st.queue_head;
-    QueueNode& qn = queue_pool_[node];
-    st.queue_head = qn.next;
-    if (st.queue_head == kNil) st.queue_tail = kNil;
-    --st.queue_len;
+  void queue_pop(ServiceQueue& q) {
+    PROBEMON_CONTRACT(q.head != kNil, "queue_pop on an empty queue");
+    const std::uint32_t node = q.head;
+    q.head = queue_pool_[node].next;
+    if (q.head == kNil) q.tail = kNil;
+    --q.len;
     queue_pool_.release(node);
   }
 
-  void queue_clear(DeviceId id) { clear_queue(device(id)); }
+  /// Return every node of `q` to the pool.
+  void queue_clear(ServiceQueue& q) {
+    std::uint32_t node = q.head;
+    while (node != kNil) {
+      const std::uint32_t next = queue_pool_[node].next;
+      queue_pool_.release(node);
+      node = next;
+    }
+    q = ServiceQueue{};
+  }
 
   // --- occupancy / telemetry ------------------------------------------
 
-  std::size_t device_slots() const noexcept { return devices_.capacity(); }
-  std::size_t device_in_use() const noexcept { return devices_.in_use(); }
+  std::size_t device_in_use() const noexcept { return devices_; }
   std::size_t device_high_water() const noexcept {
     return device_high_water_;
   }
-  std::size_t cp_slots() const noexcept { return cps_.capacity(); }
-  std::size_t cp_in_use() const noexcept { return cps_.in_use(); }
+  /// Entity state lives in the entity objects, so there is no slab to
+  /// size: a slot count is the peak number of live entities.
+  std::size_t device_slots() const noexcept { return device_high_water_; }
+  std::size_t cp_in_use() const noexcept { return cps_; }
   std::size_t cp_high_water() const noexcept { return cp_high_water_; }
+  std::size_t cp_slots() const noexcept { return cp_high_water_; }
   std::size_t queue_pool_slots() const noexcept {
     return queue_pool_.capacity();
   }
@@ -238,32 +120,16 @@ class EntityArena {
   }
 
  private:
+  static constexpr std::uint32_t kNil = ServiceQueue::kNil;
+
   struct QueueNode {
     net::Message msg{};
     std::uint32_t next = kNil;
   };
 
-  static constexpr std::uint64_t pack(std::uint32_t gen,
-                                      std::uint32_t index) noexcept {
-    return (static_cast<std::uint64_t>(gen) << 32) |
-           (static_cast<std::uint64_t>(index) + 1);
-  }
-
-  void clear_queue(DeviceState& st) {
-    std::uint32_t node = st.queue_head;
-    while (node != kNil) {
-      const std::uint32_t next = queue_pool_[node].next;
-      queue_pool_.release(node);
-      node = next;
-    }
-    st.queue_head = kNil;
-    st.queue_tail = kNil;
-    st.queue_len = 0;
-  }
-
-  util::SlabPool<DeviceState> devices_;
-  util::SlabPool<CpState> cps_;
   util::SlabPool<QueueNode> queue_pool_;
+  std::size_t devices_ = 0;
+  std::size_t cps_ = 0;
   std::size_t device_high_water_ = 0;
   std::size_t cp_high_water_ = 0;
   std::size_t queue_high_water_ = 0;

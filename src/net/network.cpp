@@ -86,6 +86,7 @@ bool Network::send(Message msg) {
   const double delay = delay_->sample(delay_rng_);
   const std::uint32_t slot = pool_.acquire();
   pool_[slot] = msg;
+  prefetch_client(msg.to);
   auto fire = [this, slot] { deliver_slot(slot); };
   static_assert(des::InlineCallback::fits_inline<decltype(fire)>);
   scheduler_.schedule_after(delay, std::move(fire));
@@ -100,9 +101,25 @@ void Network::schedule_outage(double t0, double t1) {
   scheduler_.schedule_at(t1, [this] { down_ = false; });
 }
 
+void Network::prefetch_client(NodeId id) const noexcept {
+#if defined(__GNUC__)
+  const INetworkClient* client = id < clients_.size() ? clients_[id] : nullptr;
+  if (client == nullptr) return;
+  // Clients keep their vptr and hot state there (core::DeviceBase,
+  // core::ControlPointBase).
+  const char* lines = reinterpret_cast<const char*>(client);
+  __builtin_prefetch(lines);
+  __builtin_prefetch(lines + 64);
+#else
+  (void)id;
+#endif
+}
+
 void Network::deliver_slot(std::uint32_t slot) {
   // Copy out and release first: on_message may send, and the new message
-  // is welcome to reuse this slot.
+  // is welcome to reuse this slot. The client is looked up again rather
+  // than remembered from send(): a node that detached in between must
+  // count as dropped_unknown.
   const Message msg = pool_[slot];
   pool_.release(slot);
   --in_flight_;

@@ -1,6 +1,7 @@
 #include "runtime/event_loop/async_presence.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -66,21 +67,26 @@ void AsyncPresenceService::stop_watches(
   }
   if (loop_.running()) {
     // Stop on the loop thread and wait, so after return no callback can
-    // reference this service.
-    util::Mutex done_mutex{"runtime.AsyncPresenceService.stop"};
-    util::CondVar done_cv;
-    bool done = false;
+    // reference this service. The task co-owns the handshake: this
+    // caller may see `done`, return and unwind while the loop thread is
+    // still inside notify_all().
+    struct Handshake {
+      util::Mutex mutex{"runtime.AsyncPresenceService.stop"};
+      util::CondVar cv;
+      bool done PROBEMON_GUARDED_BY(mutex) = false;
+    };
+    auto handshake = std::make_shared<Handshake>();
     auto* watches_ptr = &watches;
-    loop_.post([&, watches_ptr] {
+    loop_.post([handshake, watches_ptr] {
       for (auto& [id, watch] : *watches_ptr) watch.cp->stop();
       {
-        util::MutexLock lock(done_mutex);
-        done = true;
+        util::MutexLock lock(handshake->mutex);
+        handshake->done = true;
       }
-      done_cv.notify_all();
+      handshake->cv.notify_all();
     });
-    util::MutexLock lock(done_mutex);
-    while (!done) done_cv.wait(done_mutex);
+    util::MutexLock lock(handshake->mutex);
+    while (!handshake->done) handshake->cv.wait(handshake->mutex);
     return;
   }
   // Loop not running: loop-confined calls are legal from this thread.

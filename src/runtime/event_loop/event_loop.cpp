@@ -225,11 +225,19 @@ void EventLoop::run_iteration(bool& saw_stop) {
 }
 
 void EventLoop::run() {
+  open_for_run();
+  run_until_stopped();
+}
+
+void EventLoop::open_for_run() {
   {
     util::MutexLock lock(task_mutex_);
     accepting_tasks_ = true;
   }
   stop_requested_.store(false, std::memory_order_release);
+}
+
+void EventLoop::run_until_stopped() {
   loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
   running_.store(true, std::memory_order_release);
 
@@ -262,10 +270,15 @@ void EventLoop::start() {
     if (running()) return;  // already started
     thread_.join();         // previous run ended via loop-thread stop()
   }
-  thread_ = std::thread([this] { run(); });
-  // Make start() synchronous with the loop being live: post() before
-  // running_ flips would still be picked up (accepting_tasks_ opens in
-  // run()), but tests and callers read running() right after start().
+  // Open the task queue and clear the previous run's stop request before
+  // the thread exists. Left to the new thread, both race the caller
+  // after a restart: the wait below sees the old stop flag and returns
+  // at once, and a post() right after start() finds the queue closed and
+  // runs inline on the caller while the loop thread polls its timers.
+  open_for_run();
+  thread_ = std::thread([this] { run_until_stopped(); });
+  // Make start() synchronous with the loop being live: tests and callers
+  // read running() right after start().
   while (!running() && !stop_requested_.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }

@@ -135,6 +135,10 @@ class EventLoop {
                   const std::string& loop_name = "0");
 
  private:
+  /// Accept tasks again and clear a previous run's stop request.
+  void open_for_run();
+  /// The loop body of run(), on the calling thread.
+  void run_until_stopped();
   void run_iteration(bool& saw_stop);
   void drain_tasks();
   void wake();

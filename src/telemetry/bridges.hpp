@@ -93,10 +93,11 @@ inline void instrument_simulation(Registry& registry,
       "Virtual seconds simulated per wall-clock second", labels);
 }
 
-/// Entity-arena occupancy: slot capacity (monotone), live entities, and
-/// lifetime high-water marks for the device/CP slabs plus the shared
-/// service-queue node pool. At steady state slots must plateau — the
-/// fleet-scale "entities stopped allocating" signal, mirroring
+/// Entity-arena occupancy: live and peak devices/CPs (entity state lives
+/// in the entity objects, so a device/CP "slot" count is the peak), plus
+/// the shared service-queue node pool's capacity (monotone), occupancy
+/// and high-water mark. At steady state the pool's slots must plateau —
+/// the fleet-scale "queues stopped allocating" signal, mirroring
 /// probemon_des_pool_slots.
 inline void instrument_entity_arena(Registry& registry,
                                     const core::EntityArena& arena,
@@ -104,7 +105,7 @@ inline void instrument_entity_arena(Registry& registry,
   registry.gauge_callback(
       "probemon_entity_arena_device_slots",
       [&arena] { return static_cast<double>(arena.device_slots()); },
-      "Device slab capacity (monotone)", labels);
+      "Device slots: peak live device entities (monotone)", labels);
   registry.gauge_callback(
       "probemon_entity_arena_device_in_use",
       [&arena] { return static_cast<double>(arena.device_in_use()); },
@@ -116,7 +117,7 @@ inline void instrument_entity_arena(Registry& registry,
   registry.gauge_callback(
       "probemon_entity_arena_cp_slots",
       [&arena] { return static_cast<double>(arena.cp_slots()); },
-      "Control-point slab capacity (monotone)", labels);
+      "Control-point slots: peak live control points (monotone)", labels);
   registry.gauge_callback(
       "probemon_entity_arena_cp_in_use",
       [&arena] { return static_cast<double>(arena.cp_in_use()); },

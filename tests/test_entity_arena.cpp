@@ -1,11 +1,14 @@
-// Tests for core::EntityArena: generation-tagged handles, the shared
-// service-queue node pool, occupancy/high-water accounting, and the
+// Tests for core::EntityArena: the shared service-queue node pool keyed
+// by a device-owned ServiceQueue, live/peak entity accounting, and the
 // telemetry bridge gauges.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
-#include "core/entity_arena.hpp"
+#include "core/probemon.hpp"
+#include "net/delay_model.hpp"
+#include "net/loss_model.hpp"
 #include "telemetry/bridges.hpp"
 #include "telemetry/registry.hpp"
 
@@ -20,70 +23,56 @@ net::Message probe_from(net::NodeId cp, std::uint64_t cycle) {
   return msg;
 }
 
-TEST(EntityArena, DefaultIdIsInvalid) {
-  EntityArena arena;
-  DeviceId did;
-  CpId cid;
-  EXPECT_FALSE(did.is_valid_handle());
-  EXPECT_FALSE(arena.valid(did));
-  EXPECT_FALSE(arena.valid(cid));
-}
-
 TEST(EntityArena, AddRemoveDeviceTracksOccupancy) {
   EntityArena arena;
-  const DeviceId a = arena.add_device();
-  const DeviceId b = arena.add_device();
-  EXPECT_TRUE(arena.valid(a));
-  EXPECT_TRUE(arena.valid(b));
-  EXPECT_NE(a, b);
+  arena.add_device();
+  arena.add_device();
   EXPECT_EQ(arena.device_in_use(), 2u);
   EXPECT_EQ(arena.device_high_water(), 2u);
+  EXPECT_EQ(arena.device_slots(), 2u);
 
-  arena.remove_device(a);
-  EXPECT_FALSE(arena.valid(a));
-  EXPECT_TRUE(arena.valid(b));
+  arena.remove_device();
   EXPECT_EQ(arena.device_in_use(), 1u);
   EXPECT_EQ(arena.device_high_water(), 2u);  // high water never shrinks
+  EXPECT_EQ(arena.device_slots(), 2u);
+
+  arena.add_cp();
+  arena.remove_cp();
+  EXPECT_EQ(arena.cp_in_use(), 0u);
+  EXPECT_EQ(arena.cp_high_water(), 1u);
+  EXPECT_EQ(arena.cp_slots(), 1u);
 }
 
-TEST(EntityArena, StaleHandleNeverAliasesReusedSlot) {
-  // The ABA hazard: remove a device, acquire a new one (which reuses the
-  // LIFO-freed slot), and check the old handle stays invalid while the
-  // new one works. Same for CPs.
+TEST(EntityArena, EntitiesAccountThemselves) {
+  // Devices and CPs register with the arena for their lifetime; their
+  // state lives in the objects, so the arena only counts them.
+  des::Simulation sim(3);
+  auto network = net::Network::make_paper_default(sim.scheduler(), sim.rng());
   EntityArena arena;
-  const DeviceId old_id = arena.add_device();
-  arena.device(old_id).probes_received = 42;
-  arena.remove_device(old_id);
-
-  const DeviceId new_id = arena.add_device();
-  ASSERT_EQ(new_id.index(), old_id.index());  // slot reused (LIFO)
-  EXPECT_NE(new_id, old_id);                  // but a different generation
-  EXPECT_FALSE(arena.valid(old_id));
-  EXPECT_TRUE(arena.valid(new_id));
-  // The reused slot was reset, not inherited.
-  EXPECT_EQ(arena.device(new_id).probes_received, 0u);
-  EXPECT_TRUE(arena.device(new_id).present);
-
-  const CpId old_cp = arena.add_cp();
-  arena.remove_cp(old_cp);
-  const CpId new_cp = arena.add_cp();
-  ASSERT_EQ(new_cp.index(), old_cp.index());
-  EXPECT_FALSE(arena.valid(old_cp));
-  EXPECT_TRUE(arena.valid(new_cp));
+  {
+    SappDevice device(sim, *network, arena, SappDeviceConfig{});
+    SappControlPoint a(sim, *network, arena, device.id(), SappCpConfig{});
+    DcppControlPoint b(sim, *network, arena, device.id(), DcppCpConfig{});
+    EXPECT_EQ(arena.device_in_use(), 1u);
+    EXPECT_EQ(arena.cp_in_use(), 2u);
+  }
+  EXPECT_EQ(arena.device_in_use(), 0u);
+  EXPECT_EQ(arena.cp_in_use(), 0u);
+  EXPECT_EQ(arena.device_slots(), 1u);
+  EXPECT_EQ(arena.cp_slots(), 2u);
 }
 
 TEST(EntityArena, ServiceQueueIsFifoPerDevice) {
   EntityArena arena;
-  const DeviceId a = arena.add_device();
-  const DeviceId b = arena.add_device();
+  ServiceQueue a, b;
 
-  // Interleaved pushes onto two devices sharing one node pool must stay
-  // FIFO per device.
+  // Interleaved pushes onto two queues sharing one node pool must stay
+  // FIFO per queue.
   for (std::uint64_t i = 0; i < 5; ++i) {
     arena.queue_push(a, probe_from(100, i));
     arena.queue_push(b, probe_from(200, i));
   }
-  EXPECT_EQ(arena.device(a).queue_len, 5u);
+  EXPECT_EQ(a.len, 5u);
   EXPECT_EQ(arena.queue_pool_in_use(), 10u);
 
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -94,7 +83,7 @@ TEST(EntityArena, ServiceQueueIsFifoPerDevice) {
     arena.queue_pop(a);
   }
   EXPECT_EQ(arena.queue_front(a), nullptr);
-  EXPECT_EQ(arena.device(a).queue_len, 0u);
+  EXPECT_EQ(a.len, 0u);
 
   for (std::uint64_t i = 0; i < 5; ++i) {
     const net::Message* front = arena.queue_front(b);
@@ -109,62 +98,76 @@ TEST(EntityArena, ServiceQueueIsFifoPerDevice) {
 
 TEST(EntityArena, QueueClearReleasesEveryNode) {
   EntityArena arena;
-  const DeviceId id = arena.add_device();
+  ServiceQueue q;
   for (std::uint64_t i = 0; i < 8; ++i) {
-    arena.queue_push(id, probe_from(7, i));
+    arena.queue_push(q, probe_from(7, i));
   }
-  arena.queue_clear(id);
-  EXPECT_EQ(arena.device(id).queue_len, 0u);
+  arena.queue_clear(q);
+  EXPECT_EQ(q.len, 0u);
   EXPECT_EQ(arena.queue_pool_in_use(), 0u);
-  EXPECT_EQ(arena.queue_front(id), nullptr);
+  EXPECT_EQ(arena.queue_front(q), nullptr);
 
   // Push after clear works on a clean list.
-  arena.queue_push(id, probe_from(8, 99));
-  const net::Message* front = arena.queue_front(id);
+  arena.queue_push(q, probe_from(8, 99));
+  const net::Message* front = arena.queue_front(q);
   ASSERT_NE(front, nullptr);
   EXPECT_EQ(front->cycle, 99u);
 }
 
 TEST(EntityArena, RemoveDeviceReclaimsItsQueue) {
+  // Probes queued at a device return to the shared pool when the device
+  // is destroyed mid-service.
+  des::Simulation sim(5);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_constant_delay(0.001), net::make_no_loss());
   EntityArena arena;
-  const DeviceId id = arena.add_device();
-  arena.queue_push(id, probe_from(1, 0));
-  arena.queue_push(id, probe_from(1, 1));
-  EXPECT_EQ(arena.queue_pool_in_use(), 2u);
-  arena.remove_device(id);
+  auto device =
+      std::make_unique<SappDevice>(sim, network, arena, SappDeviceConfig{});
+  std::vector<std::unique_ptr<SappControlPoint>> cps;
+  for (int i = 0; i < 3; ++i) {
+    cps.push_back(std::make_unique<SappControlPoint>(
+        sim, network, arena, device->id(), SappCpConfig{}));
+    cps.back()->start();
+  }
+  sim.run_until(0.0015);  // every probe delivered, none answered yet
+  ASSERT_EQ(device->probes_received(), 3u);
+  EXPECT_EQ(arena.queue_pool_in_use(), 3u);
+  device.reset();
   EXPECT_EQ(arena.queue_pool_in_use(), 0u);
+  EXPECT_EQ(arena.device_in_use(), 0u);
 }
 
 TEST(EntityArena, SteadyChurnDoesNotGrowSlabs) {
-  // Population plateaus => slab capacity plateaus (zero steady-state
-  // allocation, the fleet-scale claim behind bench_scale's flat
-  // bytes/entity).
+  // Queue occupancy plateaus => the node pool's slabs plateau (zero
+  // steady-state allocation, the fleet-scale claim behind bench_scale's
+  // flat bytes/entity), and entity churn at a fixed population leaves
+  // the peak counts where they were.
   EntityArena arena;
-  std::vector<DeviceId> devices;
-  std::vector<CpId> cps;
+  std::vector<ServiceQueue> queues(300);
   for (int i = 0; i < 300; ++i) {
-    devices.push_back(arena.add_device());
-    cps.push_back(arena.add_cp());
+    arena.add_device();
+    arena.add_cp();
+    arena.queue_push(queues[i], probe_from(1, 0));
   }
-  const std::size_t device_slots = arena.device_slots();
-  const std::size_t cp_slots = arena.cp_slots();
+  const std::size_t pool_slots = arena.queue_pool_slots();
 
   for (int wave = 0; wave < 20; ++wave) {
     for (int i = 0; i < 100; ++i) {
-      arena.remove_device(devices.back());
-      devices.pop_back();
-      arena.remove_cp(cps.back());
-      cps.pop_back();
+      arena.queue_clear(queues[i]);
+      arena.remove_device();
+      arena.remove_cp();
     }
     for (int i = 0; i < 100; ++i) {
-      devices.push_back(arena.add_device());
-      cps.push_back(arena.add_cp());
+      arena.add_device();
+      arena.add_cp();
+      arena.queue_push(queues[i], probe_from(2, wave));
     }
   }
-  EXPECT_EQ(arena.device_slots(), device_slots);
-  EXPECT_EQ(arena.cp_slots(), cp_slots);
+  EXPECT_EQ(arena.queue_pool_slots(), pool_slots);
+  EXPECT_EQ(arena.queue_pool_in_use(), 300u);
   EXPECT_EQ(arena.device_in_use(), 300u);
-  EXPECT_EQ(arena.device_high_water(), 300u);
+  EXPECT_EQ(arena.device_slots(), 300u);
+  EXPECT_EQ(arena.cp_slots(), 300u);
 }
 
 double gauge_value(const std::vector<telemetry::Sample>& samples,
@@ -177,10 +180,11 @@ double gauge_value(const std::vector<telemetry::Sample>& samples,
 
 TEST(EntityArenaTelemetry, BridgeExportsOccupancyGauges) {
   EntityArena arena;
-  const DeviceId device = arena.add_device();
+  ServiceQueue queue;
+  arena.add_device();
   arena.add_cp();
   arena.add_cp();
-  arena.queue_push(device, probe_from(5, 0));
+  arena.queue_push(queue, probe_from(5, 0));
 
   telemetry::Registry registry;
   telemetry::instrument_entity_arena(registry, arena);
@@ -190,17 +194,20 @@ TEST(EntityArenaTelemetry, BridgeExportsOccupancyGauges) {
   EXPECT_EQ(gauge_value(samples, "probemon_entity_arena_cp_high_water"), 2.0);
   EXPECT_EQ(gauge_value(samples, "probemon_entity_arena_queue_pool_in_use"),
             1.0);
-  EXPECT_GE(gauge_value(samples, "probemon_entity_arena_device_slots"), 1.0);
+  EXPECT_EQ(gauge_value(samples, "probemon_entity_arena_device_slots"), 1.0);
 
   // Callback gauges read live state: draining the queue and removing a
   // CP shows up in the next snapshot without re-registration.
-  ASSERT_NE(arena.queue_front(device), nullptr);
-  arena.queue_pop(device);
+  ASSERT_NE(arena.queue_front(queue), nullptr);
+  arena.queue_pop(queue);
+  arena.remove_cp();
   const auto after = registry.snapshot();
   EXPECT_EQ(gauge_value(after, "probemon_entity_arena_queue_pool_in_use"),
             0.0);
   EXPECT_EQ(gauge_value(after, "probemon_entity_arena_queue_pool_high_water"),
             1.0);
+  EXPECT_EQ(gauge_value(after, "probemon_entity_arena_cp_in_use"), 1.0);
+  EXPECT_EQ(gauge_value(after, "probemon_entity_arena_cp_slots"), 2.0);
 }
 
 }  // namespace

@@ -116,6 +116,23 @@ TEST(EventLoop, PostAfterStopRunsInline) {
   EXPECT_TRUE(ran);  // queue is closed: the task ran on this thread
 }
 
+TEST(EventLoop, PostRightAfterRestartRunsOnLoopThread) {
+  // start() reopens the task queue and clears the previous run's stop
+  // flag before it returns, so a task posted at once after a restart
+  // runs on the new loop thread, never inline on the caller.
+  EventLoop loop;
+  for (int round = 0; round < 200; ++round) {
+    loop.start();
+    std::promise<bool> ran;
+    std::future<bool> on_loop_thread = ran.get_future();
+    loop.post([&loop, &ran] { ran.set_value(loop.on_loop_thread()); });
+    ASSERT_EQ(on_loop_thread.wait_for(2s), std::future_status::ready)
+        << "round " << round;
+    EXPECT_TRUE(on_loop_thread.get()) << "round " << round;
+    loop.stop();
+  }
+}
+
 TEST(EventLoop, StopFromLoopThreadCallback) {
   EventLoop loop;
   loop.start();

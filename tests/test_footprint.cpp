@@ -29,15 +29,18 @@ std::uint64_t heap_bytes_in_use() {
 }
 
 TEST(Footprint, EntityStateFitsItsBudget) {
-  EXPECT_LE(sizeof(DeviceState), 48u);
-  EXPECT_LE(sizeof(CpState), 48u);
+  // No handle generation or liveness flag: the state lives in its
+  // entity object, which is its only owner.
+  EXPECT_LE(sizeof(DeviceState), 40u);
+  EXPECT_LE(sizeof(CpState), 40u);
   // One event id for both the probe timeout and the inter-cycle delay,
-  // and no stored callbacks: the wrapper is identity, the cycle FSM and
-  // the protocol's own state.
-  EXPECT_LE(sizeof(ControlPointBase), 160u);
-  EXPECT_LE(sizeof(SappControlPoint), 320u);
-  EXPECT_LE(sizeof(DcppControlPoint), 224u);
-  EXPECT_LE(sizeof(SappDevice), 256u);
+  // and no stored callbacks: a CP is its state, identity, the cycle FSM
+  // and the protocol's own state. Each budget is the one a wrapper and
+  // its arena record had together, less the arena handle.
+  EXPECT_LE(sizeof(ControlPointBase), 200u);
+  EXPECT_LE(sizeof(SappControlPoint), 360u);
+  EXPECT_LE(sizeof(DcppControlPoint), 264u);
+  EXPECT_LE(sizeof(SappDevice), 296u);
 }
 
 TEST(Footprint, FleetHeapBytesPerEntityStayLean) {
@@ -73,8 +76,8 @@ TEST(Footprint, FleetHeapBytesPerEntityStayLean) {
   const std::uint64_t held = after - before;
   const double per_entity =
       static_cast<double>(held) / static_cast<double>(kGroups * (1 + kCps));
-  // ~450 B per entity today; the bound leaves ~15 % headroom.
-  EXPECT_LT(per_entity, 512.0) << held << " heap bytes";
+  // ~438 B per entity today; the bound leaves ~10 % headroom.
+  EXPECT_LT(per_entity, 480.0) << held << " heap bytes";
 }
 
 }  // namespace

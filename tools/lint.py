@@ -42,8 +42,9 @@ Rules (suppress a line with ``NOLINT(<rule>)`` plus a reason comment):
                      device_base.cpp, control_point_base.cpp under
                      src/core) runs once per event at fleet scale and
                      must not heap-allocate: entity state lives in the
-                     EntityArena slabs, messages in pooled queue nodes,
-                     callbacks in InlineFunction buffers. Forbids
+                     entity objects, queued probes in the EntityArena's
+                     pooled queue nodes, callbacks in InlineFunction
+                     buffers. Forbids
                      std::make_unique / std::make_shared / .reset(new
                      in those files (naked new is already global).
   annotated-locks    src/ synchronizes through the TSA-annotated
@@ -172,7 +173,7 @@ RULES = {
         "src/scenario (use util::InlineFunction)",
     "no-hot-path-alloc":
         "no heap allocation in the src/core probe-cycle hot-path files "
-        "(arena slabs / pools / InlineFunction instead)",
+        "(entity objects / pools / InlineFunction instead)",
     "no-string-labels":
         "no string-keyed metric lookups in src/des + src/core "
         "(intern at setup, use the *_ids overloads)",
@@ -287,7 +288,8 @@ def lint_file(path: pathlib.Path, rel: pathlib.Path) -> list[Finding]:
                 findings.append(Finding(
                     rel, lineno, "no-hot-path-alloc",
                     "heap allocation in a probe-cycle hot-path file — "
-                    "use the EntityArena slabs, pooled queue nodes, or "
+                    "keep state in the entity object, queued probes in "
+                    "the EntityArena's pooled queue nodes, callbacks in "
                     "InlineFunction buffers"))
 
         if deterministic_zone and not suppressed(raw, "no-string-labels"):
