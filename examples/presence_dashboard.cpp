@@ -1,9 +1,9 @@
-// Presence dashboard — the PresenceService facade watching a fleet of
-// devices over the threaded runtime: some devices crash, the event
-// stream announces it, and the table is rendered straight from
-// PresenceService::snapshotWatches() — the same accessor the /watches
-// HTTP route serves (pass --http-port to scrape it live with curl).
-// Wall-clock runtime: about 2 seconds plus --linger.
+// Presence dashboard — an AsyncPresenceService watching a fleet of
+// devices on the event loop, over real loopback UDP: some devices
+// crash, the event stream announces it, and the table is rendered
+// straight from AsyncPresenceService::snapshotWatches() — the same
+// accessor the /watches HTTP route serves (pass --http-port to scrape
+// it live with curl). Wall-clock runtime: about 1 second plus --linger.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -12,11 +12,12 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "runtime/history_ticker.hpp"
 #include "runtime/http_routes.hpp"
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
 #include "telemetry/alerts/default_rules.hpp"
 #include "telemetry/http_server.hpp"
 #include "telemetry/probe_tracer.hpp"
@@ -37,7 +38,7 @@ std::string fmt(double v, const char* unit = "") {
 
 /// The dashboard's table, straight from the service's snapshot — no
 /// state duplicated through observer callbacks.
-void print_watch_table(const runtime::PresenceService& service) {
+void print_watch_table(const runtime::AsyncPresenceService& service) {
   trace::Table table({"device", "presence", "last rtt", "fails", "probes",
                       "next probe due"});
   for (const auto& info : service.snapshotWatches()) {
@@ -58,30 +59,32 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto http_port = cli.get<std::int64_t>("http-port", -1);
   const auto linger_s = cli.get<double>("linger", 0.0);
-  cli.finish("presence_dashboard: PresenceService watching a device fleet");
+  cli.finish(
+      "presence_dashboard: AsyncPresenceService watching a device fleet");
 
-  runtime::InProcTransportConfig net_config;
-  net_config.delay_min = 0.0002;
-  net_config.delay_max = 0.002;
-  net_config.loss = 0.01;
-  runtime::InProcTransport transport(net_config);
+  // Declaration order is teardown order in reverse: the registry
+  // outlives everything instrumented into it, and the loop is stopped
+  // (below) before any loop-confined object is destroyed.
+  telemetry::Registry registry;
+  telemetry::ProbeCycleTracer tracer(1024);
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
 
   // A fleet of six devices with quick DCPP schedules.
   core::DcppDeviceConfig device_config;
   device_config.delta_min = 0.02;
   device_config.d_min = 0.08;
-  std::vector<std::unique_ptr<runtime::RtDcppDevice>> devices;
+  std::vector<std::unique_ptr<runtime::AsyncDcppDevice>> devices;
   for (int i = 0; i < 6; ++i) {
     devices.push_back(
-        std::make_unique<runtime::RtDcppDevice>(transport, device_config));
+        std::make_unique<runtime::AsyncDcppDevice>(transport, device_config));
   }
 
-  telemetry::Registry registry;
-  telemetry::ProbeCycleTracer tracer(1024);
-  runtime::PresenceService::TelemetryOptions wiring;
+  runtime::AsyncPresenceService::TelemetryOptions wiring;
   wiring.registry = &registry;
   wiring.tracer = &tracer;
-  runtime::PresenceService service(transport, wiring);
+  wiring.per_watch_metrics = true;  // six devices: cardinality is fine
+  runtime::AsyncPresenceService service(transport, wiring);
 
   std::atomic<int> events{0};
   service.subscribe([&](const runtime::PresenceEvent& event) {
@@ -130,6 +133,7 @@ int main(int argc, char** argv) {
   for (const auto& device : devices) {
     service.watch_dcpp(device->id(), cp_config);
   }
+  loop.start();
   std::cout << "watching " << service.watch_count() << " devices...\n";
   std::this_thread::sleep_for(400ms);
 
@@ -159,5 +163,6 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
   }
   http.stop();
+  loop.stop();
   return absent == 2 ? 0 : 1;
 }

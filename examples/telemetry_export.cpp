@@ -1,6 +1,6 @@
 // Telemetry export — one registry observing both halves of the repo:
-// the threaded runtime (transport, devices, PresenceService with
-// per-watch RTT histograms and a probe-cycle tracer) and a DES DCPP run
+// the event-loop runtime (UDP transport, devices, AsyncPresenceService
+// with per-watch RTT histograms and a probe-cycle tracer) and a DES DCPP run
 // (scheduler event counters plus the same probe-cycle traces,
 // reassembled from protocol observer events). Ends by dumping the
 // Prometheus text exposition to stdout — exactly what the HTTP
@@ -17,9 +17,10 @@
 
 #include "core/probemon.hpp"
 #include "des/simulation.hpp"
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "telemetry/bridges.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/observer_adapter.hpp"
@@ -43,28 +44,27 @@ int main(int argc, char** argv) {
   telemetry::Registry registry;
   telemetry::ProbeCycleTracer tracer(512);
 
-  // ---- Part 1: the threaded runtime under observation. ----
-  runtime::InProcTransportConfig net_config;
-  net_config.delay_min = 0.0002;
-  net_config.delay_max = 0.002;
-  net_config.loss = 0.02;  // some loss, so retransmission counters move
-  runtime::InProcTransport transport(net_config);
+  // ---- Part 1: the event-loop runtime under observation. ----
+  runtime::EventLoop loop;
+  loop.instrument(registry);
+  runtime::AsyncUdpTransport transport(loop);
   transport.instrument(registry);
 
   core::DcppDeviceConfig device_config;
   device_config.delta_min = 0.02;
   device_config.d_min = 0.08;
-  std::vector<std::unique_ptr<runtime::RtDcppDevice>> devices;
+  std::vector<std::unique_ptr<runtime::AsyncDcppDevice>> devices;
   for (int i = 0; i < 3; ++i) {
     devices.push_back(
-        std::make_unique<runtime::RtDcppDevice>(transport, device_config));
+        std::make_unique<runtime::AsyncDcppDevice>(transport, device_config));
     devices.back()->instrument(registry);
   }
 
-  runtime::PresenceService::TelemetryOptions wiring;
+  runtime::AsyncPresenceService::TelemetryOptions wiring;
   wiring.registry = &registry;
   wiring.tracer = &tracer;
-  runtime::PresenceService service(transport, wiring);
+  wiring.per_watch_metrics = true;  // three devices: cardinality is fine
+  runtime::AsyncPresenceService service(transport, wiring);
 
   core::DcppCpConfig cp_config;
   cp_config.timeouts.tof = 0.030;
@@ -81,8 +81,9 @@ int main(int argc, char** argv) {
   reporter.set_snapshot_file("telemetry_out/metrics.prom");
   reporter.start();
 
+  loop.start();
   std::cout << "watching " << service.watch_count()
-            << " devices over the threaded runtime...\n";
+            << " devices on the event loop...\n";
   std::this_thread::sleep_for(700ms);
 
   std::cout << "device " << devices[1]->id()
@@ -91,6 +92,9 @@ int main(int argc, char** argv) {
   devices[1]->go_silent();
   std::this_thread::sleep_for(700ms);
   reporter.stop();
+  // Loop-confined objects tear down after the loop stops; their
+  // counters stay readable for the export below.
+  loop.stop();
 
   // ---- Part 2: a DES run bound into the same registry. The protocol
   // events are reassembled into ProbeCycleTrace records by
@@ -156,7 +160,7 @@ int main(int argc, char** argv) {
   const char* required[] = {
       "probemon_watch_probes_sent_total",
       "probemon_watch_rtt_seconds_bucket",
-      "probemon_device_experienced_load",
+      "probemon_device_probes_received_total",
       "probemon_des_events_executed_total",
       "probemon_transport_datagrams_sent_total",
       "probemon_presence_transitions_total",

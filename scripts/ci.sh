@@ -8,6 +8,11 @@
 #   BENCH_BASELINE_DIR=path scripts/ci.sh   # additionally diff against
 #                                           # a stored baseline
 #
+# Three examples then run end to end from a temporary dir and must exit
+# 0: realtime_runtime, presence_dashboard and telemetry_export are the
+# only end-to-end runs of the reactor with the HTTP routes, history and
+# alerts attached, and each self-checks its own outcome.
+#
 # The self-diff runs the (deterministic, seeded) smoke benches twice and
 # requires identical summaries -- it catches accidental nondeterminism
 # and validates the tools/bench_diff.py pipeline on every run, even when
@@ -42,10 +47,11 @@
 #     ctest suite -- every Experiment self-audits its protocol
 #     invariants and aborts the test on a violation
 #   * a checked DES smoke (bench under the sanitized+checked build)
-#   * a thread,undefined build running the event-loop reactor tests
-#     (EventLoop, WallClockWheel, AsyncUdpTransport/Runtime/Presence);
-#     CI_TSAN=1 additionally runs the sweep tests and the full suite
-#     under it
+#   * a thread,undefined build running every test that starts an
+#     event loop (EventLoop, WallClockWheel, AsyncUdpTransport/Runtime/
+#     Presence, and the routes, auditor, telemetry and alert tests that
+#     run a live reactor service); CI_TSAN=1 additionally runs the sweep
+#     tests and the full suite under it
 # and writes bench_out/analysis_summary.json with machine-readable
 # results (invariant violations, tidy warning count, lint findings,
 # the TSan legs).
@@ -94,6 +100,20 @@ run_smoke() {
 
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
+
+run_example() {
+  # $@: example binary and its flags; it writes telemetry_out/ relative
+  # to cwd, so it runs in the temporary dir. A failed self-check exits
+  # non-zero.
+  echo "    $*"
+  (cd "$SCRATCH/examples" && "$BUILD/examples/$1" "${@:2}" >/dev/null)
+}
+
+echo "==> example self-checks (exit 0 required)"
+mkdir -p "$SCRATCH/examples"
+run_example realtime_runtime --duration=1
+run_example presence_dashboard
+run_example telemetry_export
 
 echo "==> bench smoke (pass 1)"
 run_smoke "$SCRATCH/run1"
@@ -467,12 +487,18 @@ EOF
        --d-min=0.5)
 
   # --- dynamic: thread,undefined build. The reactor leg always runs:
-  # start/stop churn under a concurrent scrape, cross-thread post(), and
-  # the async transport/presence stack -- the loop-confinement contract
-  # TSan exists to vet. CI_TSAN=1 (slow; opt-in) adds the SweepRunner
-  # thread-pool tests and then the full suite.
+  # start/stop churn under a concurrent scrape, cross-thread post(), the
+  # async transport/presence stack, and every other test that starts an
+  # EventLoop (HTTP routes, auditor, telemetry and the device_load rule
+  # over a live service) -- the loop-confinement contract TSan exists to
+  # vet. CI_TSAN=1 (slow; opt-in) adds the SweepRunner thread-pool tests
+  # and then the full suite.
   TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
   TSAN_REACTOR='EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)'
+  TSAN_REACTOR+='|HttpRoutes\.WatchesAndHealthzOverLiveService'
+  TSAN_REACTOR+='|InvariantAuditor\.RuntimeWatchAuditsToZero'
+  TSAN_REACTOR+='|PresenceServiceTelemetry\.|TransportTelemetry\.'
+  TSAN_REACTOR+='|DefaultRules\.DeviceLoadReadsALiveReactorDevice'
   echo "==> sanitizer matrix: thread,undefined (${TSAN_BUILD})"
   cmake -B "$TSAN_BUILD" -S "$ROOT" \
     -DPROBEMON_SANITIZE=thread,undefined >/dev/null

@@ -142,9 +142,9 @@ class InvariantAuditor final : public core::ProtocolObserver {
                        double nt_after) override PROBEMON_EXCLUDES(mutex_);
 
   // --- runtime side ---------------------------------------------------------
-  /// Audit one completed probe-cycle span (the realtime CPs emit these
-  /// through PresenceService::TelemetryOptions::auditor): shape, attempt
-  /// bound, exhaustion-before-absence.
+  /// Audit one completed probe-cycle span (the reactor CPs emit these
+  /// through AsyncPresenceService::TelemetryOptions::auditor): shape,
+  /// attempt bound, exhaustion-before-absence.
   void audit_cycle(const telemetry::ProbeCycleTrace& trace);
 
   /// Audit a tracer's ring bookkeeping (indices in range: retained

@@ -1,7 +1,7 @@
 // Pure SAPP adaptation state machine (paper eq. 1), shared by the
-// discrete-event CP (core::SappControlPoint) and the wall-clock CP
-// (runtime::RtSappControlPoint). Keeping it pure makes the adaptation
-// rule unit- and property-testable in isolation.
+// discrete-event CP (core::SappControlPoint) and the reactor CP
+// (runtime::AsyncSappControlPoint). Keeping it pure makes the
+// adaptation rule unit- and property-testable in isolation.
 #pragma once
 
 #include <algorithm>

@@ -7,9 +7,8 @@ AsyncControlPointBase::AsyncControlPointBase(
     const core::TimeoutConfig& timeouts, Callbacks callbacks)
     : transport_(transport),
       device_(device),
-      timeouts_(timeouts),
-      callbacks_(std::move(callbacks)) {
-  timeouts_.validate();
+      callbacks_(std::move(callbacks)),
+      cycle_(timeouts) {
   id_ = transport_.attach([this](const net::Message& msg) { handle(msg); });
 }
 
@@ -30,7 +29,7 @@ void AsyncControlPointBase::stop() {
   if (stopped_) return;
   stopped_ = true;
   disarm();
-  awaiting_reply_ = false;
+  cycle_.abort();
   transport_.detach(id_);
 }
 
@@ -44,48 +43,41 @@ void AsyncControlPointBase::disarm() {
 void AsyncControlPointBase::begin_cycle() {
   timer_ = des::EventId{};
   if (stopped_) return;
-  ++cycle_;
-  attempt_ = 0;
-  awaiting_reply_ = true;
-  send_attempt();
+  cycle_start_ = transport_.loop().now();
+  cycle_.start(cycle_start_);
+  if (callbacks_.on_cycle_trace) {
+    trace_.cp = id_;
+    trace_.device = device_;
+    trace_.cycle = cycle_.cycle();
+    trace_.start = cycle_start_;
+    trace_.rtt = 0.0;
+    trace_.sends.clear();
+  }
+  send_probe();
 }
 
-void AsyncControlPointBase::send_attempt() {
+void AsyncControlPointBase::send_probe() {
   probes_sent_.fetch_add(1, std::memory_order_relaxed);
-  sent_at_ = transport_.loop().now();
-  if (attempt_ == 0) {
-    cycle_start_ = sent_at_;
-    if (callbacks_.on_cycle_trace) {
-      trace_.cp = id_;
-      trace_.device = device_;
-      trace_.cycle = cycle_;
-      trace_.start = sent_at_;
-      trace_.rtt = 0.0;
-      trace_.sends.clear();
-    }
-  }
-  if (callbacks_.on_cycle_trace) trace_.sends.push_back(sent_at_);
+  const double sent_at = cycle_.last_send_time();
+  if (callbacks_.on_cycle_trace) trace_.sends.push_back(sent_at);
 
   net::Message probe;
   probe.kind = net::MessageKind::kProbe;
   probe.from = id_;
   probe.to = device_;
-  probe.cycle = cycle_;
-  probe.attempt = static_cast<std::uint8_t>(attempt_);
+  probe.cycle = cycle_.cycle();
+  probe.attempt = cycle_.attempt();
   transport_.send(probe);
 
-  const double deadline =
-      sent_at_ + (attempt_ == 0 ? timeouts_.tof : timeouts_.tos);
-  timer_ = transport_.loop().timers().schedule_at(deadline,
+  timer_ = transport_.loop().timers().schedule_at(sent_at + cycle_.timeout(),
                                                   [this] { on_timeout(); });
 }
 
 void AsyncControlPointBase::on_timeout() {
   timer_ = des::EventId{};
-  if (stopped_ || !awaiting_reply_) return;
-  if (attempt_ < timeouts_.max_retransmissions) {
-    ++attempt_;
-    send_attempt();
+  if (stopped_ || !cycle_.active()) return;
+  if (cycle_.expire(transport_.loop().now())) {
+    send_probe();
     return;
   }
   declare_absent();
@@ -94,41 +86,36 @@ void AsyncControlPointBase::on_timeout() {
 void AsyncControlPointBase::handle(const net::Message& msg) {
   if (msg.kind != net::MessageKind::kReply || msg.from != device_) return;
   // Stale replies — an older cycle's retransmission answered late, or a
-  // reply after absence was declared — are dropped, same as the Rt CP.
-  if (stopped_ || !awaiting_reply_ || msg.cycle != cycle_) return;
+  // reply after absence was declared — are dropped.
+  if (stopped_ || !cycle_.offer_reply(msg)) return;
   disarm();
-  awaiting_reply_ = false;
 
   const double now = transport_.loop().now();
-  // Same observation rule as the DES and Rt CPs: a clean success uses
-  // the reply arrival instant, a retransmitted success the send time.
-  const double t_obs = attempt_ == 0 ? now : sent_at_;
-  const double rtt = now - sent_at_;
+  const double last_send = cycle_.last_send_time();
+  // Same observation rule as the DES CPs: a clean success uses the
+  // reply arrival instant, a retransmitted success the send time.
+  const double t_obs = cycle_.attempt() == 0 ? now : last_send;
   const double delay = next_delay(msg, t_obs);
-  const auto attempts = static_cast<std::uint8_t>(attempt_ + 1);
 
   current_delay_.store(delay, std::memory_order_relaxed);
   device_present_.store(true, std::memory_order_relaxed);
   cycles_succeeded_.fetch_add(1, std::memory_order_relaxed);
 
-  if (callbacks_.on_cycle) {
-    CycleInfo info;
-    info.success = true;
-    info.start = cycle_start_;
-    info.end = now;
-    info.rtt = rtt;
-    info.next_delay = delay;
-    info.attempts = attempts;
-    callbacks_.on_cycle(info);
-  }
+  CycleInfo info;
+  info.success = true;
+  info.start = cycle_start_;
+  info.end = now;
+  info.rtt = now - last_send;
+  info.next_delay = delay;
+  info.attempts = static_cast<std::uint8_t>(cycle_.attempt() + 1);
   if (callbacks_.on_cycle_trace) {
     trace_.end = now;
-    trace_.attempts = attempts;
+    trace_.attempts = info.attempts;
     trace_.success = true;
-    trace_.rtt = rtt;
+    trace_.rtt = info.rtt;
     callbacks_.on_cycle_trace(trace_);
   }
-  if (callbacks_.on_cycle_success) callbacks_.on_cycle_success(now, delay);
+  if (callbacks_.on_cycle) callbacks_.on_cycle(info);
   if (stopped_) return;  // a callback stopped this CP
 
   timer_ = transport_.loop().timers().schedule_after(
@@ -136,29 +123,22 @@ void AsyncControlPointBase::handle(const net::Message& msg) {
 }
 
 void AsyncControlPointBase::declare_absent() {
-  awaiting_reply_ = false;
-  const double now = transport_.loop().now();
-  const auto attempts = static_cast<std::uint8_t>(attempt_ + 1);
-
   device_present_.store(false, std::memory_order_relaxed);
   cycles_failed_.fetch_add(1, std::memory_order_relaxed);
 
-  if (callbacks_.on_cycle) {
-    CycleInfo info;
-    info.success = false;
-    info.start = cycle_start_;
-    info.end = now;
-    info.attempts = attempts;
-    callbacks_.on_cycle(info);
-  }
+  CycleInfo info;
+  info.success = false;
+  info.start = cycle_start_;
+  info.end = transport_.loop().now();
+  info.attempts = static_cast<std::uint8_t>(cycle_.attempt() + 1);
   if (callbacks_.on_cycle_trace) {
-    trace_.end = now;
-    trace_.attempts = attempts;
+    trace_.end = info.end;
+    trace_.attempts = info.attempts;
     trace_.success = false;
     trace_.rtt = 0.0;
     callbacks_.on_cycle_trace(trace_);
   }
-  if (callbacks_.on_absent) callbacks_.on_absent(device_, now);
+  if (callbacks_.on_cycle) callbacks_.on_cycle(info);
   // Monitoring ends here — no timer re-armed (the protocol's CP stops
   // probing an absent device; re-watch to resume).
 }

@@ -1,14 +1,14 @@
-// Async control points: the bounded-retransmission probe cycle as an
-// event-loop state machine.
+// Async control points: the bounded-retransmission probe cycle on the
+// event loop.
 //
-// RtControlPointBase dedicates a thread (and a condvar) to each CP;
-// this port runs the identical cycle — first probe, TOF timeout, up to
-// max_retransmissions TOS-spaced retries, absence declaration on
-// exhaustion, protocol-chosen inter-cycle delay on success — as timer
-// callbacks on one EventLoop, so 10^5 CPs cost two timer slots and a
-// few hundred bytes each instead of a thread each. Protocol parity
-// points mirrored from the Rt classes (and checked by the invariant
-// auditor):
+// The cycle itself — first probe, TOF timeout, up to
+// max_retransmissions TOS-spaced retries, exhaustion — is
+// core::ProbeCycle, the same FSM the DES control points run; this class
+// runs it on the reactor. It sends the probes, arms one loop timer after
+// every send, and waits the protocol-chosen inter-cycle delay after a
+// success. So 10^5 CPs cost one timer slot and a few hundred bytes
+// each, not a thread each. Protocol rules this class adds on top (and
+// the invariant auditor checks):
 //
 //   * observation rule — a clean (attempt 0) success observes at the
 //     reply arrival instant, a retransmitted success at the last send
@@ -19,10 +19,10 @@
 //   * rtt = reply arrival − last send, so the auditor's
 //     rtt ≤ end − last_send bound holds with equality.
 //
-// Callback tiers: on_cycle (POD summary, no allocation — the one the
-// 100k-endpoint service uses) always fires; on_cycle_trace (full
-// ProbeCycleTrace with per-attempt sends) is only assembled when set,
-// keeping the hot path allocation-free.
+// Callbacks, both fired at the end of every cycle: on_cycle_trace (full
+// ProbeCycleTrace with per-attempt sends) first, and only assembled
+// when set, keeping the hot path allocation-free; then on_cycle (POD
+// summary, no allocation — the one the 100k-endpoint service uses).
 //
 // Threading: start()/stop()/dtor and the callbacks are loop-confined
 // (loop thread, or while the loop is not running); the scrape accessors
@@ -34,6 +34,7 @@
 #include <functional>
 
 #include "core/config.hpp"
+#include "core/probe_cycle.hpp"
 #include "core/sapp_adaptation.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "telemetry/probe_tracer.hpp"
@@ -53,11 +54,8 @@ class AsyncControlPointBase {
   };
 
   struct Callbacks {
-    /// Invoked (on the loop thread) when the device is declared absent.
-    std::function<void(net::NodeId device, double t)> on_absent;
-    /// Invoked after every successful cycle with the chosen delay.
-    std::function<void(double t, double delay)> on_cycle_success;
-    /// Invoked once per completed cycle, success or failure.
+    /// Invoked once per completed cycle, success or failure, after
+    /// on_cycle_trace. A failed cycle is the absence declaration.
     std::function<void(const CycleInfo&)> on_cycle;
     /// Full-span record with per-attempt send instants; costs a heap
     /// vector per CP, so leave unset at 10^5 scale unless tracing.
@@ -108,30 +106,25 @@ class AsyncControlPointBase {
  private:
   void handle(const net::Message& msg);
   void begin_cycle();
-  void send_attempt();
+  void send_probe();
   void on_timeout();
   void declare_absent();
   void disarm();
 
   AsyncUdpTransport& transport_;
   net::NodeId device_;
-  core::TimeoutConfig timeouts_;
-  Callbacks callbacks_;
   net::NodeId id_;
-
-  bool started_ = false;
-  bool stopped_ = false;
-  bool awaiting_reply_ = false;
-  std::uint64_t cycle_ = 0;
-  int attempt_ = 0;
+  Callbacks callbacks_;
+  core::ProbeCycle cycle_;
   double cycle_start_ = 0.0;
-  double sent_at_ = 0.0;
   des::EventId timer_{};
 
   /// Reused across cycles (sends vector only populated when the trace
   /// callback is set).
   telemetry::ProbeCycleTrace trace_;
 
+  bool started_ = false;
+  bool stopped_ = false;
   std::atomic<bool> device_present_{true};
   std::atomic<std::uint64_t> cycles_succeeded_{0};
   std::atomic<std::uint64_t> cycles_failed_{0};

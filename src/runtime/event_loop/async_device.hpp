@@ -1,19 +1,19 @@
-// Async devices: the RtDevice reply logic ported to the event loop.
+// Async devices: the protocols' device side on the event loop.
 //
-// Same protocol behaviour as RtSappDevice / RtDcppDevice — SAPP bumps
-// its probe counter per probe, DCPP grants Δ = max{δ_min, d_min−(nt−t)}
-// — but loop-confined and lock-free: the reactor's single thread owns
-// all device state, so a probe is handled with zero mutex traffic and
-// zero allocation, which is what lets one process answer for 10^5
-// endpoints. The only cross-thread surface is go_silent()/come_back()
-// (atomic flag, so tests and demos can kill a device from the main
-// thread) and the scrape counters.
+// SAPP bumps its probe counter per probe; DCPP grants
+// Δ = max{δ_min, d_min−(nt−t)} through core::DcppDevice::grant, the
+// rule the DES device uses. Loop-confined and lock-free: the reactor's
+// single thread owns all device state, so a probe is handled with zero
+// mutex traffic and zero allocation, which is what lets one process
+// answer for 10^5 endpoints. The only cross-thread surface is
+// go_silent()/come_back() (atomic flag, so tests and demos can kill a
+// device from the main thread) and the scrape counters.
 //
-// Deliberately omitted vs. RtDeviceBase: the trailing-window
-// experienced-load deque (a per-device std::deque is exactly the kind
-// of per-endpoint cost this runtime exists to avoid; the transport's
-// aggregate counters and the loop histograms cover the load story at
-// scale).
+// The device keeps no trailing-window load estimate (a per-device
+// window is exactly the kind of per-endpoint cost this runtime exists
+// to avoid): its experienced load is the rate of the
+// probemon_device_probes_received_total counter, which is what the
+// default device_load alert rule reads.
 #pragma once
 
 #include <atomic>

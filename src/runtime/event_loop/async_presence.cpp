@@ -7,6 +7,15 @@
 
 namespace probemon::runtime {
 
+const char* to_string(Presence presence) noexcept {
+  switch (presence) {
+    case Presence::kUnknown: return "unknown";
+    case Presence::kPresent: return "present";
+    case Presence::kAbsent: return "absent";
+  }
+  return "?";
+}
+
 AsyncPresenceService::AsyncPresenceService(AsyncUdpTransport& transport,
                                            TelemetryOptions telemetry)
     : transport_(transport),
@@ -108,12 +117,6 @@ void AsyncPresenceService::unsubscribe(std::uint64_t token) {
 AsyncControlPointBase::Callbacks AsyncPresenceService::make_callbacks(
     net::NodeId device) {
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_absent = [this, device](net::NodeId, double t) {
-    on_transition(device, Presence::kAbsent, t);
-  };
-  callbacks.on_cycle_success = [this, device](double t, double) {
-    on_transition(device, Presence::kPresent, t);
-  };
   callbacks.on_cycle =
       [this, device](const AsyncControlPointBase::CycleInfo& info) {
         on_cycle(device, info);
@@ -244,31 +247,24 @@ void AsyncPresenceService::on_cycle(
     if (cycles_failure_) cycles_failure_->inc();
     if (detection_latency_) detection_latency_->observe(info.end - info.start);
   }
-  util::MutexLock lock(mutex_);
-  auto it = watches_.find(device);
-  if (it == watches_.end()) return;  // unwatched concurrently
-  Watch& watch = it->second;
-  if (info.success) {
-    watch.last_rtt = info.rtt;
-    watch.consecutive_failures =
-        info.attempts > 0 ? info.attempts - 1u : 0u;
-    watch.next_probe_due = info.end + info.next_delay;
-  } else {
-    watch.consecutive_failures = info.attempts;
-    watch.next_probe_due = 0.0;  // absence declared: probing stops
-  }
-}
-
-void AsyncPresenceService::on_transition(net::NodeId device, Presence state,
-                                         double t) {
+  const Presence state = info.success ? Presence::kPresent : Presence::kAbsent;
   std::vector<EventCallback> to_notify;
   {
     util::MutexLock lock(mutex_);
     auto it = watches_.find(device);
-    if (it == watches_.end()) return;       // unwatched concurrently
-    if (it->second.state == state) return;  // no transition
-    it->second.state = state;
-    it->second.last_change = t;
+    if (it == watches_.end()) return;  // unwatched concurrently
+    Watch& watch = it->second;
+    if (info.success) {
+      watch.last_rtt = info.rtt;
+      watch.consecutive_failures = info.attempts - 1u;
+      watch.next_probe_due = info.end + info.next_delay;
+    } else {
+      watch.consecutive_failures = info.attempts;
+      watch.next_probe_due = 0.0;  // absence declared: probing stops
+    }
+    if (watch.state == state) return;  // no transition
+    watch.state = state;
+    watch.last_change = info.end;
     if (state == Presence::kPresent && transitions_present_) {
       transitions_present_->inc();
     }
@@ -278,7 +274,7 @@ void AsyncPresenceService::on_transition(net::NodeId device, Presence state,
     to_notify.reserve(subscribers_.size());
     for (const auto& [token, cb] : subscribers_) to_notify.push_back(cb);
   }
-  const PresenceEvent event{device, state, t};
+  const PresenceEvent event{device, state, info.end};
   for (const auto& cb : to_notify) cb(event);
 }
 

@@ -1,21 +1,20 @@
-// AsyncPresenceService: the PresenceService facade over the event-loop
-// runtime.
+// AsyncPresenceService: the embedding API of the real-time runtime.
 //
-// Same embedding API shape as PresenceService — watch/unwatch, presence
-// table, event subscriptions, snapshotWatches for the /watches route —
-// but each watch is an AsyncControlPoint on the transport's EventLoop
-// instead of a dedicated thread, so one service scales to 10^5 watches.
-// Differences that matter at that scale:
+// An application (a UPnP control point, a smart-home hub) watches many
+// devices at once: watch/unwatch, a presence table, an event stream of
+// transitions, and snapshotWatches() for the /watches route. Each watch
+// is an AsyncControlPoint on the transport's EventLoop, so one service
+// scales to 10^5 watches. What that scale shapes:
 //
 //   * per-watch metric series (device=<id> labels) are OFF by default
 //     (TelemetryOptions::per_watch_metrics) — 10^5 devices would mint
 //     4x10^5 registry series; the aggregate counters plus the
 //     probemon_reply_latency_seconds histogram (the p99 source for
 //     bench_rt_scale) carry the fleet story;
-//   * the hot path runs on the CycleInfo callback (no allocation); the
-//     full ProbeCycleTrace pipeline (tracer, invariant auditor,
-//     per-watch series) is only wired when one of those consumers is
-//     configured;
+//   * the hot path runs on the CycleInfo callback (no allocation), and
+//     presence transitions are derived from it; the full
+//     ProbeCycleTrace pipeline (tracer, invariant auditor, per-watch
+//     series) is only wired when one of those consumers is configured;
 //   * watch_*/unwatch hop onto the loop thread via post() when called
 //     while the loop runs (transport attach/detach are loop-confined),
 //     so watch registration from an HTTP handler is asynchronous —
@@ -34,26 +33,76 @@
 #include "check/invariant_auditor.hpp"
 #include "core/config.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
-#include "runtime/presence_service.hpp"  // Presence, PresenceEvent, WatchInfo
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace probemon::runtime {
 
+/// Presence state of one watched device.
+enum class Presence {
+  kUnknown,  ///< watch started, no reply yet
+  kPresent,  ///< at least one probe cycle succeeded
+  kAbsent,   ///< a probe cycle exhausted all retransmissions
+};
+// Note: a watch whose device was declared absent stops probing (the
+// protocol's behaviour); unwatch() + watch_*() resumes monitoring, e.g.
+// after the device announces itself again via discovery.
+
+const char* to_string(Presence presence) noexcept;
+
+/// A presence transition event.
+struct PresenceEvent {
+  net::NodeId device = net::kInvalidNode;
+  Presence state = Presence::kUnknown;
+  double t = 0.0;  ///< loop-clock time of the transition
+};
+
 class AsyncPresenceService {
  public:
   using EventCallback = std::function<void(const PresenceEvent&)>;
-  using WatchInfo = PresenceService::WatchInfo;
-  using Stats = PresenceService::Stats;
+
+  /// Everything an operator dashboard wants to show about one watch.
+  /// Times are loop-clock seconds (EventLoop::now()).
+  struct WatchInfo {
+    net::NodeId device = net::kInvalidNode;
+    Presence state = Presence::kUnknown;
+    double last_change = 0.0;  ///< instant of the last state transition
+    /// Reply latency of the most recent successful cycle; 0 before the
+    /// first reply.
+    double last_rtt = 0.0;
+    /// Unanswered probes closing the most recent completed cycle:
+    /// retransmissions needed before the last reply, or every attempt
+    /// of the final cycle once the device is declared absent.
+    std::uint32_t consecutive_failures = 0;
+    std::uint64_t probes_sent = 0;
+    std::uint64_t cycles_succeeded = 0;
+    std::uint64_t cycles_failed = 0;
+    /// When the next probe cycle starts (last cycle end + inter-cycle
+    /// delay); 0 while no cycle has completed or once the watch stopped
+    /// probing (device absent).
+    double next_probe_due = 0.0;
+  };
+
+  /// Aggregate probe statistics across all watches.
+  struct Stats {
+    std::uint64_t probes_sent = 0;
+    std::uint64_t cycles_succeeded = 0;
+    std::uint64_t cycles_failed = 0;
+  };
 
   /// Observability wiring; all referents must outlive the service.
-  /// `registry` maintains the same service-wide series as
-  /// PresenceService (probemon_presence_transitions_total,
-  /// probemon_watch_cycles_total, probemon_detection_latency_seconds,
-  /// probemon_watches) plus probemon_reply_latency_seconds. `tracer` /
-  /// `auditor` / `per_watch_metrics` additionally enable the full
-  /// per-cycle trace pipeline.
+  /// `registry` maintains the service-wide series
+  /// (probemon_presence_transitions_total{state},
+  /// probemon_watch_cycles_total{result},
+  /// probemon_detection_latency_seconds — first unanswered probe to
+  /// absence declaration — probemon_watches and
+  /// probemon_reply_latency_seconds). `tracer` / `auditor` /
+  /// `per_watch_metrics` additionally enable the full per-cycle trace
+  /// pipeline: every completed cycle is recorded, audited against the
+  /// paper's invariants (docs/static_analysis.md), and counted into
+  /// probemon_watch_{probes_sent,retransmissions}_total{device} and
+  /// probemon_watch_rtt_seconds{device}.
   struct TelemetryOptions {
     telemetry::Registry* registry = nullptr;
     telemetry::ProbeCycleTracer* tracer = nullptr;
@@ -86,14 +135,19 @@ class AsyncPresenceService {
   /// stopped and destroyed on the loop thread.
   void unwatch(net::NodeId device) PROBEMON_EXCLUDES(mutex_);
 
+  /// Current presence verdict (kUnknown if not watched).
   Presence presence(net::NodeId device) const PROBEMON_EXCLUDES(mutex_);
+  /// True only if watched and currently considered present.
   bool present(net::NodeId device) const {
     return presence(device) == Presence::kPresent;
   }
 
   std::size_t watch_count() const PROBEMON_EXCLUDES(mutex_);
   std::vector<net::NodeId> watched_devices() const PROBEMON_EXCLUDES(mutex_);
+  /// Point-in-time copy of the presence table.
   std::vector<PresenceEvent> snapshot() const PROBEMON_EXCLUDES(mutex_);
+  /// Point-in-time rows of the presence table, sorted by device id —
+  /// the accessor behind the `/watches` HTTP route.
   std::vector<WatchInfo> snapshotWatches() const PROBEMON_EXCLUDES(mutex_);
   Stats stats() const PROBEMON_EXCLUDES(mutex_);
 
@@ -121,10 +175,10 @@ class AsyncPresenceService {
   void adopt_watch(net::NodeId device,
                    std::unique_ptr<AsyncControlPointBase> cp,
                    double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
+  /// Cycle bookkeeping and the presence transition it implies, under
+  /// one lock: a reader never sees the new state without its counts.
   void on_cycle(net::NodeId device,
                 const AsyncControlPointBase::CycleInfo& info)
-      PROBEMON_EXCLUDES(mutex_);
-  void on_transition(net::NodeId device, Presence state, double t)
       PROBEMON_EXCLUDES(mutex_);
   /// Stop `watches` on the loop thread (waiting for it when off-loop)
   /// so no callback can touch `this` afterwards.

@@ -1,5 +1,6 @@
 #include "runtime/event_loop/async_udp.hpp"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -148,7 +149,7 @@ void AsyncUdpTransport::assert_loop_confined(const char* what) const {
 #endif
 }
 
-net::NodeId AsyncUdpTransport::attach(RtHandler handler) {
+net::NodeId AsyncUdpTransport::attach(Handler handler) {
   assert_loop_confined("attach");
   const net::NodeId id = next_id_++;
   if (id >= handlers_.size()) handlers_.resize(id + 1);

@@ -1,10 +1,9 @@
 // AsyncUdpTransport: batched, non-blocking UDP for the event loop.
 //
-// Where UdpTransport gives every node its own blocking socket plus a
-// receiver thread, this transport multiplexes *all* locally attached
-// NodeIds over ONE non-blocking socket owned by an EventLoop — the
-// 48-byte wire format carries from/to ids in the payload, so one fd
-// (and one epoll registration) serves 10^5 endpoints. IO is batched:
+// The transport multiplexes *all* locally attached NodeIds over ONE
+// non-blocking socket owned by an EventLoop — the 48-byte wire format
+// (runtime/wire.hpp) carries from/to ids in the payload, so one fd (and
+// one epoll registration) serves 10^5 endpoints. IO is batched:
 //
 //   * receive — recvmmsg() pulls up to Config::recv_batch datagrams per
 //     syscall; the loop's level-triggered epoll re-arms if more than
@@ -34,20 +33,23 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "runtime/event_loop/event_loop.hpp"
-#include "runtime/transport.hpp"
-#include "runtime/udp_transport.hpp"  // 48-byte wire codec
+#include "runtime/wire.hpp"
 #include "telemetry/registry.hpp"
 
 namespace probemon::runtime {
 
-class AsyncUdpTransport final : public Transport {
+class AsyncUdpTransport {
  public:
+  /// Receives every datagram addressed to one attached NodeId.
+  using Handler = std::function<void(const net::Message&)>;
+
   struct Config {
     /// UDP port to bind on 127.0.0.1; 0 = ephemeral (see local_port()).
     std::uint16_t port = 0;
@@ -69,13 +71,17 @@ class AsyncUdpTransport final : public Transport {
   /// which must not be running yet or must be driven by the caller.
   explicit AsyncUdpTransport(EventLoop& loop);
   AsyncUdpTransport(EventLoop& loop, Config config);
-  ~AsyncUdpTransport() override;
+  ~AsyncUdpTransport();
 
-  // Transport interface (loop-confined).
-  net::NodeId attach(RtHandler handler) override;
-  void detach(net::NodeId id) override;
-  void send(net::Message msg) override;
-  const RtClock& clock() const override { return clock_; }
+  AsyncUdpTransport(const AsyncUdpTransport&) = delete;
+  AsyncUdpTransport& operator=(const AsyncUdpTransport&) = delete;
+
+  /// Register a handler; returns the node's address (loop-confined).
+  net::NodeId attach(Handler handler);
+  /// Deregister (loop-confined): the handler is not invoked again.
+  void detach(net::NodeId id);
+  /// Fire-and-forget datagram send (loop-confined).
+  void send(net::Message msg);
 
   /// Pin an external NodeId to a UDP port on 127.0.0.1 (loop-confined).
   /// Datagram source addresses update the same table automatically.
@@ -131,13 +137,12 @@ class AsyncUdpTransport final : public Transport {
 
   EventLoop& loop_;
   Config config_;
-  RtClock clock_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::uint64_t flush_hook_ = 0;
 
   /// Dense handler table indexed by NodeId (ids start at 1).
-  std::vector<RtHandler> handlers_;
+  std::vector<Handler> handlers_;
   std::size_t attached_ = 0;
   net::NodeId next_id_ = 1;
   /// External NodeId -> UDP port (127.0.0.1), learned or pinned.

@@ -1,5 +1,5 @@
 // HistoryTicker: the wall-clock driver for TimeSeriesHistory and
-// AlertEngine in the threaded runtime.
+// AlertEngine in the real-time runtime.
 //
 // The history/alert classes are clock-free by design (the no-wall-clock
 // lint zone covers src/telemetry/history and src/telemetry/alerts); a

@@ -8,15 +8,12 @@
 
 namespace probemon::runtime {
 
-namespace {
-
-std::string render_watches(
-    const std::vector<PresenceService::WatchInfo>& watches) {
+std::string watches_to_json(const AsyncPresenceService& service) {
   telemetry::JsonWriter w;
   w.begin_object();
   w.key("watches");
   w.begin_array();
-  for (const auto& info : watches) {
+  for (const auto& info : service.snapshotWatches()) {
     w.begin_object();
     w.key("device");
     w.value(static_cast<std::uint64_t>(info.device));
@@ -41,24 +38,6 @@ std::string render_watches(
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-}  // namespace
-
-std::string watches_to_json(const PresenceService& service) {
-  return render_watches(service.snapshotWatches());
-}
-
-std::string watches_to_json(const AsyncPresenceService& service) {
-  return render_watches(service.snapshotWatches());
-}
-
-void register_watch_routes(telemetry::HttpServer& server,
-                           const PresenceService& service) {
-  server.handle("/watches", [&service](const telemetry::HttpRequest&) {
-    return telemetry::HttpResponse{200, "application/json; charset=utf-8",
-                                   watches_to_json(service)};
-  });
 }
 
 void register_watch_routes(telemetry::HttpServer& server,
@@ -91,12 +70,9 @@ void register_healthz_route(telemetry::HttpServer& server,
       w.key("tracer_capacity");
       w.value(static_cast<std::uint64_t>(sources.tracer->capacity()));
     }
-    if (sources.service || sources.async_service) {
-      const std::size_t count =
-          sources.service ? sources.service->watch_count()
-                          : sources.async_service->watch_count();
+    if (sources.service) {
       w.key("watches");
-      w.value(static_cast<std::uint64_t>(count));
+      w.value(static_cast<std::uint64_t>(sources.service->watch_count()));
     }
     if (sources.auditor) {
       w.key("invariant_violations_total");
@@ -194,11 +170,7 @@ void register_observability_routes(telemetry::HttpServer& server,
   if (sources.tracer) {
     telemetry::register_trace_routes(server, *sources.tracer);
   }
-  if (sources.service) {
-    register_watch_routes(server, *sources.service);
-  } else if (sources.async_service) {
-    register_watch_routes(server, *sources.async_service);
-  }
+  if (sources.service) register_watch_routes(server, *sources.service);
   if (sources.history) register_query_routes(server, *sources.history);
   if (sources.alerts) register_alert_routes(server, *sources.alerts);
   register_healthz_route(server, sources);

@@ -2,7 +2,7 @@
 //
 // telemetry::HttpServer knows how to serve a Registry and a
 // ProbeCycleTracer; this header adds the runtime-level routes —
-// `/watches` (the PresenceService presence table) and `/healthz`
+// `/watches` (the AsyncPresenceService presence table) and `/healthz`
 // (liveness plus registry/tracer/service stats) — and bundles the whole
 // set behind one call, so an example or embedding application does:
 //
@@ -23,7 +23,6 @@
 #pragma once
 
 #include "runtime/event_loop/async_presence.hpp"
-#include "runtime/presence_service.hpp"
 #include "telemetry/alerts/alert_engine.hpp"
 #include "telemetry/history/history.hpp"
 #include "telemetry/http_server.hpp"
@@ -37,11 +36,7 @@ struct ObservabilitySources {
   /// Any MetricStore (Registry or ShardedRegistry).
   const telemetry::MetricStore* registry = nullptr;
   const telemetry::ProbeCycleTracer* tracer = nullptr;
-  const PresenceService* service = nullptr;
-  /// The reactor-based service (event_loop/async_presence.hpp); wire
-  /// whichever of service/async_service the runtime actually runs —
-  /// both feed the same /watches and /healthz shapes.
-  const AsyncPresenceService* async_service = nullptr;
+  const AsyncPresenceService* service = nullptr;
   const check::InvariantAuditor* auditor = nullptr;
   const telemetry::TimeSeriesHistory* history = nullptr;
   const telemetry::AlertEngine* alerts = nullptr;
@@ -50,8 +45,6 @@ struct ObservabilitySources {
 /// `/watches`: one JSON object per watch — device id, presence state,
 /// last transition instant, last RTT, consecutive failures, probe/cycle
 /// tallies and the next probe's due time.
-void register_watch_routes(telemetry::HttpServer& server,
-                           const PresenceService& service);
 void register_watch_routes(telemetry::HttpServer& server,
                            const AsyncPresenceService& service);
 
@@ -80,7 +73,6 @@ void register_observability_routes(telemetry::HttpServer& server,
 
 /// JSON rendering of snapshotWatches() (exposed for tests and for
 /// non-HTTP dumps).
-std::string watches_to_json(const PresenceService& service);
 std::string watches_to_json(const AsyncPresenceService& service);
 
 }  // namespace probemon::runtime

@@ -1,0 +1,26 @@
+// The 48-byte wire format probes and replies travel in over UDP.
+//
+// Fixed size and big-endian, so a datagram is a whole message or junk:
+// AsyncUdpTransport and tools/probemon_loadgen both speak it, and a
+// peer written in any language can too. Layout in wire.cpp.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "net/message.hpp"
+
+namespace probemon::runtime {
+
+inline constexpr std::size_t kUdpWireSize = 48;
+
+/// Returns the encoded size (always kUdpWireSize).
+std::size_t udp_encode(const net::Message& msg,
+                       std::uint8_t out[kUdpWireSize]);
+
+/// Returns false on a datagram of the wrong size or with an unknown
+/// kind byte.
+bool udp_decode(const std::uint8_t in[kUdpWireSize], std::size_t size,
+                net::Message& out);
+
+}  // namespace probemon::runtime

@@ -5,7 +5,7 @@
 // lost by mistake, and whether the device's experienced load stays
 // within beta * L_nom. These rules encode exactly those budgets over
 // the metric families the repo already exports, so both the DES
-// dashboard and the threaded runtime alert on the same contract the
+// dashboard and the real-time runtime alert on the same contract the
 // invariant auditor checks offline.
 //
 // The load rule's beta / window defaults mirror check::AuditConfig
@@ -43,10 +43,12 @@ struct DefaultRuleParams {
   double false_alarm_for_s = 0.0;
 
   // --- device_load ----------------------------------------------------------
-  /// Gauge of the device's experienced probe load (probes/s).
-  std::string load_series = "probemon_device_experienced_load";
+  /// Counter of probes the device accepted; its rate over the window is
+  /// the device's experienced load (probes/s). Select one device with
+  /// load_labels = {{"device", "<id>"}}.
+  std::string load_series = "probemon_device_probes_received_total";
   Labels load_labels;
-  /// The paper's bound: avg load over the window <= beta * l_nom.
+  /// The paper's bound: load over the window <= beta * l_nom.
   double load_l_nom = 10.0;
   double load_beta = 1.5;
   double load_window_s = 30.0;

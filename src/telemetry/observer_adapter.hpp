@@ -4,7 +4,7 @@
 // tables, figure traces); this adapter answers the operational ones —
 // the same quantities, but as live counters/histograms a snapshot can
 // export mid-run. It implements core::ProtocolObserver so a DES
-// experiment and the threaded runtime report through one metric
+// experiment and the reactor runtime report through one metric
 // vocabulary (see docs/observability.md).
 //
 // Use alongside scenario::Metrics via core::ObserverFanout when both
@@ -65,7 +65,7 @@ class ObserverAdapter final : public core::ProtocolObserver {
 /// Assembles the per-probe observer stream back into full cycle spans
 /// (first send, retransmissions, resolution) and commits each completed
 /// cycle to a ProbeCycleTracer — so a simulation run yields the same
-/// trace artifact as the threaded runtime, and the Chrome-trace export
+/// trace artifact as the reactor runtime, and the Chrome-trace export
 /// (`ProbeCycleTracer::to_chrome_trace()`) works on both.
 ///
 /// Not internally synchronized: the DES kernel delivers observer events

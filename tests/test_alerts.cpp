@@ -1,15 +1,22 @@
 // AlertEngine: rule lifecycle (inactive -> pending -> firing ->
 // resolved), for_s hysteresis, NaN semantics, condition rules,
-// probemon_alerts_firing export, the shipped default ruleset, and a
+// probemon_alerts_firing export, the shipped default ruleset (with its
+// load rule fed by a live reactor device), and a
 // deterministic DES timeline — a device departure drives the
 // detection_latency_p99 rule through its whole state machine with
 // byte-identical /alerts JSON across reruns.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "runtime/event_loop/async_control_point.hpp"
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "scenario/experiment.hpp"
 #include "telemetry/alerts/alert_engine.hpp"
 #include "telemetry/alerts/default_rules.hpp"
@@ -213,8 +220,11 @@ TEST(DefaultRules, EncodeThePaperBudgets) {
   EXPECT_EQ(rules[0].name, "detection_latency_p99");
   EXPECT_EQ(rules[1].name, "false_alarm_rate");
   EXPECT_EQ(rules[2].name, "device_load");
-  // device_load's threshold is the paper bound beta * l_nom.
+  // device_load's threshold is the paper bound beta * l_nom, over the
+  // rate of the probe counter every device exports.
   EXPECT_DOUBLE_EQ(rules[2].threshold, 1.5 * 10.0);
+  EXPECT_EQ(rules[2].expr,
+            "rate(probemon_device_probes_received_total[30s])");
 
   // Every rule must parse, and every series it reads must be in the
   // track list.
@@ -229,6 +239,56 @@ TEST(DefaultRules, EncodeThePaperBudgets) {
         << rules[i].expr;
   }
   EXPECT_EQ(engine.rule_count(), 3u);
+}
+
+TEST(DefaultRules, DeviceLoadReadsALiveReactorDevice) {
+  // One reactor DCPP device under one CP: the device's own
+  // instrumentation must feed the device_load rule a real load, well
+  // inside the paper's budget.
+  Registry registry;
+  TimeSeriesHistory history(registry);
+  AlertEngine engine(&history);
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.005;
+  device_config.d_min = 0.02;
+  runtime::AsyncDcppDevice device(transport, device_config);
+  device.instrument(registry);
+  core::DcppCpConfig cp_config;
+  cp_config.timeouts.tof = 0.020;
+  cp_config.timeouts.tos = 0.015;
+  runtime::AsyncDcppControlPoint cp(transport, device.id(), cp_config);
+
+  telemetry::DefaultRuleParams params;
+  params.load_labels = {{"device", std::to_string(device.id())}};
+  params.load_l_nom = device_config.l_nom();
+  for (const auto& [series, labels] : telemetry::default_rule_series(params)) {
+    history.track(series, labels);
+  }
+  for (const auto& rule : telemetry::default_presence_rules(params)) {
+    engine.add_rule(rule);
+  }
+
+  cp.start();
+  loop.start();
+  for (int i = 0; i < 12; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    history.sample(loop.now());
+  }
+  engine.evaluate(loop.now());
+  loop.stop();
+
+  bool found = false;
+  for (const auto& status : engine.snapshot()) {
+    if (status.rule != "device_load") continue;
+    found = true;
+    EXPECT_TRUE(std::isfinite(status.value)) << status.expr;
+    EXPECT_GT(status.value, 0.0);
+    EXPECT_LT(status.value, params.load_beta * params.load_l_nom);
+    EXPECT_EQ(status.state, AlertState::kInactive);
+  }
+  EXPECT_TRUE(found);
 }
 
 /// Run one DES experiment where the device departs mid-run, with the

@@ -1,7 +1,8 @@
 // Tests for the event-loop runtime: AsyncUdpTransport routing and peer
 // learning over real sockets, device/control-point protocol behaviour
-// (clean cycles, retransmission, absence), the AsyncPresenceService
-// facade, and a few-hundred-endpoint smoke run on one loop thread.
+// (clean cycles, retransmission, absence, fair sharing), the
+// AsyncPresenceService facade, and a few-hundred-endpoint smoke run on
+// one loop thread.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -21,6 +22,7 @@
 #include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "runtime/event_loop/event_loop.hpp"
+#include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 
 namespace probemon::runtime {
@@ -156,6 +158,32 @@ TEST(AsyncUdpTransport, MalformedDatagramCountsRecvError) {
   loop.stop();
 }
 
+TEST(AsyncUdpTransport, DetachStopsDelivery) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  std::atomic<int> received{0};
+  const net::NodeId a = transport.attach([](const net::Message&) {});
+  const net::NodeId b =
+      transport.attach([&](const net::Message&) { ++received; });
+  net::Message msg;
+  msg.kind = net::MessageKind::kProbe;
+  msg.from = a;
+  msg.to = b;
+  transport.send(msg);
+  transport.flush();  // in flight: queued on the socket, not yet read
+  transport.detach(b);
+  loop.start();
+  // The datagram arrives after the detach: dropped, never dispatched.
+  EXPECT_TRUE(eventually([&] { return transport.unroutable_count() == 1; }));
+  EXPECT_EQ(received.load(), 0);
+  EXPECT_EQ(transport.delivered_count(), 0u);
+  loop.stop();
+  // A send to the detached id no longer leaves the process.
+  transport.send(msg);
+  EXPECT_EQ(transport.unroutable_count(), 2u);
+  EXPECT_EQ(received.load(), 0);
+}
+
 TEST(AsyncRuntime, DcppCyclesSucceedOverRealUdp) {
   EventLoop loop;
   AsyncUdpTransport transport(loop);
@@ -194,7 +222,10 @@ TEST(AsyncRuntime, SappCycleObservesProbeCounter) {
   AsyncSappDevice device(transport, device_config);
   std::atomic<int> successes{0};
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_cycle_success = [&successes](double, double) { ++successes; };
+  callbacks.on_cycle =
+      [&successes](const AsyncControlPointBase::CycleInfo& info) {
+        if (info.success) ++successes;
+      };
   AsyncSappControlPoint cp(transport, device.id(), fast_sapp_cp(), callbacks);
   loop.post([&cp] { cp.start(); });
   loop.start();
@@ -217,9 +248,9 @@ TEST(AsyncRuntime, SilentDeviceDeclaredAbsentAndMonitoringStops) {
   std::atomic<int> absences{0};
   std::atomic<double> absent_at{-1.0};
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_absent = [&](net::NodeId dev, double t) {
-    EXPECT_EQ(dev, device.id());
-    absent_at.store(t);
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (info.success) return;
+    absent_at.store(info.end);
     ++absences;
   };
   AsyncDcppControlPoint cp(transport, device.id(), fast_dcpp_cp(), callbacks);
@@ -268,6 +299,79 @@ TEST(AsyncRuntime, StaleRepliesFromOlderCyclesAreIgnored) {
   EXPECT_TRUE(cp.device_considered_present());
   EXPECT_EQ(cp.cycles_failed(), 0u);
   loop.stop();
+}
+
+TEST(AsyncRuntime, RetransmissionMeasuresRttFromTheLastSend) {
+  // The device misses the first probe and is back before the TOF
+  // timeout: the cycle succeeds on its retransmission, so its rtt runs
+  // from the second send, not from the cycle start.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  std::atomic<int> completed{0};
+  // Written on the loop thread; read after loop.stop() joined it.
+  AsyncControlPointBase::CycleInfo first;
+  telemetry::ProbeCycleTrace first_trace;
+  AsyncControlPointBase::Callbacks callbacks;
+  callbacks.on_cycle_trace = [&](const telemetry::ProbeCycleTrace& trace) {
+    if (completed.load() == 0) first_trace = trace;
+  };
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (completed.load() == 0) first = info;
+    ++completed;
+  };
+  // A generous TOS, so a stalled loop cannot time out the answered
+  // retransmission and turn this into a three-attempt cycle.
+  core::DcppCpConfig cp_config = fast_dcpp_cp();
+  cp_config.timeouts.tos = 0.5;
+  AsyncDcppControlPoint cp(transport, device.id(), cp_config, callbacks);
+
+  device.go_silent();
+  loop.post([&] {
+    cp.start();
+    loop.timers().schedule_after(cp_config.timeouts.tof / 2,
+                                 [&device] { device.come_back(); });
+  });
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return completed.load() >= 1; }));
+  loop.stop();
+
+  EXPECT_TRUE(first.success);
+  EXPECT_EQ(first.attempts, 2);
+  ASSERT_EQ(first_trace.sends.size(), 2u);
+  EXPECT_EQ(first_trace.attempts, 2);
+  EXPECT_EQ(first_trace.sends[0], first.start);
+  // The retransmission waited out the TOF timeout.
+  EXPECT_GE(first_trace.sends[1] - first_trace.sends[0],
+            cp_config.timeouts.tof - 1e-3);
+  EXPECT_DOUBLE_EQ(first.rtt, first.end - first_trace.sends[1]);
+  EXPECT_DOUBLE_EQ(first_trace.rtt, first.rtt);
+  EXPECT_LT(first.rtt, first.end - first.start);
+  EXPECT_EQ(cp.cycles_failed(), 0u);
+}
+
+TEST(AsyncRuntime, MultipleCpsShareDeviceFairly) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  std::vector<std::unique_ptr<AsyncDcppControlPoint>> cps;
+  for (int i = 0; i < 4; ++i) {
+    cps.push_back(std::make_unique<AsyncDcppControlPoint>(
+        transport, device.id(), fast_dcpp_cp()));
+    cps.back()->start();
+  }
+  loop.start();
+  std::this_thread::sleep_for(600ms);
+  loop.stop();
+
+  std::uint64_t min_cycles = UINT64_MAX, max_cycles = 0;
+  for (const auto& cp : cps) {
+    min_cycles = std::min(min_cycles, cp->cycles_succeeded());
+    max_cycles = std::max(max_cycles, cp->cycles_succeeded());
+  }
+  EXPECT_GT(min_cycles, 5u);
+  // Fair sharing: no CP gets more than ~2x another.
+  EXPECT_LT(max_cycles, 2 * min_cycles + 5);
 }
 
 TEST(AsyncPresence, WatchUnwatchLifecycle) {
@@ -377,6 +481,197 @@ TEST(AsyncPresence, TwoHundredEndpointSmoke) {
             static_cast<std::uint64_t>(kEndpoints));
   EXPECT_EQ(transport.recv_error_count(), 0u);
   EXPECT_EQ(transport.unroutable_count(), 0u);
+  loop.stop();
+}
+
+TEST(AsyncPresence, WatchIsIdempotentAndUnwatchForgets) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  loop.start();
+  // Both off-loop watches post; the second finds the first and drops.
+  service.watch_dcpp(device.id(), fast_dcpp_cp());
+  service.watch_dcpp(device.id(), fast_dcpp_cp());
+  EXPECT_TRUE(eventually([&] { return service.present(device.id()); }));
+  EXPECT_EQ(service.watch_count(), 1u);
+  service.unwatch(device.id());
+  EXPECT_EQ(service.watch_count(), 0u);
+  EXPECT_EQ(service.presence(device.id()), Presence::kUnknown);
+  service.unwatch(device.id());  // no-op
+  loop.stop();
+}
+
+TEST(AsyncPresence, WatchesManyDevicesIndependently) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  std::vector<std::unique_ptr<AsyncDcppDevice>> devices;
+  for (int i = 0; i < 5; ++i) {
+    devices.push_back(
+        std::make_unique<AsyncDcppDevice>(transport, fast_dcpp_device()));
+  }
+  AsyncPresenceService service(transport);
+  for (const auto& d : devices) service.watch_dcpp(d->id(), fast_dcpp_cp());
+  EXPECT_EQ(service.watch_count(), 5u);
+  loop.start();
+  EXPECT_TRUE(eventually([&] {
+    for (const auto& d : devices) {
+      if (!service.present(d->id())) return false;
+    }
+    return true;
+  }));
+  devices[2]->go_silent();
+  EXPECT_TRUE(eventually([&] {
+    return service.presence(devices[2]->id()) == Presence::kAbsent;
+  }));
+  std::size_t present = 0, absent = 0;
+  for (const auto& entry : service.snapshot()) {
+    if (entry.state == Presence::kPresent) ++present;
+    if (entry.state == Presence::kAbsent) ++absent;
+  }
+  EXPECT_EQ(present, 4u);
+  EXPECT_EQ(absent, 1u);
+  loop.stop();
+}
+
+TEST(AsyncPresence, SappWatchWorksToo) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncSappDevice device(transport, core::SappDeviceConfig{});
+  AsyncPresenceService service(transport);
+  loop.start();
+  service.watch_sapp(device.id(), fast_sapp_cp());
+  EXPECT_TRUE(eventually([&] { return service.present(device.id()); }));
+  EXPECT_GT(service.stats().cycles_succeeded, 0u);
+  loop.stop();
+}
+
+TEST(AsyncPresence, UnsubscribeStopsEvents) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  std::atomic<int> events{0};
+  std::atomic<int> witnessed{0};
+  const auto token =
+      service.subscribe([&](const PresenceEvent&) { ++events; });
+  service.subscribe([&](const PresenceEvent&) { ++witnessed; });
+  service.unsubscribe(token);
+  loop.start();
+  service.watch_dcpp(device.id(), fast_dcpp_cp());
+  // The still-subscribed witness proves the transition was published.
+  EXPECT_TRUE(eventually([&] { return witnessed.load() == 1; }));
+  EXPECT_EQ(events.load(), 0);
+  loop.stop();
+}
+
+TEST(AsyncPresence, SnapshotWatchesReportsLiveCycleState) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice a(transport, fast_dcpp_device());
+  AsyncDcppDevice b(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  EXPECT_TRUE(service.snapshotWatches().empty());
+  // A subscriber reading the table when the absence is announced must
+  // see the failed cycle's bookkeeping already in place.
+  std::atomic<int> failures_at_absent_event{-1};
+  service.subscribe([&](const PresenceEvent& event) {
+    if (event.state != Presence::kAbsent) return;
+    for (const auto& w : service.snapshotWatches()) {
+      if (w.device == event.device) {
+        failures_at_absent_event.store(
+            static_cast<int>(w.consecutive_failures));
+      }
+    }
+  });
+  service.watch_dcpp(a.id(), fast_dcpp_cp());
+  service.watch_dcpp(b.id(), fast_dcpp_cp());
+  loop.start();
+  EXPECT_TRUE(
+      eventually([&] { return service.stats().cycles_succeeded > 10; }));
+
+  auto watches = service.snapshotWatches();
+  ASSERT_EQ(watches.size(), 2u);
+  // Sorted by device id for stable display.
+  EXPECT_LT(watches[0].device, watches[1].device);
+  for (const auto& w : watches) {
+    EXPECT_EQ(w.state, Presence::kPresent);
+    EXPECT_GT(w.probes_sent, 0u);
+    EXPECT_GT(w.cycles_succeeded, 0u);
+    EXPECT_EQ(w.cycles_failed, 0u);
+    EXPECT_GT(w.last_rtt, 0.0);             // replies carry a real latency
+    EXPECT_EQ(w.consecutive_failures, 0u);  // no loss on loopback
+    EXPECT_GT(w.next_probe_due, 0.0);
+  }
+
+  // Kill one device: its row flips to absent with the failed cycle's
+  // attempt count; the other keeps running. Every scrape that shows
+  // the absence must show the count with it (max_retransmissions = 3
+  // by default: the failed cycle sent 4 probes).
+  b.go_silent();
+  bool saw_absent = false;
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  while (!saw_absent && std::chrono::steady_clock::now() < deadline) {
+    for (const auto& w : service.snapshotWatches()) {
+      if (w.device != b.id() || w.state != Presence::kAbsent) continue;
+      saw_absent = true;
+      EXPECT_EQ(w.consecutive_failures, 4u);
+      EXPECT_EQ(w.cycles_failed, 1u);
+      EXPECT_EQ(w.next_probe_due, 0.0);  // probing stopped
+    }
+  }
+  ASSERT_TRUE(saw_absent);
+  EXPECT_TRUE(eventually([&] { return failures_at_absent_event.load() >= 0; }));
+  EXPECT_EQ(failures_at_absent_event.load(), 4);
+  EXPECT_EQ(service.presence(a.id()), Presence::kPresent);
+  EXPECT_EQ(service.stats().cycles_failed, 1u);
+  loop.stop();
+}
+
+TEST(AsyncPresence, StatsAggregateAcrossWatches) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice a(transport, fast_dcpp_device());
+  AsyncDcppDevice b(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  service.watch_dcpp(a.id(), fast_dcpp_cp());
+  service.watch_dcpp(b.id(), fast_dcpp_cp());
+  loop.start();
+  EXPECT_TRUE(
+      eventually([&] { return service.stats().cycles_succeeded > 10; }));
+  // The service totals are the sums of the per-watch rows.
+  const auto stats = service.stats();
+  EXPECT_GT(stats.probes_sent, 10u);
+  EXPECT_GT(stats.cycles_succeeded, 10u);
+  EXPECT_EQ(stats.cycles_failed, 0u);
+  std::uint64_t probes = 0, succeeded = 0;
+  for (const auto& w : service.snapshotWatches()) {
+    probes += w.probes_sent;
+    succeeded += w.cycles_succeeded;
+  }
+  // Both watches keep probing between the two reads, so the rows can
+  // only be ahead of the earlier totals.
+  EXPECT_GE(probes, stats.probes_sent);
+  EXPECT_GE(succeeded, stats.cycles_succeeded);
+  loop.stop();
+}
+
+TEST(AsyncPresence, DestructorJoinsCleanly) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  loop.start();
+  {
+    AsyncPresenceService service(transport);
+    service.watch_dcpp(device.id(), fast_dcpp_cp());
+    EXPECT_TRUE(eventually([&] { return service.present(device.id()); }));
+    // Destroyed while the loop runs and its CP is mid-flight: must not
+    // hang, race, or leave a callback pointing at the dead service.
+  }
+  std::this_thread::sleep_for(20ms);  // let in-flight probes land
+  const auto received = device.probes_received();
+  std::this_thread::sleep_for(60ms);
+  EXPECT_EQ(device.probes_received(), received) << "probing must stop";
   loop.stop();
 }
 

@@ -1,7 +1,8 @@
-// Per-entity footprint of the DES hot path. A fleet-sized model is
-// memory bound, so the bytes one device or control point costs are
-// pinned here: a timer, callback or heap block that creeps back into
-// every entity fails a test instead of quietly slowing bench_scale.
+// Per-entity footprint of the DES hot path and of the reactor's control
+// points. A fleet-sized model is memory bound, so the bytes one device
+// or control point costs are pinned here: a timer, callback or heap
+// block that creeps back into every entity fails a test instead of
+// quietly slowing bench_scale or rt_monitor.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include "core/probemon.hpp"
 #include "net/delay_model.hpp"
 #include "net/loss_model.hpp"
+#include "runtime/event_loop/async_control_point.hpp"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -41,6 +43,15 @@ TEST(Footprint, EntityStateFitsItsBudget) {
   EXPECT_LE(sizeof(SappControlPoint), 360u);
   EXPECT_LE(sizeof(DcppControlPoint), 264u);
   EXPECT_LE(sizeof(SappDevice), 296u);
+}
+
+TEST(Footprint, ReactorControlPointsFitTheirBudget) {
+  // The reactor CP runs core::ProbeCycle and keeps two callbacks (the
+  // cycle summary and the optional trace), nothing of the cycle twice.
+  // Budgets as measured with g++ 12 on x86-64.
+  EXPECT_LE(sizeof(runtime::AsyncControlPointBase), 288u);
+  EXPECT_LE(sizeof(runtime::AsyncDcppControlPoint), 320u);
+  EXPECT_LE(sizeof(runtime::AsyncSappControlPoint), 424u);
 }
 
 TEST(Footprint, FleetHeapBytesPerEntityStayLean) {

@@ -15,10 +15,11 @@
 #include <vector>
 
 #include "check/invariant_auditor.hpp"
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "runtime/http_routes.hpp"
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
 #include "telemetry/alerts/alert_engine.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/history/history.hpp"
@@ -344,23 +345,22 @@ TEST(HttpServer, ConcurrentGetsAcrossRoutesAreRaceFree) {
 // ------------------------------------------------- runtime route wiring
 
 TEST(HttpRoutes, WatchesAndHealthzOverLiveService) {
-  runtime::InProcTransportConfig net_config;
-  net_config.delay_min = 0.0001;
-  net_config.delay_max = 0.0005;
-  runtime::InProcTransport transport(net_config);
-  core::DcppDeviceConfig device_config;
-  device_config.delta_min = 0.005;
-  device_config.d_min = 0.02;
-  runtime::RtDcppDevice device(transport, device_config);
-
   Registry registry;
   ProbeCycleTracer tracer(128);
   check::InvariantAuditor auditor({}, &registry);
-  runtime::PresenceService::TelemetryOptions wiring;
+
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.005;
+  device_config.d_min = 0.02;
+  runtime::AsyncDcppDevice device(transport, device_config);
+
+  runtime::AsyncPresenceService::TelemetryOptions wiring;
   wiring.registry = &registry;
   wiring.tracer = &tracer;
   wiring.auditor = &auditor;
-  runtime::PresenceService service(transport, wiring);
+  runtime::AsyncPresenceService service(transport, wiring);
 
   HttpServer server;
   runtime::ObservabilitySources sources;
@@ -374,6 +374,7 @@ TEST(HttpRoutes, WatchesAndHealthzOverLiveService) {
   core::DcppCpConfig cp_config;
   cp_config.timeouts.tof = 0.020;
   cp_config.timeouts.tos = 0.015;
+  loop.start();
   service.watch_dcpp(device.id(), cp_config);
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (!service.present(device.id()) &&
@@ -412,6 +413,8 @@ TEST(HttpRoutes, WatchesAndHealthzOverLiveService) {
        {"/metrics", "/metrics.json", "/healthz", "/watches", "/trace"}) {
     EXPECT_NE(index.find(route), std::string::npos) << route;
   }
+  server.stop();
+  loop.stop();
 }
 
 // ------------------------------------------------ error-path hygiene

@@ -1,7 +1,7 @@
 // Tests for the telemetry subsystem: metric primitives under
 // concurrency, registry semantics, exporter golden output, the probe
-// cycle tracer, and the PresenceService instrumentation agreeing with
-// its own Stats.
+// cycle tracer, and the AsyncPresenceService instrumentation agreeing
+// with its own Stats.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "telemetry/bridges.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
@@ -480,25 +481,32 @@ TEST(Exporters, PeriodicReporterWritesSnapshotFile) {
 
 // ------------------------------------------------- end-to-end (runtime)
 
+/// The event-loop runtime under test. Declaration order is teardown
+/// order in reverse; each test stops the loop before it returns, so the
+/// loop-confined members are destroyed off a stopped loop.
 struct RuntimeFixture {
-  runtime::InProcTransport transport;
   core::DcppDeviceConfig device_config;
   core::DcppCpConfig cp_config;
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport{loop};
 
-  RuntimeFixture() : transport(fast_net()) {
+  RuntimeFixture() {
     device_config.delta_min = 0.005;
     device_config.d_min = 0.02;
     cp_config.timeouts.tof = 0.020;
     cp_config.timeouts.tos = 0.015;
   }
-
-  static runtime::InProcTransportConfig fast_net() {
-    runtime::InProcTransportConfig config;
-    config.delay_min = 0.0001;
-    config.delay_max = 0.0005;
-    return config;
-  }
 };
+
+template <typename Pred>
+bool eventually(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
 
 double sample_value(const std::vector<Sample>& samples,
                     const std::string& name, const Labels& labels = {}) {
@@ -509,29 +517,29 @@ double sample_value(const std::vector<Sample>& samples,
 }
 
 TEST(PresenceServiceTelemetry, CountersMatchStats) {
-  RuntimeFixture f;
   Registry registry;
   ProbeCycleTracer tracer(256);
-  runtime::RtDcppDevice device(f.transport, f.device_config);
+  RuntimeFixture f;
+  runtime::AsyncDcppDevice device(f.transport, f.device_config);
 
-  runtime::PresenceService::TelemetryOptions wiring;
+  runtime::AsyncPresenceService::TelemetryOptions wiring;
   wiring.registry = &registry;
   wiring.tracer = &tracer;
-  runtime::PresenceService service(f.transport, wiring);
+  wiring.per_watch_metrics = true;
+  runtime::AsyncPresenceService service(f.transport, wiring);
 
   std::atomic<int> absent_events{0};
   service.subscribe([&](const runtime::PresenceEvent& event) {
     if (event.state == runtime::Presence::kAbsent) ++absent_events;
   });
 
+  f.loop.start();
   service.watch_dcpp(device.id(), f.cp_config);
-  std::this_thread::sleep_for(150ms);
+  ASSERT_TRUE(
+      eventually([&] { return service.stats().cycles_succeeded >= 3; }));
   device.go_silent();
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (absent_events == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(5ms);
-  }
-  ASSERT_EQ(absent_events, 1);
+  ASSERT_TRUE(eventually([&] { return absent_events.load() == 1; }));
+  f.loop.stop();  // monitoring stopped at the absence; now it is frozen
 
   const auto stats = service.stats();
   const auto samples = registry.snapshot();
@@ -555,11 +563,14 @@ TEST(PresenceServiceTelemetry, CountersMatchStats) {
   EXPECT_DOUBLE_EQ(sample_value(samples, "probemon_watches"), 1.0);
 
   // RTT histogram observed every successful cycle.
+  bool saw_rtt = false;
   for (const auto& s : samples) {
     if (s.name == "probemon_watch_rtt_seconds" && s.labels == device_label) {
+      saw_rtt = true;
       EXPECT_EQ(s.count, stats.cycles_succeeded);
     }
   }
+  EXPECT_TRUE(saw_rtt);
 
   // The tracer saw the same cycles the counters did.
   std::uint64_t traced_success = 0, traced_failure = 0;
@@ -570,19 +581,22 @@ TEST(PresenceServiceTelemetry, CountersMatchStats) {
   EXPECT_EQ(traced_failure, stats.cycles_failed);
 }
 
-TEST(TransportTelemetry, InprocCountersTrackTransportTallies) {
-  RuntimeFixture f;
+TEST(TransportTelemetry, AsyncUdpCountersTrackTransportTallies) {
   Registry registry;
+  RuntimeFixture f;
   f.transport.instrument(registry);
-  runtime::RtDcppDevice device(f.transport, f.device_config);
+  runtime::AsyncDcppDevice device(f.transport, f.device_config);
   device.instrument(registry);
-  runtime::PresenceService service(f.transport);
+  runtime::AsyncPresenceService service(f.transport);
+  f.loop.start();
   service.watch_dcpp(device.id(), f.cp_config);
-  std::this_thread::sleep_for(200ms);
+  ASSERT_TRUE(
+      eventually([&] { return service.stats().cycles_succeeded >= 3; }));
   service.unwatch(device.id());
+  f.loop.stop();
 
   const auto samples = registry.snapshot();
-  const Labels transport_label = {{"transport", "inproc"}};
+  const Labels transport_label = {{"transport", "async_udp"}};
   const double sent = sample_value(
       samples, "probemon_transport_datagrams_sent_total", transport_label);
   const double delivered = sample_value(
@@ -591,16 +605,20 @@ TEST(TransportTelemetry, InprocCountersTrackTransportTallies) {
   EXPECT_GT(sent, 0.0);
   EXPECT_GT(delivered, 0.0);
   EXPECT_LE(delivered, sent);
+  EXPECT_EQ(sample_value(samples, "probemon_transport_recv_errors_total",
+                         transport_label),
+            0.0);
 
-  // Device-side gauges: nominal load is config-derived, experienced load
-  // was sampled from real probe arrivals.
+  // Device-side series: nominal load is config-derived, the probe
+  // counter counts real arrivals (every probe is a delivered datagram).
   const Labels device_label = {{"device", std::to_string(device.id())}};
   EXPECT_DOUBLE_EQ(
       sample_value(samples, "probemon_device_nominal_load", device_label),
       f.device_config.l_nom());
-  EXPECT_GT(sample_value(samples, "probemon_device_probes_received_total",
-                         device_label),
-            0.0);
+  const double received = sample_value(
+      samples, "probemon_device_probes_received_total", device_label);
+  EXPECT_GT(received, 0.0);
+  EXPECT_LE(received, delivered);
 }
 
 TEST(SchedulerTelemetry, BridgeBindsEventCounters) {

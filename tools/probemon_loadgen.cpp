@@ -2,7 +2,7 @@
 // runtime.
 //
 // Drives a process that hosts AsyncDevice endpoints on an
-// AsyncUdpTransport (e.g. examples/realtime_runtime --transport=reactor
+// AsyncUdpTransport (e.g. examples/realtime_runtime --linger=N
 // or bench_rt_scale's fleet) from the OUTSIDE, over real datagrams:
 //
 //   ./probemon_loadgen --target=PORT --rate=50000 --duration=10
@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "net/message.hpp"
-#include "runtime/udp_transport.hpp"
+#include "runtime/wire.hpp"
 #include "util/cli.hpp"
 
 using namespace probemon;
