@@ -3,16 +3,16 @@
 // Not a paper artifact: this gates the observability subsystem itself.
 // Three questions, each at a sweep of series cardinalities:
 //
-//   1. Registration throughput: how fast can a ShardedRegistry
-//      find-or-create series through the interned-id API?
+//   1. Registration throughput: how fast can a Registry find-or-create
+//      series through the interned-id API?
 //   2. Scrape cost: full Prometheus exposition vs a delta scrape with
 //      only `--dirty` series changed — the O(total) vs O(changed)
 //      claim, reported as bytes and microseconds plus the ratios
 //      (speedup_time / speedup_bytes, gated one-sided in CI).
-//   3. Equivalence: ShardedRegistry output must be byte-identical to
-//      the single-map Registry for the same contents, at any shard
-//      count (snapshot_identical / shard_invariant booleans — exact
-//      CI tripwires, not thresholds).
+//   3. Equivalence: a registry populated through the interned-id API
+//      must expose byte-identical text to one populated through the
+//      string API (the snapshot_identical boolean — an exact CI
+//      tripwire, not a threshold).
 //
 //   ./bench_telemetry_scale --series=1000,100000,1000000 --dirty=1000
 //
@@ -26,7 +26,6 @@
 #include "telemetry/export.hpp"
 #include "telemetry/interner.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/sharded_registry.hpp"
 #include "util/cli.hpp"
 
 using namespace probemon;
@@ -53,7 +52,7 @@ std::vector<std::uint64_t> parse_series_list(const std::string& spec) {
 
 /// Populate `n` counter series (device=0..n-1) through the id API and
 /// return the counters for later dirtying.
-std::vector<telemetry::Counter*> populate(telemetry::ShardedRegistry& reg,
+std::vector<telemetry::Counter*> populate(telemetry::Registry& reg,
                                           std::uint64_t n) {
   std::vector<telemetry::Counter*> counters;
   counters.reserve(n);
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
   const auto series_spec =
       cli.get<std::string>("series", "1000,100000,1000000");
   const auto dirty = cli.get<std::uint64_t>("dirty", 1000);
-  const auto shards = cli.get<std::uint64_t>("shards", 16);
   cli.finish("bench_telemetry_scale: registry scale + delta-scrape costs");
 
   benchutil::print_header(
@@ -86,11 +84,10 @@ int main(int argc, char** argv) {
       "cardinality");
   benchutil::JsonSummary summary("bench_telemetry_scale");
   summary.set("dirty", dirty);
-  summary.set("shards", shards);
 
   for (const std::uint64_t n : parse_series_list(series_spec)) {
     telemetry::LabelInterner interner;
-    telemetry::ShardedRegistry reg(shards, &interner);
+    telemetry::Registry reg(&interner);
 
     auto start = std::chrono::steady_clock::now();
     auto counters = populate(reg, n);
@@ -142,35 +139,27 @@ int main(int argc, char** argv) {
     summary.set(prefix + "speedup_bytes", speedup_bytes);
   }
 
-  // Equivalence tripwires at a small cardinality: sharded output must
-  // match the single-map Registry byte for byte, at any shard count.
+  // Equivalence tripwire at a small cardinality: the id API must expose
+  // the same bytes as the string API for the same contents.
   {
     const std::uint64_t n = 1000;
-    telemetry::Registry plain;
+    telemetry::LabelInterner string_interner;
+    telemetry::Registry by_string(&string_interner);
     for (std::uint64_t i = 0; i < n; ++i) {
-      plain
+      by_string
           .counter("probemon_scale_series_total",
                    "Synthetic per-device series",
                    {{"device", std::to_string(i)}})
           .inc(i % 7);
     }
-    const std::string want = telemetry::to_prometheus(plain);
-    bool identical = true;
-    bool shard_invariant = true;
-    for (const std::size_t sc : {1u, 4u, 64u}) {
-      telemetry::LabelInterner interner;
-      telemetry::ShardedRegistry reg(sc, &interner);
-      populate(reg, n);
-      const std::string got = telemetry::to_prometheus(reg);
-      if (got != want) {
-        identical = false;
-        shard_invariant = false;
-      }
-    }
-    std::printf("sharded == single-map exposition: %s (shards 1/4/64)\n",
+    telemetry::LabelInterner id_interner;
+    telemetry::Registry by_id(&id_interner);
+    populate(by_id, n);
+    const bool identical =
+        telemetry::to_prometheus(by_id) == telemetry::to_prometheus(by_string);
+    std::printf("id API == string API exposition: %s\n",
                 identical ? "identical" : "MISMATCH");
     summary.set("snapshot_identical", identical);
-    summary.set("shard_invariant", shard_invariant);
   }
 
   summary.write();

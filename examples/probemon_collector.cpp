@@ -1,12 +1,12 @@
 // probemon_collector — fleet telemetry aggregation, end to end.
 //
 // Spins up one collector (HttpServer + MetricsCollector) and a handful
-// of in-process "agents", each owning a private ShardedRegistry of
+// of in-process "agents", each owning a private Registry of
 // per-device presence metrics and a MetricsPusher. Every agent round
 // simulates some probe activity and pushes a report to the collector's
 // /push route — full absolute state on the first report, O(changed)
 // deltas afterwards. The collector folds everything into one merged
-// ShardedRegistry with an "agent" label per series, scraped here the
+// Registry with an "agent" label per series, scraped here the
 // same way Prometheus would: first /metrics scrape full, the next one
 // a delta (empty once the fleet goes quiet).
 //
@@ -36,7 +36,7 @@
 #include "telemetry/bridges.hpp"
 #include "telemetry/http_client.hpp"
 #include "telemetry/http_server.hpp"
-#include "telemetry/sharded_registry.hpp"
+#include "telemetry/registry.hpp"
 #include "util/cli.hpp"
 
 using namespace probemon;
@@ -48,7 +48,7 @@ namespace {
 /// touch the returned references (the hot-path pattern).
 struct Agent {
   std::string name;
-  telemetry::ShardedRegistry registry{4};
+  telemetry::Registry registry;
   std::vector<telemetry::Counter*> probes;
   std::vector<telemetry::Gauge*> rtt;
   telemetry::Histogram* cycle_rtt = nullptr;
@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
   presence.deadline_min_s = 3 * period_s;
   presence.deadline_initial_s = 5 * period_s;
   presence.deadline_max_s = 20 * period_s;
-  runtime::MetricsCollector collector(
-      telemetry::ShardedRegistry::kDefaultShards, presence);
+  runtime::MetricsCollector collector(presence);
   telemetry::AlertEngine alerts;
   collector.attach_alert_engine(alerts);
   telemetry::HttpServer server({.port = 0});

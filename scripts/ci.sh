@@ -23,7 +23,7 @@
 # Every run also gates performance against the committed bench/baseline/
 # snapshot: bench_a7_des_micro (DES kernel throughput),
 # bench_telemetry_scale (registry registration rate, delta-scrape
-# speedups, sharded-vs-single-map byte identity), bench_scale (fleet
+# speedups, id-API-vs-string-API byte identity), bench_scale (fleet
 # event throughput + heap bytes/entity at 10k/100k entities) and
 # the bench_a13 history-sampling leg (series-samples/s into the ring,
 # exact bytes/window) run into one scratch dir and are diffed in a
@@ -40,7 +40,9 @@
 #   * a clang -Wthread-safety -Werror=thread-safety build of the whole
 #     tree plus tools/tsa_selftest.py (strip-and-flip proof that the
 #     Registry/MetricsCollector annotations are load-bearing); skipped
-#     with a warning when clang is absent, fatal under CI_TSA=1
+#     with a warning when clang is absent, fatal under CI_TSA=1. Without
+#     clang the self-test still checks that its manifest covers every
+#     annotation
 #   * scripts/check_format.sh (diff-only; skipped when clang-format is
 #     not installed)
 #   * an ASan+UBSan build with PROBEMON_CHECKED=ON running the full
@@ -50,8 +52,10 @@
 #   * a thread,undefined build running every test that starts an
 #     event loop (EventLoop, WallClockWheel, AsyncUdpTransport/Runtime/
 #     Presence, and the routes, auditor, telemetry and alert tests that
-#     run a live reactor service); CI_TSAN=1 additionally runs the sweep
-#     tests and the full suite under it
+#     run a live reactor service) plus the metric store's concurrency
+#     tests (Registry, LabelInterner, DeltaExporter, ThreadSafety*);
+#     CI_TSAN=1 additionally runs the sweep tests and the full suite
+#     under it
 # and writes bench_out/analysis_summary.json with machine-readable
 # results (invariant violations, tidy warning count, lint findings,
 # the TSan legs).
@@ -142,8 +146,9 @@ fi
 # (a baseline file absent from the current dir is itself a failure).
 # One-sided keys (throughput, delta-scrape speedups) may only drop by
 # PERF_THRESHOLD percent; machine context and absolute timings are
-# ignored as noise. The byte-sized keys and the identity booleans from
-# bench_telemetry_scale are deterministic, so they gate exactly.
+# ignored as noise. The byte-sized keys and the snapshot_identical
+# boolean from bench_telemetry_scale are deterministic, so they gate
+# exactly.
 # Threshold is loose by design -- it exists to catch "someone
 # accidentally reverted the timer wheel to a std::function heap" or
 # "the delta scrape quietly became a full scrape", not 5% jitter on a
@@ -445,6 +450,18 @@ EOF
   else
     echo "==> clang thread-safety leg skipped ('$CLANG_CXX' not found;"
     echo "    set CLANG_CXX or install clang. CI_TSA=1 makes this fatal)"
+    # The manifest coverage count needs no clang: exit 3 means every
+    # annotation has a probe (the probes themselves are skipped), 1 a
+    # stale manifest.
+    echo "==> tools/tsa_selftest.py (manifest coverage only)"
+    TSA_SELFTEST_RC=0
+    python3 "$ROOT/tools/tsa_selftest.py" --clang "$CLANG_CXX" ||
+      TSA_SELFTEST_RC=$?
+    if [[ "$TSA_SELFTEST_RC" -ne 3 ]]; then
+      echo "    FAILED: tsa_selftest.py exited $TSA_SELFTEST_RC" >&2
+      exit 1
+    fi
+    TSA_SELFTEST_STATUS="coverage_only"
   fi
 
   # --- dynamic: ASan+UBSan build with the invariant auditor armed
@@ -486,19 +503,23 @@ EOF
      "$BUILD/bench/bench_rt_scale" --endpoints=100000 --duration=3 \
        --d-min=0.5)
 
-  # --- dynamic: thread,undefined build. The reactor leg always runs:
+  # --- dynamic: thread,undefined build. The default leg always runs:
   # start/stop churn under a concurrent scrape, cross-thread post(), the
   # async transport/presence stack, and every other test that starts an
   # EventLoop (HTTP routes, auditor, telemetry and the device_load rule
   # over a live service) -- the loop-confinement contract TSan exists to
-  # vet. CI_TSAN=1 (slow; opt-in) adds the SweepRunner thread-pool tests
-  # and then the full suite.
+  # vet -- plus the metric store's concurrency tests: registration and
+  # scrapes racing on one Registry lock, delta cursors scraping from
+  # several threads, the lock-free LabelInterner, and the collector and
+  # history ThreadSafety suites. CI_TSAN=1 (slow; opt-in) adds the
+  # SweepRunner thread-pool tests and then the full suite.
   TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
   TSAN_REACTOR='EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)'
   TSAN_REACTOR+='|HttpRoutes\.WatchesAndHealthzOverLiveService'
   TSAN_REACTOR+='|InvariantAuditor\.RuntimeWatchAuditsToZero'
   TSAN_REACTOR+='|PresenceServiceTelemetry\.|TransportTelemetry\.'
   TSAN_REACTOR+='|DefaultRules\.DeviceLoadReadsALiveReactorDevice'
+  TSAN_REACTOR+='|Registry\.|LabelInterner\.|DeltaExporter\.|ThreadSafety'
   echo "==> sanitizer matrix: thread,undefined (${TSAN_BUILD})"
   cmake -B "$TSAN_BUILD" -S "$ROOT" \
     -DPROBEMON_SANITIZE=thread,undefined >/dev/null
@@ -506,7 +527,7 @@ EOF
   # scripts/tsan.supp silences one sanitizer-runtime false positive
   # (UBSan's IsAccessibleMemoryRange pipe probe); see the file.
   export TSAN_OPTIONS="suppressions=$ROOT/scripts/tsan.supp ${TSAN_OPTIONS:-}"
-  echo "==> tsan: event-loop reactor tests"
+  echo "==> tsan: event-loop reactor and metric-store tests"
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j -R "$TSAN_REACTOR"
   TSAN_REACTOR_TESTS="$(ctest --test-dir "$TSAN_BUILD" -N -R "$TSAN_REACTOR" |
     sed -n 's/^Total Tests: //p')"

@@ -35,7 +35,7 @@ Labels with_agent(const Labels& labels, const std::string& agent) {
 
 /// Write one sample's absolute state into a store (ingestion
 /// semantics: overwrite, don't accumulate — re-delivery is idempotent).
-void write_absolute(telemetry::MetricStore& store, const Sample& sample,
+void write_absolute(telemetry::Registry& store, const Sample& sample,
                     const Labels& labels) {
   switch (sample.type) {
     case MetricType::kCounter:
@@ -75,9 +75,8 @@ constexpr double kTicksPerSecond = 1000.0;
 
 }  // namespace
 
-MetricsCollector::MetricsCollector(std::size_t shards,
-                                   CollectorPresenceConfig presence)
-    : merged_(shards), presence_(presence) {
+MetricsCollector::MetricsCollector(CollectorPresenceConfig presence)
+    : presence_(presence) {
   // Transpose SAPP (paper eq. 1) onto push arrivals: the adaptation
   // sees pc = elapsed ticks and t = push count, so l_exp = ticks/push
   // (the observed inter-push gap) and delta is the staleness deadline

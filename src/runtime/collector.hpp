@@ -6,7 +6,7 @@
 //   agent 1 ──┼── POST /push {agent, full, ... } ─┤  /metrics.json
 //   agent N ──┘        (delta JSON reports)       └─ /agents
 //
-// Each agent owns a MetricStore and a MetricsPusher
+// Each agent owns a Registry and a MetricsPusher
 // (metrics_push.hpp) that periodically POSTs the series that changed
 // since its last successful report — full state on the first report
 // and after any failure, deltas otherwise. The collector keeps:
@@ -14,7 +14,7 @@
 //   * one Registry per agent holding that agent's last absolute state
 //     (counters reset to the reported value, not incremented — a
 //     re-delivered report is idempotent), and
-//   * one merged ShardedRegistry across the whole fleet, updated
+//   * one merged Registry across the whole fleet, updated
 //     in place at ingest time with an "agent" label appended to every
 //     series — so scraping the merged view costs O(changed) via the
 //     standard delta routes, no matter how many agents report.
@@ -52,7 +52,7 @@
 #include "telemetry/alerts/alert_engine.hpp"
 #include "telemetry/http_server.hpp"
 #include "telemetry/metrics_parse.hpp"
-#include "telemetry/sharded_registry.hpp"
+#include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace probemon::runtime {
@@ -76,11 +76,7 @@ struct CollectorPresenceConfig {
 
 class MetricsCollector {
  public:
-  /// `shards` sizes the merged ShardedRegistry (fleet-wide series
-  /// count, not per-agent).
-  explicit MetricsCollector(
-      std::size_t shards = telemetry::ShardedRegistry::kDefaultShards,
-      CollectorPresenceConfig presence = {});
+  explicit MetricsCollector(CollectorPresenceConfig presence = {});
 
   MetricsCollector(const MetricsCollector&) = delete;
   MetricsCollector& operator=(const MetricsCollector&) = delete;
@@ -102,7 +98,7 @@ class MetricsCollector {
 
   /// The fleet-wide merged store ("agent" label on every series).
   /// Feed it to register_metrics_routes for O(changed) scrapes.
-  const telemetry::MetricStore& merged() const { return merged_; }
+  const telemetry::Registry& merged() const { return merged_; }
 
   /// One agent's last absolute state, snapshot form (empty vector for
   /// an unknown agent).
@@ -143,7 +139,7 @@ class MetricsCollector {
   /// / _deadline_seconds / _absent per agent (removed on forget) plus
   /// fleet totals. Distinct from merged() so the collector's own health
   /// can be scraped or pushed like any agent's.
-  telemetry::MetricStore& self_metrics() { return self_; }
+  telemetry::Registry& self_metrics() { return self_; }
 
   /// Register the `agent_absent` condition rule on `engine` (must
   /// outlive the collector) and drive one labelled instance per agent
@@ -185,8 +181,8 @@ class MetricsCollector {
       PROBEMON_GUARDED_BY(mutex_);
   /// merged_ and self_ synchronize themselves; the collector's mutex
   /// orders multi-series updates around them but never protects their
-  /// internals (lock order: MetricsCollector -> Registry / shard).
-  telemetry::ShardedRegistry merged_;
+  /// internals (lock order: MetricsCollector -> Registry).
+  telemetry::Registry merged_;
   std::uint64_t reports_ PROBEMON_GUARDED_BY(mutex_) = 0;
   std::uint64_t samples_ PROBEMON_GUARDED_BY(mutex_) = 0;
 

@@ -33,8 +33,7 @@ namespace probemon::runtime {
 /// registered (a /healthz with partial stats is always registered).
 /// Everything referenced must outlive the server.
 struct ObservabilitySources {
-  /// Any MetricStore (Registry or ShardedRegistry).
-  const telemetry::MetricStore* registry = nullptr;
+  const telemetry::Registry* registry = nullptr;
   const telemetry::ProbeCycleTracer* tracer = nullptr;
   const AsyncPresenceService* service = nullptr;
   const check::InvariantAuditor* auditor = nullptr;

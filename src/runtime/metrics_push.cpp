@@ -9,7 +9,7 @@
 
 namespace probemon::runtime {
 
-MetricsPusher::MetricsPusher(const telemetry::MetricStore& store,
+MetricsPusher::MetricsPusher(const telemetry::Registry& store,
                              Config config)
     : store_(store), config_(std::move(config)) {
   if (config_.agent.empty()) {

@@ -1,12 +1,12 @@
 // MetricsPusher: the agent side of the push topology (collector.hpp).
 //
-// Wraps a local MetricStore and periodically POSTs its state to a
+// Wraps a local Registry and periodically POSTs its state to a
 // collector's /push route as JSON:
 //
 //   {"agent": "node-7", "full": false, "metrics": [ ...changed... ]}
 //
 // Report contents ride the store's delta-scrape mechanism
-// (MetricStore::snapshot_delta): the first report — and the first
+// (Registry::snapshot_delta): the first report — and the first
 // report after any failed push — carries the full absolute state
 // (full=true, so the collector resynchronizes and drops series the
 // agent no longer has); every other report carries only series whose
@@ -41,7 +41,7 @@ class MetricsPusher {
 
   /// `store` must outlive the pusher. Throws std::invalid_argument on
   /// an empty agent id or zero port.
-  MetricsPusher(const telemetry::MetricStore& store, Config config);
+  MetricsPusher(const telemetry::Registry& store, Config config);
   ~MetricsPusher();
 
   MetricsPusher(const MetricsPusher&) = delete;
@@ -69,7 +69,7 @@ class MetricsPusher {
  private:
   void run() PROBEMON_EXCLUDES(mutex_);
 
-  const telemetry::MetricStore& store_;
+  const telemetry::Registry& store_;
   const Config config_;
   std::atomic<std::uint64_t> ok_{0};
   std::atomic<std::uint64_t> failed_{0};

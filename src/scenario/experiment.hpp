@@ -180,7 +180,7 @@ template <class R, class Collect>
 std::vector<R> run_experiment_batch(SweepRunner& runner,
                                     const std::vector<ExperimentConfig>& configs,
                                     double duration, Collect&& collect,
-                                    telemetry::MetricStore* merge_into = nullptr) {
+                                    telemetry::Registry* merge_into = nullptr) {
   return runner.map<R>(
       configs.size(),
       [&](std::size_t job, SweepWorkerContext& ctx) {

@@ -33,7 +33,7 @@ void SweepRunner::worker_loop(unsigned worker) {
     seen = generation_;
     const std::size_t job_count = job_count_;
     const Job* job = job_;
-    std::deque<telemetry::ShardedRegistry>* registries = registries_;
+    std::deque<telemetry::Registry>* registries = registries_;
     std::vector<std::exception_ptr>* errors = errors_;
     lock.Release();
 
@@ -60,12 +60,12 @@ void SweepRunner::worker_loop(unsigned worker) {
 }
 
 void SweepRunner::run(std::size_t job_count, const Job& fn,
-                      telemetry::MetricStore* merge_into) {
+                      telemetry::Registry* merge_into) {
   if (!fn) throw std::invalid_argument("SweepRunner::run: empty job");
 
   // One private registry per worker, fresh per batch so merges never
   // double-count across run() calls.
-  std::deque<telemetry::ShardedRegistry> registries(thread_count_);
+  std::deque<telemetry::Registry> registries(thread_count_);
   std::vector<std::exception_ptr> errors(job_count);
 
   {

@@ -4,7 +4,7 @@
 // points, then aggregate" — embarrassingly parallel, as long as nothing
 // is shared. The runner gives each worker thread its own world: the job
 // function constructs its own Simulation/Experiment (one Scheduler, one
-// RNG stream seeded from the job id, one telemetry ShardedRegistry per
+// RNG stream seeded from the job id, one telemetry Registry per
 // worker), so no simulation state ever crosses a thread boundary.
 //
 // Determinism contract (verified by tests/test_sweep.cpp):
@@ -36,19 +36,18 @@
 #include <thread>
 #include <vector>
 
-#include "telemetry/sharded_registry.hpp"
+#include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace probemon::scenario {
 
 /// Handed to each job invocation: which worker is running it and that
 /// worker's private telemetry registry (never shared, merge at barrier).
-/// The registry is a ShardedRegistry, so jobs registering per-entity
-/// series can use the interned-id API (counter_ids etc.) to stay off
-/// the string path.
+/// Jobs registering per-entity series can use the registry's interned-id
+/// API (counter_ids etc.) to stay off the string path.
 struct SweepWorkerContext {
   unsigned worker = 0;
-  telemetry::ShardedRegistry* registry = nullptr;
+  telemetry::Registry* registry = nullptr;
 };
 
 class SweepRunner {
@@ -69,20 +68,19 @@ class SweepRunner {
                          SweepWorkerContext& ctx)>;
 
   /// Run `fn` for every job id in [0, job_count); blocks until all jobs
-  /// finish. When `merge_into` is non-null (any MetricStore — Registry
-  /// or ShardedRegistry), each worker's registry is merged into it
-  /// (worker order) and the runner's own health metrics
+  /// finish. When `merge_into` is non-null, each worker's registry is
+  /// merged into it (worker order) and the runner's own health metrics
   /// (probemon_sweep_worker_busy_seconds, probemon_sweep_jobs_total)
   /// are registered there too.
   void run(std::size_t job_count, const Job& fn,
-           telemetry::MetricStore* merge_into = nullptr)
+           telemetry::Registry* merge_into = nullptr)
       PROBEMON_EXCLUDES(mutex_);
 
   /// Map convenience: results land in a job-ordered vector (the
   /// determinism-friendly shape — see the header comment).
   template <class R, class F>
   std::vector<R> map(std::size_t job_count, F&& fn,
-                     telemetry::MetricStore* merge_into = nullptr) {
+                     telemetry::Registry* merge_into = nullptr) {
     std::vector<R> out(job_count);
     run(
         job_count,
@@ -118,7 +116,7 @@ class SweepRunner {
   // Current batch (valid while workers_running_ > 0):
   std::size_t job_count_ PROBEMON_GUARDED_BY(mutex_) = 0;
   const Job* job_ PROBEMON_GUARDED_BY(mutex_) = nullptr;
-  std::deque<telemetry::ShardedRegistry>* registries_
+  std::deque<telemetry::Registry>* registries_
       PROBEMON_GUARDED_BY(mutex_) = nullptr;
   std::vector<std::exception_ptr>* errors_ PROBEMON_GUARDED_BY(mutex_) =
       nullptr;

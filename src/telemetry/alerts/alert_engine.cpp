@@ -96,7 +96,7 @@ std::size_t AlertEngine::rule_count() const {
   return rules_.size();
 }
 
-void AlertEngine::bind_registry(MetricStore& registry) {
+void AlertEngine::bind_registry(Registry& registry) {
   util::MutexLock lock(mutex_);
   registry_ = &registry;
   for (const auto& [name, rule] : rules_) {

@@ -86,7 +86,7 @@ class AlertEngine {
   /// into `registry` (must outlive the engine). Gauges appear as
   /// instances appear; condition-rule instance gauges carry the
   /// instance labels too and are dropped by remove_condition().
-  void bind_registry(MetricStore& registry) PROBEMON_EXCLUDES(mutex_);
+  void bind_registry(Registry& registry) PROBEMON_EXCLUDES(mutex_);
 
   /// Evaluate every expression rule against the history at time `t`.
   void evaluate(double t) PROBEMON_EXCLUDES(mutex_);
@@ -153,7 +153,7 @@ class AlertEngine {
   mutable util::Mutex mutex_{"telemetry.AlertEngine"};
   /// keyed by rule name
   std::map<std::string, Rule> rules_ PROBEMON_GUARDED_BY(mutex_);
-  MetricStore* registry_ PROBEMON_GUARDED_BY(mutex_) = nullptr;
+  Registry* registry_ PROBEMON_GUARDED_BY(mutex_) = nullptr;
   double last_eval_time_ PROBEMON_GUARDED_BY(mutex_) = 0.0;
 };
 

@@ -145,7 +145,7 @@ inline void instrument_entity_arena(Registry& registry,
 /// (the hooks compile out), but the series existing everywhere keeps
 /// dashboards/alert rules uniform across build flavours. The registry
 /// is a process singleton, so this is safe on any store.
-inline void instrument_lock_order(MetricStore& store,
+inline void instrument_lock_order(Registry& store,
                                   const Labels& labels = {}) {
   store.counter_callback(
       "probemon_lock_order_violations_total",

@@ -150,15 +150,15 @@ std::string samples_to_json(const std::vector<Sample>& samples) {
   return w.str();
 }
 
-std::string to_prometheus(const MetricStore& store) {
+std::string to_prometheus(const Registry& store) {
   return samples_to_prometheus(store.snapshot());
 }
 
-std::string to_json(const MetricStore& store) {
+std::string to_json(const Registry& store) {
   return samples_to_json(store.snapshot());
 }
 
-std::string render_human(const MetricStore& store) {
+std::string render_human(const Registry& store) {
   const auto samples = store.snapshot();
   // Align the value column on the longest name+labels.
   std::size_t width = 0;
@@ -203,7 +203,7 @@ std::vector<Sample> DeltaExporter::delta_samples(bool full) {
   return store_.snapshot_delta(samples_since_, full);
 }
 
-PeriodicReporter::PeriodicReporter(const MetricStore& store, double period_s,
+PeriodicReporter::PeriodicReporter(const Registry& store, double period_s,
                                    util::LogLevel level)
     : store_(store), period_s_(period_s), level_(level) {}
 

@@ -1,4 +1,4 @@
-// Exporters: turn a MetricStore snapshot into something a consumer
+// Exporters: turn a Registry snapshot into something a consumer
 // reads.
 //
 //   * to_prometheus() — Prometheus text exposition format 0.0.4, the
@@ -11,7 +11,7 @@
 //   * DeltaExporter   — the O(changed) scrape path: keeps one `since`
 //     cursor per output format and serializes only series whose value
 //     moved since that format's last scrape (see
-//     MetricStore::snapshot_delta). This is what /metrics and
+//     Registry::snapshot_delta). This is what /metrics and
 //     /metrics.json sit on.
 //   * PeriodicReporter — a background thread that logs render_human()
 //     output through util::Logger at a fixed period; the poor
@@ -48,14 +48,14 @@ void write_samples_json(JsonWriter& w, const std::vector<Sample>& samples);
 std::string samples_to_json(const std::vector<Sample>& samples);
 
 /// Full-snapshot conveniences over the samples_* formatters.
-std::string to_prometheus(const MetricStore& store);
-std::string to_json(const MetricStore& store);
+std::string to_prometheus(const Registry& store);
+std::string to_json(const Registry& store);
 
 /// Aligned human-readable rendering (one line per metric; histograms
 /// summarized as count/mean/max-bucket).
-std::string render_human(const MetricStore& store);
+std::string render_human(const Registry& store);
 
-/// O(changed) scrape front-end for one MetricStore.
+/// O(changed) scrape front-end for one Registry.
 ///
 /// Each output format keeps an independent `since` cursor, so a
 /// Prometheus scraper and a JSON scraper hitting the same exporter each
@@ -66,7 +66,7 @@ std::string render_human(const MetricStore& store);
 /// mutex so the cursor advances consistently.
 class DeltaExporter {
  public:
-  explicit DeltaExporter(const MetricStore& store) : store_(store) {}
+  explicit DeltaExporter(const Registry& store) : store_(store) {}
 
   DeltaExporter(const DeltaExporter&) = delete;
   DeltaExporter& operator=(const DeltaExporter&) = delete;
@@ -80,7 +80,7 @@ class DeltaExporter {
       PROBEMON_EXCLUDES(mutex_);
 
  private:
-  const MetricStore& store_;
+  const Registry& store_;
   util::Mutex mutex_{"telemetry.DeltaExporter"};
   std::uint64_t prometheus_since_ PROBEMON_GUARDED_BY(mutex_) = 0;
   std::uint64_t json_since_ PROBEMON_GUARDED_BY(mutex_) = 0;
@@ -97,7 +97,7 @@ class DeltaExporter {
 /// killed.
 class PeriodicReporter {
  public:
-  PeriodicReporter(const MetricStore& store, double period_s,
+  PeriodicReporter(const Registry& store, double period_s,
                    util::LogLevel level = util::LogLevel::kInfo);
   ~PeriodicReporter();
 
@@ -115,7 +115,7 @@ class PeriodicReporter {
   void run() PROBEMON_EXCLUDES(mutex_);
   void write_snapshot_file() PROBEMON_EXCLUDES(mutex_);
 
-  const MetricStore& store_;
+  const Registry& store_;
   const double period_s_;
   const util::LogLevel level_;
   util::Mutex mutex_{"telemetry.PeriodicReporter"};

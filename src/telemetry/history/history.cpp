@@ -11,7 +11,7 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
-TimeSeriesHistory::TimeSeriesHistory(const MetricStore& store, Config config)
+TimeSeriesHistory::TimeSeriesHistory(const Registry& store, Config config)
     : store_(store), config_(config) {
   if (!(config_.sample_period_s > 0.0)) {
     throw std::invalid_argument("history sample_period_s must be > 0");

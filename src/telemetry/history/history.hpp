@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ class TimeSeriesHistory {
   };
 
   /// `store` must outlive the history.
-  explicit TimeSeriesHistory(const MetricStore& store,
+  explicit TimeSeriesHistory(const Registry& store,
                              HistoryConfig config = {});
 
   TimeSeriesHistory(const TimeSeriesHistory&) = delete;
@@ -143,7 +144,7 @@ class TimeSeriesHistory {
   static bool window_ends(const std::vector<Point>& points, Point& oldest,
                           Point& newest);
 
-  const MetricStore& store_;
+  const Registry& store_;
   Config config_;
 
   mutable util::Mutex mutex_{"telemetry.TimeSeriesHistory"};

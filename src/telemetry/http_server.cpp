@@ -506,7 +506,7 @@ void HttpServer::serve_connection(int fd) {
   }
 }
 
-void register_metrics_routes(HttpServer& server, const MetricStore& store) {
+void register_metrics_routes(HttpServer& server, const Registry& store) {
   // One DeltaExporter per route pair; the routes share the store but
   // keep independent per-format cursors. shared_ptr so both closures
   // (and replacements registered later) own the state.

@@ -1,6 +1,6 @@
 // HttpServer: a dependency-free HTTP/1.1 endpoint for live telemetry.
 //
-// The exporters (export.hpp) turn a MetricStore into text; this server
+// The exporters (export.hpp) turn a Registry into text; this server
 // puts that text on a socket so a running system can be inspected with
 // curl, a Prometheus scraper, or a browser while it runs. Scope is
 // deliberately tiny — exact-path routes, GET plus bounded-body POST
@@ -12,7 +12,7 @@
 // beyond the bound are closed immediately — overload sheds instead of
 // queueing without limit). Handlers run on worker threads and must be
 // thread-safe; the telemetry snapshot paths they typically call
-// (MetricStore::snapshot(), ProbeCycleTracer::snapshot()) already are.
+// (Registry::snapshot(), ProbeCycleTracer::snapshot()) already are.
 // stop() (or destruction) closes the listen socket, drains the queue
 // and joins every thread; it is idempotent and safe to call while
 // requests are in flight.
@@ -176,7 +176,7 @@ class HttpServer {
 /// fleet-scale cardinality. `?full=1` forces a complete snapshot (and
 /// still advances the cursor). Note the cursor is per-route, not
 /// per-client: point exactly one scraper at each route, or use ?full=1.
-void register_metrics_routes(HttpServer& server, const MetricStore& store);
+void register_metrics_routes(HttpServer& server, const Registry& store);
 
 /// `/trace` over `tracer` (must outlive the server): the probe-cycle
 /// ring as a JSON array by default, or Chrome trace-event format for

@@ -4,8 +4,8 @@
 // distinct strings ("device", "transport", per-entity id values). The
 // interner stores each distinct string once and hands out a dense u32
 // id; hot-path registration and per-entity label sets then carry ids
-// instead of allocating and comparing strings, and the sharded registry
-// keys its maps by id sequences (see sharded_registry.hpp).
+// instead of allocating and comparing strings, and the registry keys its
+// entries by id sequences (see registry.hpp).
 //
 // Concurrency contract:
 //   * intern() — lock-free fast path when the string is already known

@@ -230,6 +230,17 @@ MetricType type_from(const std::string& s) {
   throw std::runtime_error("metrics JSON: unknown metric type '" + s + "'");
 }
 
+/// A u64 tally read from a JSON number (counter value, histogram count
+/// or bucket). Negative, non-finite and >= 2^64 values cannot be stored
+/// and are rejected; in-range fractions truncate when stored.
+double tally(double v, const char* what, const std::string& name) {
+  if (!(v >= 0.0 && v < 18446744073709551616.0)) {
+    throw std::runtime_error("metrics JSON: " + std::string(what) + " of '" +
+                             name + "' is not a count in [0, 2^64)");
+  }
+  return v;
+}
+
 Sample sample_from(const Value& v) {
   if (!v.is_object()) {
     throw std::runtime_error("metrics JSON: metric entry is not an object");
@@ -268,7 +279,9 @@ Sample sample_from(const Value& v) {
       throw std::runtime_error("metrics JSON: '" + s.name +
                                "' missing numeric 'value'");
     }
-    s.value = value->as_number();
+    s.value = s.type == MetricType::kCounter
+                  ? tally(value->as_number(), "counter value", s.name)
+                  : value->as_number();
     return s;
   }
   const Value* count = v.find("count");
@@ -281,7 +294,8 @@ Sample sample_from(const Value& v) {
     throw std::runtime_error("metrics JSON: histogram '" + s.name +
                              "' missing count/sum/bounds/buckets");
   }
-  s.count = static_cast<std::uint64_t>(count->as_number());
+  s.count = static_cast<std::uint64_t>(
+      tally(count->as_number(), "histogram count", s.name));
   s.sum = sum->as_number();
   for (const Value& b : bounds->as_array()) {
     if (!b.is_number()) {
@@ -295,7 +309,8 @@ Sample sample_from(const Value& v) {
       throw std::runtime_error("metrics JSON: non-numeric bucket in '" +
                                s.name + "'");
     }
-    s.buckets.push_back(static_cast<std::uint64_t>(b.as_number()));
+    s.buckets.push_back(static_cast<std::uint64_t>(
+        tally(b.as_number(), "histogram bucket", s.name)));
   }
   if (s.buckets.size() != s.bounds.size() + 1) {
     throw std::runtime_error("metrics JSON: histogram '" + s.name + "' has " +

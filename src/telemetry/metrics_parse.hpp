@@ -16,10 +16,11 @@
 //   }
 //
 // Unknown top-level and per-metric keys are ignored (forward
-// compatibility with newer agents); malformed JSON or metrics missing
-// required fields throw std::runtime_error with a position-annotated
-// message. This is the one place the repo parses JSON — everything else
-// only emits it (json.hpp).
+// compatibility with newer agents); malformed JSON, metrics missing
+// required fields, and counter values or histogram counts/buckets that
+// are not counts in [0, 2^64) throw std::runtime_error with a
+// position-annotated message. This is the one place the repo parses
+// JSON — everything else only emits it (json.hpp).
 #pragma once
 
 #include <string>

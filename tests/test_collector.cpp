@@ -84,7 +84,7 @@ TEST(MetricsParse, RejectsMalformedDocuments) {
 }
 
 /// Serialize a registry as the push-protocol envelope body.
-std::string report_body(const telemetry::MetricStore& reg,
+std::string report_body(const telemetry::Registry& reg,
                         const std::string& agent, bool full) {
   std::string body = telemetry::to_json(reg);
   // to_json -> {"metrics": [...]}; splice in the envelope fields.
@@ -95,7 +95,7 @@ std::string report_body(const telemetry::MetricStore& reg,
 }
 
 TEST(MetricsCollector, IngestIsAbsoluteAndIdempotent) {
-  runtime::MetricsCollector collector(4);
+  runtime::MetricsCollector collector;
   Registry agent;
   agent.counter("probemon_probes_total", "Probes", {{"device", "1"}}).inc(5);
 
@@ -120,7 +120,7 @@ TEST(MetricsCollector, IngestIsAbsoluteAndIdempotent) {
 }
 
 TEST(MetricsCollector, FullReportRemovesVanishedSeries) {
-  runtime::MetricsCollector collector(4);
+  runtime::MetricsCollector collector;
   Registry before;
   before.counter("probemon_a_total").inc(1);
   before.gauge("probemon_g", "", {{"device", "2"}}).set(4);
@@ -144,7 +144,7 @@ TEST(MetricsCollector, FullReportRemovesVanishedSeries) {
 }
 
 TEST(MetricsCollector, AgentsAreIsolatedAndForgettable) {
-  runtime::MetricsCollector collector(4);
+  runtime::MetricsCollector collector;
   Registry a1;
   a1.counter("probemon_x_total").inc(1);
   Registry a2;
@@ -165,7 +165,7 @@ TEST(MetricsCollector, AgentsAreIsolatedAndForgettable) {
 }
 
 TEST(MetricsCollector, HistogramRebucketRecreatesTheSeries) {
-  runtime::MetricsCollector collector(4);
+  runtime::MetricsCollector collector;
   Registry before;
   before.histogram("probemon_h_seconds", {0.1, 1.0}).observe(0.5);
   collector.ingest(report_body(before, "node-1", true));
@@ -180,7 +180,7 @@ TEST(MetricsCollector, HistogramRebucketRecreatesTheSeries) {
 }
 
 TEST(MetricsCollector, ReportWithoutAgentIdThrows) {
-  runtime::MetricsCollector collector(4);
+  runtime::MetricsCollector collector;
   Registry reg;
   reg.counter("probemon_x_total").inc(1);
   EXPECT_THROW(collector.ingest(telemetry::to_json(reg)),
@@ -198,7 +198,7 @@ TEST(MetricsPusher, RequiresAgentAndPort) {
 }
 
 TEST(MetricsPusher, EndToEndDeltasReachTheCollector) {
-  runtime::MetricsCollector collector(4);
+  runtime::MetricsCollector collector;
   telemetry::HttpServer server({.port = 0});
   runtime::register_collector_routes(server, collector);
   server.start();
@@ -281,11 +281,74 @@ TEST(MetricsParse, NanAndBadNumbersAreStructuredErrors) {
                    R"({"metrics": [{"name": "m", "type": "gauge",
                        "value": Infinity}]})"),
                std::runtime_error);
+  // Counter values and histogram tallies must fit a u64 count: no
+  // negatives, no overflow to infinity, nothing at or past 2^64.
+  for (const char* counter : {"-1", "1e400", "18446744073709551616"}) {
+    EXPECT_THROW(telemetry::parse_metrics_json(
+                     std::string(R"({"metrics": [{"name": "m", "type":
+                         "counter", "value": )") +
+                     counter + "}]}"),
+                 std::runtime_error)
+        << counter;
+  }
+  EXPECT_THROW(telemetry::parse_metrics_json(
+                   R"({"metrics": [{"name": "m", "type": "histogram",
+                       "count": -2, "sum": 1, "bounds": [1.0],
+                       "buckets": [0, 0]}]})"),
+               std::runtime_error);
+  EXPECT_THROW(telemetry::parse_metrics_json(
+                   R"({"metrics": [{"name": "m", "type": "histogram",
+                       "count": 0, "sum": 1, "bounds": [1.0],
+                       "buckets": [-1, 0]}]})"),
+               std::runtime_error);
+  // In-range fractions still parse (the store truncates them).
+  EXPECT_EQ(telemetry::parse_metrics_json(
+                R"({"metrics": [{"name": "m", "type": "counter",
+                    "value": 2.5}]})")
+                .samples[0]
+                .value,
+            2.5);
   // The collector surfaces the same errors as exceptions, not aborts.
-  runtime::MetricsCollector collector(4);
+  runtime::MetricsCollector collector;
   EXPECT_THROW(collector.ingest(R"({"agent": "a", "metrics": [{"name": "m",
                                     "type": "gauge", "value": NaN}]})"),
                std::runtime_error);
+}
+
+TEST(MetricsCollector, OutOfRangePushIsRejectedWhole) {
+  runtime::MetricsCollector collector;
+  telemetry::HttpServer server({.port = 0});
+  runtime::register_collector_routes(server, collector);
+  server.start();
+  Registry agent;
+  agent.counter("probemon_probes_total").inc(5);
+  agent.histogram("probemon_rtt_seconds", {1.0}).observe(0.5);
+  ASSERT_EQ(telemetry::http_post("127.0.0.1", server.port(), "/push",
+                                 report_body(agent, "node-1", true))
+                .status,
+            200);
+  const std::string before = telemetry::to_prometheus(collector.merged());
+
+  // Each body leads with a valid sample; none of it may be ingested.
+  const std::string good =
+      R"({"name": "probemon_probes_total", "type": "counter", "value": 9})";
+  for (const std::string bad : {
+           R"({"name": "probemon_x_total", "type": "counter", "value": -1})",
+           R"({"name": "probemon_x_total", "type": "counter",
+               "value": 1e400})",
+           R"({"name": "probemon_rtt_seconds", "type": "histogram",
+               "count": -2, "sum": 0, "bounds": [1.0], "buckets": [0, 0]})",
+           R"({"name": "probemon_rtt_seconds", "type": "histogram",
+               "count": 1, "sum": 0, "bounds": [1.0],
+               "buckets": [-1, 0]})"}) {
+    const auto response = telemetry::http_post(
+        "127.0.0.1", server.port(), "/push",
+        R"({"agent": "node-1", "metrics": [)" + good + ", " + bad + "]}");
+    EXPECT_EQ(response.status, 400) << bad;
+    EXPECT_EQ(telemetry::to_prometheus(collector.merged()), before) << bad;
+  }
+  EXPECT_EQ(collector.reports_ingested(), 1u);
+  server.stop();
 }
 
 // ------------------------------------------------ agent presence
@@ -303,7 +366,7 @@ runtime::CollectorPresenceConfig test_presence() {
 }
 
 TEST(CollectorPresence, DeadlineAdaptsToTheObservedPushGap) {
-  runtime::MetricsCollector collector(4, test_presence());
+  runtime::MetricsCollector collector(test_presence());
   double now = 0.0;
   collector.set_clock([&now] { return now; });
 
@@ -335,7 +398,7 @@ TEST(CollectorPresence, DeadlineAdaptsToTheObservedPushGap) {
 }
 
 TEST(CollectorPresence, StalledAgentGoesAbsentAndAlertFires) {
-  runtime::MetricsCollector collector(4, test_presence());
+  runtime::MetricsCollector collector(test_presence());
   double now = 0.0;
   collector.set_clock([&now] { return now; });
   telemetry::AlertEngine engine;
@@ -384,7 +447,7 @@ TEST(CollectorPresence, StalledAgentGoesAbsentAndAlertFires) {
 }
 
 TEST(CollectorPresence, SelfMetricsExportStalenessAndVanishOnForget) {
-  runtime::MetricsCollector collector(4, test_presence());
+  runtime::MetricsCollector collector(test_presence());
   double now = 0.0;
   collector.set_clock([&now] { return now; });
   telemetry::AlertEngine engine;
@@ -419,7 +482,7 @@ TEST(CollectorPresence, SelfMetricsExportStalenessAndVanishOnForget) {
 
   // An upstream collector aggregating this collector's self-metrics
   // (collector-of-collectors) sees the per-agent gauges...
-  runtime::MetricsCollector upstream(4);
+  runtime::MetricsCollector upstream;
   upstream.ingest(report_body(collector.self_metrics(), "collector-1", true));
   auto upstream_view = upstream.agent_snapshot("collector-1");
   EXPECT_NE(find_gauge(upstream_view,
@@ -449,7 +512,7 @@ TEST(CollectorPresence, SelfMetricsExportStalenessAndVanishOnForget) {
 }
 
 TEST(CollectorPresence, AgentsRouteFiltersByStateAndRejectsUnknown) {
-  runtime::MetricsCollector collector(4, test_presence());
+  runtime::MetricsCollector collector(test_presence());
   double now = 0.0;
   collector.set_clock([&now] { return now; });
   telemetry::HttpServer server({.port = 0});

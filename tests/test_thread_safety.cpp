@@ -98,7 +98,7 @@ TEST(ThreadSafetyHistoryTickerTest, LifecycleChurnVsSamplesVsScrapes) {
 }
 
 // Same report envelope MetricsPusher produces (see test_collector.cpp).
-std::string report_body(const telemetry::MetricStore& reg,
+std::string report_body(const telemetry::Registry& reg,
                         const std::string& agent, bool full) {
   std::string body = telemetry::to_json(reg);
   const std::string head = "{\"agent\": \"" + agent +
@@ -113,7 +113,7 @@ TEST(ThreadSafetyCollectorTest, PushIngestVsPresenceAndAgentReads) {
 
   runtime::CollectorPresenceConfig presence;
   presence.expected_period_s = 0.001;
-  runtime::MetricsCollector collector(4, presence);
+  runtime::MetricsCollector collector(presence);
   telemetry::AlertEngine engine;
   collector.attach_alert_engine(engine);
 

@@ -66,7 +66,7 @@ Rules (suppress a line with ``NOLINT(<rule>)`` plus a reason comment):
                      literals) allocates and hashes strings per call.
                      Hot paths intern names/labels once at setup and
                      use the *_ids interned-id overloads
-                     (ShardedRegistry::counter_ids et al.), holding the
+                     (Registry::counter_ids et al.), holding the
                      returned metric reference.
 
 Usage:

@@ -32,8 +32,9 @@ without extending the manifest.
 
 Usage:
   tools/tsa_selftest.py [--clang clang++] [--root DIR] [--json FILE]
-Exit status: 0 all probes behaved, 1 a probe misbehaved, 2 usage error,
-3 clang not found (callers treat as a skip).
+Exit status: 0 all probes behaved, 1 a probe misbehaved or the manifest
+misses an annotation, 2 usage error, 3 clang not found but the manifest
+is complete (callers treat as a skip).
 """
 
 from __future__ import annotations
@@ -69,13 +70,23 @@ MANIFEST = [
     # --- telemetry::Registry ---
     (REGISTRY, "entries_", "guarded_by",
      "static void probe(telemetry::Registry& r) { tsa_sink(r.entries_); }"),
+    (REGISTRY, "scan_", "guarded_by",
+     "static void probe(telemetry::Registry& r) { tsa_sink(r.scan_); }"),
+    (REGISTRY, "order_", "guarded_by",
+     "static void probe(telemetry::Registry& r) { tsa_sink(r.order_); }"),
     (REGISTRY, "scrape_epoch_", "guarded_by",
      "static void probe(telemetry::Registry& r) {"
      " tsa_sink(r.scrape_epoch_); }"),
     (REGISTRY, "find_or_create", "requires",
      "static void probe(telemetry::Registry& r) {"
-     " r.find_or_create(\"x\", \"\", {}, telemetry::MetricType::kCounter,"
+     " r.find_or_create(0, {}, 0, telemetry::MetricType::kCounter, false,"
      " false); }"),
+    (REGISTRY, "sync_slot", "requires",
+     "static void probe(telemetry::Registry& r,"
+     " const telemetry::Registry::Entry& e) { r.sync_slot(e); }"),
+    (REGISTRY, "key_order", "requires",
+     "static void probe(const telemetry::Registry& r) {"
+     " tsa_sink(r.key_order()); }"),
     # --- runtime::MetricsCollector ---
     (COLLECTOR, "agents_", "guarded_by",
      "static void probe(runtime::MetricsCollector& c) {"
@@ -134,7 +145,7 @@ def strip_annotation(text: str, name: str, kind: str) -> str | None:
             r"(\b" + re.escape(name) + r")\s+PROBEMON_GUARDED_BY\(\s*\w+\s*\)")
     else:  # requires: the annotation trails the declaration's param list
         pattern = re.compile(
-            r"(\b" + re.escape(name) + r"\s*\([^;{]*?\))"
+            r"(\b" + re.escape(name) + r"\s*\([^;{]*?\)(?:\s*const)?)"
             r"\s*PROBEMON_REQUIRES\(\s*\w+\s*\)", re.S)
     stripped, n = pattern.subn(r"\1", text, count=1)
     return stripped if n == 1 else None
@@ -169,19 +180,14 @@ def main() -> int:
     args = parser.parse_args()
 
     root = args.root.resolve()
-    clang = shutil.which(args.clang)
-    if clang is None:
-        print(f"tsa_selftest.py: '{args.clang}' not found — the "
-              "thread-safety self-test needs clang (install it or point "
-              "CLANG_CXX/--clang at one)", file=sys.stderr)
-        return 3
-
     src = root / "src"
     failures: list[str] = []
     results = []
 
     # Coverage: every annotation in the two headers must be in the
     # manifest, or the strip phase silently stops guarding new fields.
+    # Counted before the clang lookup, so a stale manifest fails on
+    # clang-less hosts too.
     for header in (REGISTRY, COLLECTOR):
         text = (root / header).read_text(encoding="utf-8")
         in_source = len(ANNOTATION.findall(text))
@@ -191,6 +197,18 @@ def main() -> int:
                 f"{header}: {in_source} GUARDED_BY/REQUIRES annotations in "
                 f"the source but {in_manifest} probes in the manifest — "
                 "add a probe for the new annotation")
+
+    clang = shutil.which(args.clang)
+    if clang is None:
+        for failure in failures:
+            print(f"tsa_selftest.py: {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print(f"tsa_selftest.py: manifest covers all {len(MANIFEST)} "
+              f"annotations; '{args.clang}' not found — the probes need "
+              "clang (install it or point CLANG_CXX/--clang at one)",
+              file=sys.stderr)
+        return 3
 
     for header, name, kind, body in MANIFEST:
         source = probe_source(header, body)
