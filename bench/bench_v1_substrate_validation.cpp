@@ -62,7 +62,7 @@ QueueResult simulate_queue(double lambda, const util::Distribution& service,
     const double arrival_t = queue.front();
     queue.erase(queue.begin());
     const double s = service.sample(service_rng);
-    sim.after(s, [&, arrival_t] {
+    sim.schedule_after(s, [&, arrival_t] {
       waits.add(sim.now() - arrival_t);
       --in_system_count;
       in_system.set(sim.now(), static_cast<double>(in_system_count));
@@ -76,9 +76,10 @@ QueueResult simulate_queue(double lambda, const util::Distribution& service,
     queue.push_back(sim.now());
     if (!busy) start_service();
     const double dt = -std::log(arrivals_rng.next_double_open0()) / lambda;
-    sim.after(dt, arrive);
+    sim.schedule_after(dt, arrive);
   };
-  sim.after(-std::log(arrivals_rng.next_double_open0()) / lambda, arrive);
+  sim.schedule_after(-std::log(arrivals_rng.next_double_open0()) / lambda,
+                     arrive);
   sim.run_until(horizon);
   return QueueResult{in_system.mean_until(horizon), waits.mean()};
 }

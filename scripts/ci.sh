@@ -34,8 +34,9 @@
 #
 # --full appends the analysis matrix (docs/static_analysis.md):
 #   * clang-tidy over src/ (skipped with a notice when not installed)
-#   * tools/lint.py project rules, plus a self-test that seeds a rand()
-#     call in a scratch tree and requires the linter to catch it
+#   * tools/lint.py project rules, plus self-tests that seed violations
+#     (a rand() call, a second ProbeCycle owner, ...) in a scratch tree
+#     and require the linter to catch them
 #   * a tsan.supp audit (every suppression needs a reason comment)
 #   * a clang -Wthread-safety -Werror=thread-safety build of the whole
 #     tree plus tools/tsa_selftest.py (strip-and-flip proof that the
@@ -51,8 +52,9 @@
 #   * a checked DES smoke (bench under the sanitized+checked build)
 #   * a thread,undefined build running every test that starts an
 #     event loop (EventLoop, WallClockWheel, AsyncUdpTransport/Runtime/
-#     Presence, and the routes, auditor, telemetry and alert tests that
-#     run a live reactor service) plus the metric store's concurrency
+#     Presence, the DES-vs-reactor EngineConformance tests, and the
+#     routes, auditor, telemetry and alert tests that run a live
+#     reactor service) plus the metric store's concurrency
 #     tests (Registry, LabelInterner, DeltaExporter, ThreadSafety*);
 #     CI_TSAN=1 additionally runs the sweep tests and the full suite
 #     under it
@@ -392,6 +394,38 @@ EOF
   }
   echo "    OK (annotated-locks finding produced)"
 
+  # --- static: lint self-test for the one-probe-cycle rule -- a second
+  # cycle owner seeded under src/runtime must be caught, while the
+  # same name under src/core (the one owner) must pass.
+  echo "==> lint self-test (seeded second ProbeCycle owner must be caught)"
+  cat > "$SCRATCH/lint_selftest/src/runtime/second_owner.hpp" <<'EOF'
+#pragma once
+#include "core/probe_cycle.hpp"
+struct SecondOwner { probemon::core::ProbeCycle cycle; };
+EOF
+  if python3 "$ROOT/tools/lint.py" --root "$SCRATCH/lint_selftest" \
+       "$SCRATCH/lint_selftest/src/runtime/second_owner.hpp" \
+       > "$SCRATCH/lint_selftest6.out" 2>&1; then
+    echo "    FAILED: linter missed the seeded second ProbeCycle owner" >&2
+    cat "$SCRATCH/lint_selftest6.out" >&2
+    exit 1
+  fi
+  grep -q 'one-probe-cycle' "$SCRATCH/lint_selftest6.out" || {
+    echo "    FAILED: linter flagged something, but not one-probe-cycle" >&2
+    cat "$SCRATCH/lint_selftest6.out" >&2
+    exit 1
+  }
+  cp "$SCRATCH/lint_selftest/src/runtime/second_owner.hpp" \
+     "$SCRATCH/lint_selftest/src/core/one_owner.hpp"
+  if ! python3 "$ROOT/tools/lint.py" --root "$SCRATCH/lint_selftest" \
+       "$SCRATCH/lint_selftest/src/core/one_owner.hpp" \
+       > "$SCRATCH/lint_selftest7.out" 2>&1; then
+    echo "    FAILED: linter flagged ProbeCycle under src/core" >&2
+    cat "$SCRATCH/lint_selftest7.out" >&2
+    exit 1
+  fi
+  echo "    OK (one-probe-cycle finding produced outside src/core only)"
+
   # --- static: every tsan.supp suppression must carry a reason comment
   # directly above it (stale or unexplained suppressions hide real
   # races; see the satellite audit in docs/static_analysis.md).
@@ -519,6 +553,7 @@ EOF
   TSAN_REACTOR+='|InvariantAuditor\.RuntimeWatchAuditsToZero'
   TSAN_REACTOR+='|PresenceServiceTelemetry\.|TransportTelemetry\.'
   TSAN_REACTOR+='|DefaultRules\.DeviceLoadReadsALiveReactorDevice'
+  TSAN_REACTOR+='|EngineConformance\.'
   TSAN_REACTOR+='|Registry\.|LabelInterner\.|DeltaExporter\.|ThreadSafety'
   echo "==> sanitizer matrix: thread,undefined (${TSAN_BUILD})"
   cmake -B "$TSAN_BUILD" -S "$ROOT" \

@@ -44,7 +44,7 @@
 // turns a non-zero tally into a PROBEMON_INVARIANT failure.
 //
 // Thread-safety: the observer hooks serialize on an internal mutex, so
-// feeding them from the DES loop or from runtime CP threads is safe.
+// feeding them from the DES loop or from event-loop threads is safe.
 // audit_cycle()/audit_tracer() are safe from any thread. The auditor
 // must see the *complete* event stream of the system it audits
 // (counter_consistency compares sends against receives), which is what
@@ -141,10 +141,11 @@ class InvariantAuditor final : public core::ProtocolObserver {
   void on_slot_granted(net::NodeId device, double t, double nt_before,
                        double nt_after) override PROBEMON_EXCLUDES(mutex_);
 
-  // --- runtime side ---------------------------------------------------------
-  /// Audit one completed probe-cycle span (the reactor CPs emit these
-  /// through AsyncPresenceService::TelemetryOptions::auditor): shape,
-  /// attempt bound, exhaustion-before-absence.
+  // --- recorded traces -------------------------------------------------------
+  /// Audit one completed probe-cycle span, e.g. a ProbeCycleTracer
+  /// record: shape, attempt bound, exhaustion-before-absence. (The
+  /// reactor's control points are audited live through the observer
+  /// hooks above, like the DES ones.)
   void audit_cycle(const telemetry::ProbeCycleTrace& trace);
 
   /// Audit a tracer's ring bookkeeping (indices in range: retained

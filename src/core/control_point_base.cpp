@@ -8,21 +8,21 @@
 
 namespace probemon::core {
 
-ControlPointBase::ControlPointBase(des::Simulation& sim, net::Network& network,
+ControlPointBase::ControlPointBase(des::Clock& clock, net::Link& link,
                                    EntityArena& arena, net::NodeId device,
                                    const TimeoutConfig& timeouts,
                                    bool continue_after_absence,
                                    ProtocolObserver* observer)
-    : sim_(sim),
-      network_(network),
+    : clock_(clock),
+      link_(link),
       observer_(observer),
       device_(device),
       cycle_(timeouts),
       arena_(arena),
       continue_after_absence_(continue_after_absence) {
   // Attach only once cycle_ has validated the timeouts: a throwing
-  // constructor must not leave the network pointing at this object.
-  id_ = network_.attach(*this);
+  // constructor must not leave the link pointing at this object.
+  id_ = link_.attach(*this);
   arena_.add_cp();
 }
 
@@ -42,22 +42,22 @@ void ControlPointBase::start(double initial_jitter) {
 }
 
 void ControlPointBase::stop() {
-  if (!state_.running && !network_.attached(id_)) return;
+  if (!state_.running && !link_.attached(id_)) return;
   state_.running = false;
   cancel_cycle();
-  if (network_.attached(id_)) network_.detach(id_);
+  if (link_.attached(id_)) link_.detach(id_);
 }
 
 void ControlPointBase::arm(double delay) {
   disarm();
   auto fire = [this] { on_timer(); };
   static_assert(des::InlineCallback::fits_inline<decltype(fire)>);
-  timer_ = sim_.scheduler().schedule_after(delay, std::move(fire));
+  timer_ = clock_.schedule_after(delay, std::move(fire));
 }
 
 void ControlPointBase::disarm() {
   if (timer_.valid()) {
-    sim_.scheduler().cancel(timer_);
+    clock_.cancel(timer_);
     timer_ = des::EventId{};
   }
 }
@@ -66,7 +66,7 @@ void ControlPointBase::on_timer() {
   timer_ = des::EventId{};
   if (!cycle_.active()) {
     begin_cycle();  // the inter-cycle delay (or start jitter) is over
-  } else if (cycle_.expire(sim_.now())) {
+  } else if (cycle_.expire(clock_.now())) {
     transmit();
   } else {
     handle_failure();
@@ -74,7 +74,7 @@ void ControlPointBase::on_timer() {
 }
 
 void ControlPointBase::begin_cycle() {
-  cycle_.start(sim_.now());
+  cycle_.start(clock_.now());
   transmit();
 }
 
@@ -89,9 +89,10 @@ void ControlPointBase::transmit() {
   probe.to = device_;
   probe.cycle = cycle_.cycle();
   probe.attempt = cycle_.attempt();
-  network_.send(probe);
+  link_.send(probe);
   if (observer_) {
-    observer_->on_probe_sent(id_, device_, sim_.now(), probe.attempt);
+    observer_->on_probe_sent(id_, device_, cycle_.last_send_time(),
+                             probe.attempt);
   }
 }
 
@@ -105,8 +106,9 @@ void ControlPointBase::schedule_cycle(double delay) {
                     "inter-cycle delay must be finite and non-negative, got "
                         << delay);
   state_.current_delay = delay;
-  if (observer_) observer_->on_delay_updated(id_, sim_.now(), delay);
-  arm(delay);
+  if (observer_) observer_->on_delay_updated(id_, clock_.now(), delay);
+  // An observer may have stopped this CP; a stopped CP keeps no timer.
+  if (state_.running) arm(delay);
 }
 
 void ControlPointBase::handle_success(const net::Message& reply) {
@@ -114,7 +116,7 @@ void ControlPointBase::handle_success(const net::Message& reply) {
   learn_overlay(reply);
   if (observer_) {
     observer_->on_cycle_success(
-        id_, device_, sim_.now(),
+        id_, device_, clock_.now(),
         static_cast<std::uint8_t>(reply.attempt + 1));
   }
   // A successful probe is evidence of presence: clear a stale verdict
@@ -136,12 +138,13 @@ void ControlPointBase::mark_absent(bool learned) {
   const bool was_present = st.device_present;
   st.device_present = false;
   if (was_present) {
-    st.absence_time = sim_.now();
+    const double now = clock_.now();
+    st.absence_time = now;
     if (observer_) {
       if (learned) {
-        observer_->on_absence_learned(id_, device_, sim_.now());
+        observer_->on_absence_learned(id_, device_, now);
       } else {
-        observer_->on_device_declared_absent(id_, device_, sim_.now());
+        observer_->on_device_declared_absent(id_, device_, now);
       }
     }
     if (st.dissemination_ttl > 0 && !st.notified_peers) {
@@ -160,7 +163,7 @@ void ControlPointBase::disseminate(net::NodeId subject, std::uint8_t ttl) {
     notify.to = peer;
     notify.subject = subject;
     notify.ttl = static_cast<std::uint8_t>(ttl - 1);
-    network_.send(notify);
+    link_.send(notify);
   }
 }
 

@@ -1,5 +1,11 @@
 // Common control-point behaviour shared by SAPP and DCPP CPs.
 //
+// A CP runs on a two-interface port: a des::Clock for time and its one
+// timer, and a net::Link to send and receive. In the simulator these
+// are des::Simulation and net::Network; on the reactor they are
+// runtime::EventLoop and runtime::AsyncUdpTransport. So both engines
+// run this one implementation of the protocol.
+//
 // A CP monitors exactly one device (the paper studies one device and k
 // CPs; device/CP groups are independent, section 3). The base class owns
 // the bounded-retransmission probe cycle, absence bookkeeping, and the
@@ -30,8 +36,8 @@
 #include "core/entity_arena.hpp"
 #include "core/observer.hpp"
 #include "core/probe_cycle.hpp"
-#include "des/simulation.hpp"
-#include "net/network.hpp"
+#include "des/clock.hpp"
+#include "net/link.hpp"
 
 namespace probemon::core {
 
@@ -51,10 +57,9 @@ struct CpState {
 
 class ControlPointBase : public net::INetworkClient {
  public:
-  ControlPointBase(des::Simulation& sim, net::Network& network,
-                   EntityArena& arena, net::NodeId device,
-                   const TimeoutConfig& timeouts, bool continue_after_absence,
-                   ProtocolObserver* observer);
+  ControlPointBase(des::Clock& clock, net::Link& link, EntityArena& arena,
+                   net::NodeId device, const TimeoutConfig& timeouts,
+                   bool continue_after_absence, ProtocolObserver* observer);
   ~ControlPointBase() override;
 
   ControlPointBase(const ControlPointBase&) = delete;
@@ -111,7 +116,7 @@ class ControlPointBase : public net::INetworkClient {
   /// L_exp rule over successive *replies*); default ignores them.
   virtual void on_stale_reply(const net::Message& /*reply*/) {}
 
-  des::Simulation& sim() noexcept { return sim_; }
+  double now() const { return clock_.now(); }
   ProtocolObserver* observer() noexcept { return observer_; }
 
  private:
@@ -129,8 +134,8 @@ class ControlPointBase : public net::INetworkClient {
   void schedule_cycle(double delay);
 
   CpState state_;  ///< first: shares the vptr's cache line
-  des::Simulation& sim_;
-  net::Network& network_;
+  des::Clock& clock_;
+  net::Link& link_;
   ProtocolObserver* observer_;
   /// The one timer: the probe timeout while cycle_ is active, else the
   /// delay until the next cycle.

@@ -5,11 +5,11 @@
 
 namespace probemon::core {
 
-DcppControlPoint::DcppControlPoint(des::Simulation& sim, net::Network& network,
+DcppControlPoint::DcppControlPoint(des::Clock& clock, net::Link& link,
                                    EntityArena& arena, net::NodeId device,
                                    DcppCpConfig config,
                                    ProtocolObserver* observer)
-    : ControlPointBase(sim, network, arena, device, config.timeouts,
+    : ControlPointBase(clock, link, arena, device, config.timeouts,
                        config.continue_after_absence, observer),
       config_(config),
       last_grant_(std::numeric_limits<double>::quiet_NaN()) {

@@ -12,8 +12,8 @@ namespace probemon::core {
 
 class DcppControlPoint final : public ControlPointBase {
  public:
-  DcppControlPoint(des::Simulation& sim, net::Network& network,
-                   EntityArena& arena, net::NodeId device, DcppCpConfig config,
+  DcppControlPoint(des::Clock& clock, net::Link& link, EntityArena& arena,
+                   net::NodeId device, DcppCpConfig config,
                    ProtocolObserver* observer = nullptr);
 
   const DcppCpConfig& config() const noexcept { return config_; }

@@ -107,7 +107,7 @@ void DeviceBase::start_service() {
     start_service();
   };
   static_assert(des::InlineCallback::fits_inline<decltype(complete)>);
-  sim_.after(compute, std::move(complete));
+  sim_.schedule_after(compute, std::move(complete));
 }
 
 void DeviceBase::notify_delta_changed(std::uint64_t delta) {

@@ -31,11 +31,11 @@ struct FixedRateCpConfig {
 
 class FixedRateControlPoint final : public ControlPointBase {
  public:
-  FixedRateControlPoint(des::Simulation& sim, net::Network& network,
+  FixedRateControlPoint(des::Clock& clock, net::Link& link,
                         EntityArena& arena, net::NodeId device,
                         FixedRateCpConfig config,
                         ProtocolObserver* observer = nullptr)
-      : ControlPointBase(sim, network, arena, device, config.timeouts,
+      : ControlPointBase(clock, link, arena, device, config.timeouts,
                          config.continue_after_absence, observer),
         config_(config) {
     config_.validate();

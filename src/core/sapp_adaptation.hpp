@@ -1,7 +1,8 @@
-// Pure SAPP adaptation state machine (paper eq. 1), shared by the
-// discrete-event CP (core::SappControlPoint) and the reactor CP
-// (runtime::AsyncSappControlPoint). Keeping it pure makes the
-// adaptation rule unit- and property-testable in isolation.
+// Pure SAPP adaptation state machine (paper eq. 1), run by
+// core::SappControlPoint on both engines (the reactor's
+// runtime::AsyncSappControlPoint wraps that same CP) and reused for the
+// agent staleness deadlines in runtime/collector.hpp. Keeping it pure
+// makes the adaptation rule unit- and property-testable in isolation.
 #pragma once
 
 #include <algorithm>

@@ -2,11 +2,11 @@
 
 namespace probemon::core {
 
-SappControlPoint::SappControlPoint(des::Simulation& sim, net::Network& network,
+SappControlPoint::SappControlPoint(des::Clock& clock, net::Link& link,
                                    EntityArena& arena, net::NodeId device,
                                    SappCpConfig config,
                                    ProtocolObserver* observer)
-    : ControlPointBase(sim, network, arena, device, config.timeouts,
+    : ControlPointBase(clock, link, arena, device, config.timeouts,
                        config.continue_after_absence, observer),
       config_(config),
       adaptation_(config_) {
@@ -19,7 +19,7 @@ double SappControlPoint::delay_after_success(const net::Message& reply) {
   // "In case of a failed probe, the time at which the retransmitted probe
   // has been sent is taken").
   const double t_obs =
-      reply.attempt == 0 ? sim().now() : cycle().last_send_time();
+      reply.attempt == 0 ? now() : cycle().last_send_time();
   return adaptation_.observe(reply.pc, t_obs);
 }
 
@@ -29,7 +29,7 @@ void SappControlPoint::on_stale_reply(const net::Message& reply) {
   // cycle) are load observations too: their (pc, t) pair spans only the
   // inter-duplicate gap, so L_exp spikes and the delay doubles. The new
   // delta takes effect when the next cycle completes.
-  adaptation_.observe(reply.pc, sim().now());
+  adaptation_.observe(reply.pc, now());
 }
 
 }  // namespace probemon::core

@@ -29,8 +29,8 @@ namespace probemon::core {
 
 class SappControlPoint final : public ControlPointBase {
  public:
-  SappControlPoint(des::Simulation& sim, net::Network& network,
-                   EntityArena& arena, net::NodeId device, SappCpConfig config,
+  SappControlPoint(des::Clock& clock, net::Link& link, EntityArena& arena,
+                   net::NodeId device, SappCpConfig config,
                    ProtocolObserver* observer = nullptr);
 
   const SappCpConfig& config() const noexcept { return config_; }

@@ -8,20 +8,21 @@
 #include <cstdint>
 #include <memory>
 
+#include "des/clock.hpp"
 #include "des/scheduler.hpp"
 #include "des/timer.hpp"
 #include "util/rng.hpp"
 
 namespace probemon::des {
 
-class Simulation {
+class Simulation final : public Clock {
  public:
   explicit Simulation(std::uint64_t seed = 42,
                       const SchedulerConfig& config = SchedulerConfig{});
 
   Scheduler& scheduler() noexcept { return scheduler_; }
   const Scheduler& scheduler() const noexcept { return scheduler_; }
-  Time now() const noexcept { return scheduler_.now(); }
+  Time now() const noexcept override { return scheduler_.now(); }
 
   /// Root RNG; components should fork() from it rather than draw directly.
   util::Rng& rng() noexcept { return rng_; }
@@ -33,9 +34,10 @@ class Simulation {
   EventId at(Time t, Scheduler::Callback fn) {
     return scheduler_.schedule_at(t, std::move(fn));
   }
-  EventId after(Time delay, Scheduler::Callback fn) {
+  EventId schedule_after(Time delay, Scheduler::Callback fn) override {
     return scheduler_.schedule_after(delay, std::move(fn));
   }
+  bool cancel(EventId id) override { return scheduler_.cancel(id); }
 
   /// Repeat `fn` every `period` seconds, first firing at now()+period,
   /// until `until` (exclusive) or forever if until == kTimeInfinity.

@@ -17,6 +17,7 @@
 
 #include "des/scheduler.hpp"
 #include "net/delay_model.hpp"
+#include "net/link.hpp"
 #include "net/loss_model.hpp"
 #include "net/message.hpp"
 #include "stats/time_weighted.hpp"
@@ -24,16 +25,6 @@
 #include "util/slab_pool.hpp"
 
 namespace probemon::net {
-
-/// Anything attached to the network. on_message is invoked at delivery
-/// time with the scheduler already advanced to that instant. send()
-/// prefetches the destination's first two cache lines, so a client
-/// keeps the state on_message reads first in the object.
-class INetworkClient {
- public:
-  virtual ~INetworkClient() = default;
-  virtual void on_message(const Message& msg) = 0;
-};
 
 struct NetworkConfig {
   /// Max number of in-flight messages; exceeding drops. Paper: 20 000.
@@ -49,7 +40,7 @@ struct NetworkCounters {
   std::uint64_t dropped_outage = 0;  ///< sent while the network was down
 };
 
-class Network {
+class Network final : public Link {
  public:
   /// The network forks its own RNG streams (delay, loss) from `rng`.
   Network(des::Scheduler& scheduler, const util::Rng& rng,
@@ -62,15 +53,11 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Attach a node; returns its address. The client must outlive the
-  /// network or detach first.
-  NodeId attach(INetworkClient& client);
-
-  /// Detach a node; in-flight messages to it are silently dropped at
-  /// delivery time (counted as dropped_unknown).
-  void detach(NodeId id);
-
-  bool attached(NodeId id) const noexcept {
+  // Link (in-flight messages to a detached node count as
+  // dropped_unknown):
+  NodeId attach(INetworkClient& client) override;
+  void detach(NodeId id) override;
+  bool attached(NodeId id) const noexcept override {
     return id < clients_.size() && clients_[id] != nullptr;
   }
   std::size_t node_count() const noexcept { return attached_count_; }
@@ -78,7 +65,7 @@ class Network {
   /// Send msg.from -> msg.to. Loss and buffer limits apply. Returns true
   /// if the message entered the network (it may still be lost later only
   /// if the destination detaches).
-  bool send(Message msg);
+  bool send(Message msg) override;
 
   /// Total network outage during [t0, t1): every message sent inside
   /// the window is dropped. Messages already in flight still arrive

@@ -2,176 +2,90 @@
 
 namespace probemon::runtime {
 
-AsyncControlPointBase::AsyncControlPointBase(
-    AsyncUdpTransport& transport, net::NodeId device,
-    const core::TimeoutConfig& timeouts, Callbacks callbacks)
-    : transport_(transport),
-      device_(device),
-      callbacks_(std::move(callbacks)),
-      cycle_(timeouts) {
-  id_ = transport_.attach([this](const net::Message& msg) { handle(msg); });
+namespace {
+core::ProtocolObserver no_observer;  // every hook a no-op
+}  // namespace
+
+AsyncControlPointBase::AsyncControlPointBase(Callbacks callbacks)
+    : callbacks_(std::move(callbacks)) {
+  if (!callbacks_.observer) callbacks_.observer = &no_observer;
 }
 
-AsyncControlPointBase::~AsyncControlPointBase() { stop(); }
+void AsyncControlPointBase::on_probe_sent(net::NodeId cp, net::NodeId device,
+                                          double t, std::uint8_t attempt) {
+  callbacks_.observer->on_probe_sent(cp, device, t, attempt);
+  if (attempt == 0) {
+    start_ = t;
+    open_ = true;
+  }
+}
 
-void AsyncControlPointBase::start(double initial_jitter_s) {
-  if (started_ || stopped_) return;
-  started_ = true;
-  if (initial_jitter_s > 0) {
-    timer_ = transport_.loop().timers().schedule_after(
-        initial_jitter_s, [this] { begin_cycle(); });
+void AsyncControlPointBase::on_cycle_success(net::NodeId cp,
+                                             net::NodeId device, double t,
+                                             std::uint8_t attempts) {
+  callbacks_.observer->on_cycle_success(cp, device, t, attempts);
+  end_ = t;  // reported with the delay the reply chooses next
+}
+
+void AsyncControlPointBase::on_delay_updated(net::NodeId cp, double t,
+                                             double delay) {
+  callbacks_.observer->on_delay_updated(cp, t, delay);
+  if (!open_) return;  // the re-probe delay after a declared absence
+  // A success's delay follows it at once. A cycle that failed while the
+  // device was already absent (continue_after_absence) reports only
+  // this delay.
+  if (core_->device_considered_present()) {
+    finish(true, end_, delay);
   } else {
-    begin_cycle();
+    finish(false, t, 0.0);
   }
 }
 
-void AsyncControlPointBase::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  disarm();
-  cycle_.abort();
-  transport_.detach(id_);
+void AsyncControlPointBase::on_device_declared_absent(net::NodeId cp,
+                                                      net::NodeId device,
+                                                      double t) {
+  callbacks_.observer->on_device_declared_absent(cp, device, t);
+  finish(false, t, 0.0);
 }
 
-void AsyncControlPointBase::disarm() {
-  if (timer_.valid()) {
-    transport_.loop().timers().cancel(timer_);
-    timer_ = des::EventId{};
-  }
+void AsyncControlPointBase::on_absence_learned(net::NodeId cp,
+                                               net::NodeId device, double t) {
+  callbacks_.observer->on_absence_learned(cp, device, t);
+  finish(false, t, 0.0);  // a bye or notify; any open cycle was dropped
 }
 
-void AsyncControlPointBase::begin_cycle() {
-  timer_ = des::EventId{};
-  if (stopped_) return;
-  cycle_start_ = transport_.loop().now();
-  cycle_.start(cycle_start_);
-  if (callbacks_.on_cycle_trace) {
-    trace_.cp = id_;
-    trace_.device = device_;
-    trace_.cycle = cycle_.cycle();
-    trace_.start = cycle_start_;
-    trace_.rtt = 0.0;
-    trace_.sends.clear();
-  }
-  send_probe();
-}
-
-void AsyncControlPointBase::send_probe() {
-  probes_sent_.fetch_add(1, std::memory_order_relaxed);
-  const double sent_at = cycle_.last_send_time();
-  if (callbacks_.on_cycle_trace) trace_.sends.push_back(sent_at);
-
-  net::Message probe;
-  probe.kind = net::MessageKind::kProbe;
-  probe.from = id_;
-  probe.to = device_;
-  probe.cycle = cycle_.cycle();
-  probe.attempt = cycle_.attempt();
-  transport_.send(probe);
-
-  timer_ = transport_.loop().timers().schedule_at(sent_at + cycle_.timeout(),
-                                                  [this] { on_timeout(); });
-}
-
-void AsyncControlPointBase::on_timeout() {
-  timer_ = des::EventId{};
-  if (stopped_ || !cycle_.active()) return;
-  if (cycle_.expire(transport_.loop().now())) {
-    send_probe();
-    return;
-  }
-  declare_absent();
-}
-
-void AsyncControlPointBase::handle(const net::Message& msg) {
-  if (msg.kind != net::MessageKind::kReply || msg.from != device_) return;
-  // Stale replies — an older cycle's retransmission answered late, or a
-  // reply after absence was declared — are dropped.
-  if (stopped_ || !cycle_.offer_reply(msg)) return;
-  disarm();
-
-  const double now = transport_.loop().now();
-  const double last_send = cycle_.last_send_time();
-  // Same observation rule as the DES CPs: a clean success uses the
-  // reply arrival instant, a retransmitted success the send time.
-  const double t_obs = cycle_.attempt() == 0 ? now : last_send;
-  const double delay = next_delay(msg, t_obs);
-
-  current_delay_.store(delay, std::memory_order_relaxed);
-  device_present_.store(true, std::memory_order_relaxed);
-  cycles_succeeded_.fetch_add(1, std::memory_order_relaxed);
-
+void AsyncControlPointBase::finish(bool success, double end,
+                                   double next_delay) {
   CycleInfo info;
-  info.success = true;
-  info.start = cycle_start_;
-  info.end = now;
-  info.rtt = now - last_send;
-  info.next_delay = delay;
-  info.attempts = static_cast<std::uint8_t>(cycle_.attempt() + 1);
-  if (callbacks_.on_cycle_trace) {
-    trace_.end = now;
-    trace_.attempts = info.attempts;
-    trace_.success = true;
-    trace_.rtt = info.rtt;
-    callbacks_.on_cycle_trace(trace_);
-  }
+  info.success = success;
+  info.start = open_ ? start_ : end;
+  info.end = end;
+  info.rtt = success ? end - core_->cycle().last_send_time() : 0.0;
+  info.next_delay = next_delay;
+  info.attempts =
+      open_ ? static_cast<std::uint8_t>(core_->cycle().attempt() + 1) : 0;
+  open_ = false;
   if (callbacks_.on_cycle) callbacks_.on_cycle(info);
-  if (stopped_) return;  // a callback stopped this CP
-
-  timer_ = transport_.loop().timers().schedule_after(
-      delay, [this] { begin_cycle(); });
-}
-
-void AsyncControlPointBase::declare_absent() {
-  device_present_.store(false, std::memory_order_relaxed);
-  cycles_failed_.fetch_add(1, std::memory_order_relaxed);
-
-  CycleInfo info;
-  info.success = false;
-  info.start = cycle_start_;
-  info.end = transport_.loop().now();
-  info.attempts = static_cast<std::uint8_t>(cycle_.attempt() + 1);
-  if (callbacks_.on_cycle_trace) {
-    trace_.end = info.end;
-    trace_.attempts = info.attempts;
-    trace_.success = false;
-    trace_.rtt = 0.0;
-    callbacks_.on_cycle_trace(trace_);
-  }
-  if (callbacks_.on_cycle) callbacks_.on_cycle(info);
-  // Monitoring ends here — no timer re-armed (the protocol's CP stops
-  // probing an absent device; re-watch to resume).
 }
 
 AsyncSappControlPoint::AsyncSappControlPoint(AsyncUdpTransport& transport,
                                              net::NodeId device,
                                              core::SappCpConfig config,
                                              Callbacks callbacks)
-    : AsyncControlPointBase(transport, device, config.timeouts,
-                            std::move(callbacks)),
-      config_(config),
-      adaptation_(config_) {
-  config_.validate();
-}
-
-double AsyncSappControlPoint::next_delay(const net::Message& reply,
-                                         double t_obs) {
-  return adaptation_.observe(reply.pc, t_obs);
+    : AsyncControlPointBase(std::move(callbacks)),
+      cp_(transport.loop(), transport, transport.arena(), device, config,
+          this) {
+  bind(cp_);
 }
 
 AsyncDcppControlPoint::AsyncDcppControlPoint(AsyncUdpTransport& transport,
                                              net::NodeId device,
                                              core::DcppCpConfig config,
                                              Callbacks callbacks)
-    : AsyncControlPointBase(transport, device, config.timeouts,
-                            std::move(callbacks)),
-      config_(config) {
-  config_.validate();
-}
-
-double AsyncDcppControlPoint::next_delay(const net::Message& reply,
-                                         double /*t_obs*/) {
-  return reply.grant_delay < 0 ? 0.0 : reply.grant_delay;
+    : AsyncControlPointBase(std::move(callbacks)),
+      cp_(transport.loop(), transport, transport.arena(), device, config,
+          this) {
+  bind(cp_);
 }
 
 }  // namespace probemon::runtime

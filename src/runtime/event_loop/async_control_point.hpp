@@ -1,164 +1,129 @@
-// Async control points: the bounded-retransmission probe cycle on the
-// event loop.
+// Async control points: the core SAPP and DCPP control points on the
+// event loop. Each adapter owns one core::SappControlPoint or
+// core::DcppControlPoint and runs it on the reactor's port — the
+// EventLoop is its des::Clock, the AsyncUdpTransport its net::Link and
+// the transport's arena() its EntityArena — so the reactor runs the
+// simulator's protocol code, and a CP costs one timer slot and a few
+// hundred bytes.
 //
-// The cycle itself — first probe, TOF timeout, up to
-// max_retransmissions TOS-spaced retries, exhaustion — is
-// core::ProbeCycle, the same FSM the DES control points run; this class
-// runs it on the reactor. It sends the probes, arms one loop timer after
-// every send, and waits the protocol-chosen inter-cycle delay after a
-// success. So 10^5 CPs cost one timer slot and a few hundred bytes
-// each, not a thread each. Protocol rules this class adds on top (and
-// the invariant auditor checks):
+// The adapter is the core CP's ProtocolObserver. It forwards every
+// event to Callbacks::observer (a service's auditor and tracer fan-out)
+// and then folds the events into one CycleInfo per completed cycle:
 //
-//   * observation rule — a clean (attempt 0) success observes at the
-//     reply arrival instant, a retransmitted success at the last send
-//     instant;
-//   * stale replies from older cycles are ignored;
-//   * monitoring STOPS once the device is declared absent (the paper's
-//     CP behaviour; re-watch to resume);
-//   * rtt = reply arrival − last send, so the auditor's
-//     rtt ≤ end − last_send bound holds with equality.
+//   * start      — the attempt-0 send;
+//   * end        — the success or absence instant;
+//   * rtt        — end − the cycle's last send (0 on failure);
+//   * attempts   — probes the cycle sent;
+//   * next_delay — the inter-cycle delay the reply chose (0 on failure).
 //
-// Callbacks, both fired at the end of every cycle: on_cycle_trace (full
-// ProbeCycleTrace with per-attempt sends) first, and only assembled
-// when set, keeping the hot path allocation-free; then on_cycle (POD
-// summary, no allocation — the one the 100k-endpoint service uses).
-//
-// Threading: start()/stop()/dtor and the callbacks are loop-confined
-// (loop thread, or while the loop is not running); the scrape accessors
-// are atomics, safe from any thread.
+// Threading: everything here, the accessors included, is loop-confined
+// (loop thread, or while the loop is not running). A service scraped
+// from other threads keeps its own counts, as AsyncPresenceService does.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
-#include "core/config.hpp"
-#include "core/probe_cycle.hpp"
-#include "core/sapp_adaptation.hpp"
+#include "core/dcpp_control_point.hpp"
+#include "core/observer.hpp"
+#include "core/sapp_control_point.hpp"
 #include "runtime/event_loop/async_udp.hpp"
-#include "telemetry/probe_tracer.hpp"
 
 namespace probemon::runtime {
 
-class AsyncControlPointBase {
+class AsyncControlPointBase : public core::ProtocolObserver {
  public:
-  /// Allocation-free per-cycle summary (the scale-path callback).
+  /// Allocation-free per-cycle summary.
   struct CycleInfo {
     bool success = false;
     double start = 0.0;       ///< first send instant
     double end = 0.0;         ///< reply acceptance / absence declaration
     double rtt = 0.0;         ///< last send -> reply; 0 on failure
     double next_delay = 0.0;  ///< inter-cycle delay chosen; 0 on failure
-    std::uint8_t attempts = 0;
+    std::uint8_t attempts = 0;  ///< probes sent in the cycle
   };
 
   struct Callbacks {
-    /// Invoked once per completed cycle, success or failure, after
-    /// on_cycle_trace. A failed cycle is the absence declaration.
+    /// Invoked once per completed cycle, success or failure. A failed
+    /// cycle is the absence verdict, declared or learned.
     std::function<void(const CycleInfo&)> on_cycle;
-    /// Full-span record with per-attempt send instants; costs a heap
-    /// vector per CP, so leave unset at 10^5 scale unless tracing.
-    std::function<void(const telemetry::ProbeCycleTrace&)> on_cycle_trace;
+    /// Sees every protocol event before on_cycle does; must outlive
+    /// the CP.
+    core::ProtocolObserver* observer = nullptr;
   };
-
-  AsyncControlPointBase(AsyncUdpTransport& transport, net::NodeId device,
-                        const core::TimeoutConfig& timeouts,
-                        Callbacks callbacks);
-  virtual ~AsyncControlPointBase();
 
   AsyncControlPointBase(const AsyncControlPointBase&) = delete;
   AsyncControlPointBase& operator=(const AsyncControlPointBase&) = delete;
 
-  net::NodeId id() const noexcept { return id_; }
-  net::NodeId device() const noexcept { return device_; }
+  net::NodeId id() const noexcept { return core_->id(); }
+  net::NodeId device() const noexcept { return core_->device(); }
 
-  /// Begin probing after `initial_jitter_s` (loop-confined; call at
-  /// most once). The jitter desynchronizes fleet-scale cycle starts —
-  /// 10^5 CPs firing their first probe in the same tick is a self-made
-  /// burst the paper's protocols never face.
-  void start(double initial_jitter_s = 0.0);
+  /// Begin probing after `initial_jitter_s` (call at most once); the
+  /// jitter desynchronizes fleet-scale cycle starts.
+  void start(double initial_jitter_s = 0.0) { core_->start(initial_jitter_s); }
+  /// Cancel the pending timer and detach (idempotent).
+  void stop() { core_->stop(); }
 
-  /// Cancel the pending timer and detach (idempotent, loop-confined).
-  void stop();
-
-  // --- scrape-safe statistics (atomics; any thread) -----------------------
   bool device_considered_present() const noexcept {
-    return device_present_.load(std::memory_order_relaxed);
+    return core_->device_considered_present();
   }
   std::uint64_t cycles_succeeded() const noexcept {
-    return cycles_succeeded_.load(std::memory_order_relaxed);
+    return core_->cycle().cycles_succeeded();
   }
   std::uint64_t cycles_failed() const noexcept {
-    return cycles_failed_.load(std::memory_order_relaxed);
+    return core_->cycle().cycles_failed();
   }
   std::uint64_t probes_sent() const noexcept {
-    return probes_sent_.load(std::memory_order_relaxed);
+    return core_->cycle().probes_sent();
   }
-  double current_delay() const noexcept {
-    return current_delay_.load(std::memory_order_relaxed);
-  }
+  /// Most recent inter-cycle delay (NaN before the first success).
+  double current_delay() const noexcept { return core_->current_delay(); }
+
+  // core::ProtocolObserver, fed by the core CP:
+  void on_probe_sent(net::NodeId cp, net::NodeId device, double t,
+                     std::uint8_t attempt) override;
+  void on_cycle_success(net::NodeId cp, net::NodeId device, double t,
+                        std::uint8_t attempts) override;
+  void on_delay_updated(net::NodeId cp, double t, double delay) override;
+  void on_device_declared_absent(net::NodeId cp, net::NodeId device,
+                                 double t) override;
+  void on_absence_learned(net::NodeId cp, net::NodeId device,
+                          double t) override;
 
  protected:
-  /// Inter-cycle delay after a successful cycle (loop thread).
-  virtual double next_delay(const net::Message& reply, double t_obs) = 0;
+  explicit AsyncControlPointBase(Callbacks callbacks);
+  /// Called by the derived constructor once its core CP exists.
+  void bind(core::ControlPointBase& cp) noexcept { core_ = &cp; }
 
  private:
-  void handle(const net::Message& msg);
-  void begin_cycle();
-  void send_probe();
-  void on_timeout();
-  void declare_absent();
-  void disarm();
+  void finish(bool success, double end, double next_delay);
 
-  AsyncUdpTransport& transport_;
-  net::NodeId device_;
-  net::NodeId id_;
-  Callbacks callbacks_;
-  core::ProbeCycle cycle_;
-  double cycle_start_ = 0.0;
-  des::EventId timer_{};
-
-  /// Reused across cycles (sends vector only populated when the trace
-  /// callback is set).
-  telemetry::ProbeCycleTrace trace_;
-
-  bool started_ = false;
-  bool stopped_ = false;
-  std::atomic<bool> device_present_{true};
-  std::atomic<std::uint64_t> cycles_succeeded_{0};
-  std::atomic<std::uint64_t> cycles_failed_{0};
-  std::atomic<std::uint64_t> probes_sent_{0};
-  std::atomic<double> current_delay_{0.0};
+  Callbacks callbacks_;  ///< observer never null: a no-op stands in
+  core::ControlPointBase* core_ = nullptr;
+  double start_ = 0.0;
+  double end_ = 0.0;
+  bool open_ = false;  ///< a cycle has started and is not yet reported
 };
 
 class AsyncSappControlPoint final : public AsyncControlPointBase {
  public:
   AsyncSappControlPoint(AsyncUdpTransport& transport, net::NodeId device,
                         core::SappCpConfig config, Callbacks callbacks = {});
-  ~AsyncSappControlPoint() override { stop(); }
 
-  double delta() const noexcept { return current_delay(); }
-
- protected:
-  double next_delay(const net::Message& reply, double t_obs) override;
+  /// Current inter-cycle delay delta (the adaptation state).
+  double delta() const noexcept { return cp_.delta(); }
 
  private:
-  core::SappCpConfig config_;
-  core::SappAdaptation adaptation_;
+  core::SappControlPoint cp_;
 };
 
 class AsyncDcppControlPoint final : public AsyncControlPointBase {
  public:
   AsyncDcppControlPoint(AsyncUdpTransport& transport, net::NodeId device,
                         core::DcppCpConfig config, Callbacks callbacks = {});
-  ~AsyncDcppControlPoint() override { stop(); }
-
- protected:
-  double next_delay(const net::Message& reply, double t_obs) override;
 
  private:
-  core::DcppCpConfig config_;
+  core::DcppControlPoint cp_;
 };
 
 }  // namespace probemon::runtime

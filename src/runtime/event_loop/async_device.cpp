@@ -8,7 +8,7 @@ namespace probemon::runtime {
 
 AsyncDeviceBase::AsyncDeviceBase(AsyncUdpTransport& transport)
     : transport_(transport) {
-  id_ = transport_.attach([this](const net::Message& msg) { handle(msg); });
+  id_ = transport_.attach(*this);
 }
 
 AsyncDeviceBase::~AsyncDeviceBase() { shutdown(); }
@@ -19,7 +19,7 @@ void AsyncDeviceBase::shutdown() {
   transport_.detach(id_);
 }
 
-void AsyncDeviceBase::handle(const net::Message& msg) {
+void AsyncDeviceBase::on_message(const net::Message& msg) {
   if (msg.kind != net::MessageKind::kProbe) return;
   if (!present_.load(std::memory_order_relaxed)) return;
   probes_received_.fetch_add(1, std::memory_order_relaxed);

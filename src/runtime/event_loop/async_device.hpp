@@ -25,11 +25,11 @@
 
 namespace probemon::runtime {
 
-class AsyncDeviceBase {
+class AsyncDeviceBase : public net::INetworkClient {
  public:
   /// Attaches to `transport` (loop-confined, like all transport calls).
   explicit AsyncDeviceBase(AsyncUdpTransport& transport);
-  virtual ~AsyncDeviceBase();
+  ~AsyncDeviceBase() override;
 
   AsyncDeviceBase(const AsyncDeviceBase&) = delete;
   AsyncDeviceBase& operator=(const AsyncDeviceBase&) = delete;
@@ -59,19 +59,20 @@ class AsyncDeviceBase {
   /// 10^5 endpoints. The device must outlive the registry entries.
   void instrument(telemetry::Registry& registry, double nominal_load);
 
+  /// Answers a probe while present (loop thread).
+  void on_message(const net::Message& msg) final;
+
  protected:
   /// Protocol-specific reply payload; runs on the loop thread.
   virtual void fill_reply(const net::Message& probe, double t,
                           net::Message& reply) = 0;
 
   /// Detach from the transport (idempotent; loop-confined). Subclass
-  /// destructors call this so no handler can virtual-dispatch into a
+  /// destructors call this so no datagram can virtual-dispatch into a
   /// half-destroyed object.
   void shutdown();
 
  private:
-  void handle(const net::Message& msg);
-
   AsyncUdpTransport& transport_;
   net::NodeId id_;
   bool detached_ = false;

@@ -45,6 +45,12 @@ AsyncPresenceService::AsyncPresenceService(AsyncUdpTransport& transport,
         "Probe send to reply acceptance latency across all watches");
     watches_gauge_ = &r.gauge("probemon_watches", "Currently watched devices");
   }
+  if (telemetry_.tracer) {
+    trace_observer_ =
+        std::make_unique<telemetry::CycleTraceObserver>(*telemetry_.tracer);
+    observers_.add(trace_observer_.get());
+  }
+  observers_.add(telemetry_.auditor);
 }
 
 AsyncPresenceService::~AsyncPresenceService() {
@@ -66,7 +72,8 @@ void AsyncPresenceService::stop_watches(
   if (loop_.on_loop_thread()) {
     // Possibly inside one of these CPs' callbacks: stop now, but push
     // destruction to a later iteration so we never free a CP whose
-    // callback frame is still on the stack.
+    // callback frame is still on the stack. The task runs on the loop
+    // thread, where a CP's destructor may touch the transport.
     for (auto& [id, watch] : watches) watch.cp->stop();
     auto holder = std::make_shared<std::unordered_map<net::NodeId, Watch>>(
         std::move(watches));
@@ -75,10 +82,10 @@ void AsyncPresenceService::stop_watches(
     return;
   }
   if (loop_.running()) {
-    // Stop on the loop thread and wait, so after return no callback can
-    // reference this service. The task co-owns the handshake: this
-    // caller may see `done`, return and unwind while the loop thread is
-    // still inside notify_all().
+    // Stop and destroy on the loop thread and wait, so after return no
+    // callback can reference this service. The task co-owns the
+    // handshake: this caller may see `done`, return and unwind while
+    // the loop thread is still inside notify_all().
     struct Handshake {
       util::Mutex mutex{"runtime.AsyncPresenceService.stop"};
       util::CondVar cv;
@@ -88,6 +95,7 @@ void AsyncPresenceService::stop_watches(
     auto* watches_ptr = &watches;
     loop_.post([handshake, watches_ptr] {
       for (auto& [id, watch] : *watches_ptr) watch.cp->stop();
+      watches_ptr->clear();
       {
         util::MutexLock lock(handshake->mutex);
         handshake->done = true;
@@ -121,40 +129,26 @@ AsyncControlPointBase::Callbacks AsyncPresenceService::make_callbacks(
       [this, device](const AsyncControlPointBase::CycleInfo& info) {
         on_cycle(device, info);
       };
-
-  const bool want_trace = telemetry_.tracer != nullptr ||
-                          telemetry_.auditor != nullptr ||
-                          (telemetry_.per_watch_metrics && telemetry_.registry);
-  if (!want_trace) return callbacks;
-
-  telemetry::Counter* probes = nullptr;
-  telemetry::Counter* retransmissions = nullptr;
-  telemetry::Histogram* rtt = nullptr;
-  if (telemetry_.per_watch_metrics && telemetry_.registry) {
-    auto& r = *telemetry_.registry;
-    const telemetry::Labels labels{{"device", std::to_string(device)}};
-    probes = &r.counter("probemon_watch_probes_sent_total",
-                        "Probes transmitted for this watch", labels);
-    retransmissions =
-        &r.counter("probemon_watch_retransmissions_total",
-                   "Probe retransmissions for this watch", labels);
-    rtt = &r.histogram(
-        "probemon_watch_rtt_seconds",
-        telemetry::Histogram::exponential_buckets(0.0005, 2.0, 11),
-        "Probe send to reply acceptance latency", labels);
-  }
-  callbacks.on_cycle_trace =
-      [this, probes, retransmissions,
-       rtt](const telemetry::ProbeCycleTrace& trace) {
-        if (telemetry_.auditor) telemetry_.auditor->audit_cycle(trace);
-        if (telemetry_.tracer) telemetry_.tracer->record(trace);
-        if (probes) probes->inc(trace.attempts);
-        if (retransmissions && trace.attempts > 1) {
-          retransmissions->inc(trace.attempts - 1u);
-        }
-        if (trace.success && rtt) rtt->observe(trace.rtt);
-      };
+  if (observers_.size() > 0) callbacks.observer = &observers_;
   return callbacks;
+}
+
+AsyncPresenceService::WatchMetrics AsyncPresenceService::make_watch_metrics(
+    net::NodeId device) {
+  WatchMetrics metrics;
+  if (!telemetry_.per_watch_metrics || !telemetry_.registry) return metrics;
+  auto& r = *telemetry_.registry;
+  const telemetry::Labels labels{{"device", std::to_string(device)}};
+  metrics.probes = &r.counter("probemon_watch_probes_sent_total",
+                              "Probes transmitted for this watch", labels);
+  metrics.retransmissions =
+      &r.counter("probemon_watch_retransmissions_total",
+                 "Probe retransmissions for this watch", labels);
+  metrics.rtt = &r.histogram(
+      "probemon_watch_rtt_seconds",
+      telemetry::Histogram::exponential_buckets(0.0005, 2.0, 11),
+      "Probe send to reply acceptance latency", labels);
+  return metrics;
 }
 
 void AsyncPresenceService::watch_dcpp(net::NodeId device,
@@ -211,11 +205,15 @@ void AsyncPresenceService::adopt_watch(
     net::NodeId device, std::unique_ptr<AsyncControlPointBase> cp,
     double start_jitter_s) {
   AsyncControlPointBase* raw = cp.get();
+  // Registered before the lock: a scrape holds the registry's lock while
+  // its callbacks may read this service.
+  const WatchMetrics metrics = make_watch_metrics(device);
   {
     util::MutexLock lock(mutex_);
     auto [it, inserted] = watches_.try_emplace(device);
     if (!inserted) return;  // raced with another watcher; drop ours
     it->second.cp = std::move(cp);
+    it->second.metrics = metrics;
     if (watches_gauge_) {
       watches_gauge_->set(static_cast<double>(watches_.size()));
     }
@@ -254,11 +252,20 @@ void AsyncPresenceService::on_cycle(
     auto it = watches_.find(device);
     if (it == watches_.end()) return;  // unwatched concurrently
     Watch& watch = it->second;
+    watch.probes_sent += info.attempts;
+    const WatchMetrics& metrics = watch.metrics;
+    if (metrics.probes) metrics.probes->inc(info.attempts);
+    if (metrics.retransmissions && info.attempts > 1) {
+      metrics.retransmissions->inc(info.attempts - 1u);
+    }
     if (info.success) {
+      ++watch.cycles_succeeded;
       watch.last_rtt = info.rtt;
       watch.consecutive_failures = info.attempts - 1u;
       watch.next_probe_due = info.end + info.next_delay;
+      if (metrics.rtt) metrics.rtt->observe(info.rtt);
     } else {
+      ++watch.cycles_failed;
       watch.consecutive_failures = info.attempts;
       watch.next_probe_due = 0.0;  // absence declared: probing stops
     }
@@ -319,9 +326,9 @@ AsyncPresenceService::snapshotWatches() const {
     info.last_change = w.last_change;
     info.last_rtt = w.last_rtt;
     info.consecutive_failures = w.consecutive_failures;
-    info.probes_sent = w.cp->probes_sent();
-    info.cycles_succeeded = w.cp->cycles_succeeded();
-    info.cycles_failed = w.cp->cycles_failed();
+    info.probes_sent = w.probes_sent;
+    info.cycles_succeeded = w.cycles_succeeded;
+    info.cycles_failed = w.cycles_failed;
     info.next_probe_due = w.next_probe_due;
     out.push_back(info);
   }
@@ -336,9 +343,9 @@ AsyncPresenceService::Stats AsyncPresenceService::stats() const {
   util::MutexLock lock(mutex_);
   Stats s;
   for (const auto& [id, w] : watches_) {
-    s.probes_sent += w.cp->probes_sent();
-    s.cycles_succeeded += w.cp->cycles_succeeded();
-    s.cycles_failed += w.cp->cycles_failed();
+    s.probes_sent += w.probes_sent;
+    s.cycles_succeeded += w.cycles_succeeded;
+    s.cycles_failed += w.cycles_failed;
   }
   return s;
 }

@@ -11,10 +11,11 @@
 //     4x10^5 registry series; the aggregate counters plus the
 //     probemon_reply_latency_seconds histogram (the p99 source for
 //     bench_rt_scale) carry the fleet story;
-//   * the hot path runs on the CycleInfo callback (no allocation), and
-//     presence transitions are derived from it; the full
-//     ProbeCycleTrace pipeline (tracer, invariant auditor, per-watch
-//     series) is only wired when one of those consumers is configured;
+//   * the hot path runs on the CycleInfo callback (no allocation):
+//     presence transitions and the per-watch counts are derived from
+//     it, under one lock per cycle; the tracer and the invariant
+//     auditor see the control points' ProtocolObserver events, as they
+//     do in the simulator (CycleTraceObserver and the auditor's hooks);
 //   * watch_*/unwatch hop onto the loop thread via post() when called
 //     while the loop runs (transport attach/detach are loop-confined),
 //     so watch registration from an HTTP handler is asynchronous —
@@ -32,7 +33,9 @@
 
 #include "check/invariant_auditor.hpp"
 #include "core/config.hpp"
+#include "core/observer_fanout.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
+#include "telemetry/observer_adapter.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
@@ -97,10 +100,10 @@ class AsyncPresenceService {
   /// probemon_watch_cycles_total{result},
   /// probemon_detection_latency_seconds — first unanswered probe to
   /// absence declaration — probemon_watches and
-  /// probemon_reply_latency_seconds). `tracer` / `auditor` /
-  /// `per_watch_metrics` additionally enable the full per-cycle trace
-  /// pipeline: every completed cycle is recorded, audited against the
-  /// paper's invariants (docs/static_analysis.md), and counted into
+  /// probemon_reply_latency_seconds). `tracer` records every
+  /// completed cycle; `auditor` checks every protocol event against the
+  /// paper's invariants (docs/static_analysis.md); `per_watch_metrics`
+  /// counts each cycle into
   /// probemon_watch_{probes_sent,retransmissions}_total{device} and
   /// probemon_watch_rtt_seconds{device}.
   struct TelemetryOptions {
@@ -158,6 +161,14 @@ class AsyncPresenceService {
   }
 
  private:
+  /// The per_watch_metrics series (null when off).
+  struct WatchMetrics {
+    telemetry::Counter* probes = nullptr;
+    telemetry::Counter* retransmissions = nullptr;
+    telemetry::Histogram* rtt = nullptr;
+  };
+  /// One watch's row. The CP is loop-confined; the counts are updated
+  /// once per completed cycle, so scrapes read them under mutex_.
   struct Watch {
     std::unique_ptr<AsyncControlPointBase> cp;
     Presence state = Presence::kUnknown;
@@ -165,9 +176,14 @@ class AsyncPresenceService {
     double last_rtt = 0.0;
     std::uint32_t consecutive_failures = 0;
     double next_probe_due = 0.0;
+    std::uint64_t probes_sent = 0;
+    std::uint64_t cycles_succeeded = 0;
+    std::uint64_t cycles_failed = 0;
+    WatchMetrics metrics;
   };
 
   AsyncControlPointBase::Callbacks make_callbacks(net::NodeId device);
+  WatchMetrics make_watch_metrics(net::NodeId device);
   void do_watch_dcpp(net::NodeId device, const core::DcppCpConfig& config,
                      double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
   void do_watch_sapp(net::NodeId device, const core::SappCpConfig& config,
@@ -180,13 +196,17 @@ class AsyncPresenceService {
   void on_cycle(net::NodeId device,
                 const AsyncControlPointBase::CycleInfo& info)
       PROBEMON_EXCLUDES(mutex_);
-  /// Stop `watches` on the loop thread (waiting for it when off-loop)
-  /// so no callback can touch `this` afterwards.
+  /// Stop and destroy `watches` on the loop thread (waiting for it when
+  /// off-loop) so no callback can touch `this` afterwards.
   void stop_watches(std::unordered_map<net::NodeId, Watch>& watches);
 
   AsyncUdpTransport& transport_;
   EventLoop& loop_;
   TelemetryOptions telemetry_;
+  /// Loop-confined event sinks shared by every watch: the tracer's
+  /// cycle assembler and the auditor.
+  std::unique_ptr<telemetry::CycleTraceObserver> trace_observer_;
+  core::FanoutObserver observers_;
   telemetry::Counter* transitions_present_ = nullptr;
   telemetry::Counter* transitions_absent_ = nullptr;
   telemetry::Counter* cycles_success_ = nullptr;

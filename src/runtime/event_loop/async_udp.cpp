@@ -125,7 +125,7 @@ AsyncUdpTransport::AsyncUdpTransport(EventLoop& loop, Config config)
   if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len) == 0) {
     local_port_ = ntohs(addr.sin_port);
   }
-  handlers_.resize(1);  // NodeId 0 = kInvalidNode, never attached
+  clients_.resize(1);  // NodeId 0 = kInvalidNode, never attached
   loop_.add_fd(fd_, [this](std::uint32_t) { on_readable(); });
   flush_hook_ = loop_.add_flush_hook([this] { flush(); });
 }
@@ -149,21 +149,17 @@ void AsyncUdpTransport::assert_loop_confined(const char* what) const {
 #endif
 }
 
-net::NodeId AsyncUdpTransport::attach(Handler handler) {
+net::NodeId AsyncUdpTransport::attach(net::INetworkClient& client) {
   assert_loop_confined("attach");
   const net::NodeId id = next_id_++;
-  if (id >= handlers_.size()) handlers_.resize(id + 1);
-  handlers_[id] = std::move(handler);
-  ++attached_;
+  if (id >= clients_.size()) clients_.resize(id + 1, nullptr);
+  clients_[id] = &client;
   return id;
 }
 
 void AsyncUdpTransport::detach(net::NodeId id) {
   assert_loop_confined("detach");
-  if (id < handlers_.size() && handlers_[id]) {
-    handlers_[id] = nullptr;
-    --attached_;
-  }
+  if (attached(id)) clients_[id] = nullptr;
 }
 
 void AsyncUdpTransport::set_peer(net::NodeId id, std::uint16_t port) {
@@ -171,10 +167,10 @@ void AsyncUdpTransport::set_peer(net::NodeId id, std::uint16_t port) {
   peers_[id] = port;
 }
 
-void AsyncUdpTransport::send(net::Message msg) {
+bool AsyncUdpTransport::send(net::Message msg) {
   assert_loop_confined("send");
   std::uint16_t port = 0;
-  if (locally_attached(msg.to)) {
+  if (attached(msg.to)) {
     port = local_port_;  // loops back through the kernel, not in-process
   } else {
     auto it = peers_.find(msg.to);
@@ -182,7 +178,7 @@ void AsyncUdpTransport::send(net::Message msg) {
   }
   if (port == 0) {
     unroutable_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
 #ifdef __linux__
   const auto slot = static_cast<std::size_t>(pending_send_);
@@ -190,6 +186,7 @@ void AsyncUdpTransport::send(net::Message msg) {
   io_->saddr[slot] = loopback_addr(port);
   io_->smsgs[slot].msg_hdr.msg_namelen = sizeof(io_->saddr[slot]);
   if (++pending_send_ >= config_.send_batch) flush();
+  return true;
 #else
   std::uint8_t buf[kUdpWireSize];
   udp_encode(msg, buf);
@@ -197,11 +194,12 @@ void AsyncUdpTransport::send(net::Message msg) {
   const ssize_t n =
       ::sendto(fd_, buf, sizeof(buf), 0,
                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  if (n == static_cast<ssize_t>(sizeof(buf))) {
-    sent_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  if (n != static_cast<ssize_t>(sizeof(buf))) {
     send_errors_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
+  sent_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 #endif
 }
 
@@ -288,15 +286,15 @@ void AsyncUdpTransport::handle_datagram(const std::uint8_t* data,
   }
   // Peer learning: an unknown external sender binds its NodeId to the
   // datagram's source port, so replies route back without pre-config.
-  if (msg.from != net::kInvalidNode && !locally_attached(msg.from)) {
+  if (msg.from != net::kInvalidNode && !attached(msg.from)) {
     peers_[msg.from] = src_port;
   }
-  if (!locally_attached(msg.to)) {
+  if (!attached(msg.to)) {
     unroutable_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   delivered_.fetch_add(1, std::memory_order_relaxed);
-  handlers_[msg.to](msg);
+  clients_[msg.to]->on_message(msg);
 }
 
 void AsyncUdpTransport::instrument(telemetry::Registry& registry,

@@ -25,6 +25,10 @@
 // set_peer(). SO_REUSEPORT sharding (Config::reuse_port) lets N loops
 // bind the same port and have the kernel spread load.
 //
+// The transport is the reactor's net::Link: core control points attach
+// to it as they attach to the simulated network, and its arena() is
+// the EntityArena they count into, one per transport.
+//
 // Threading: attach/detach/send/flush/set_peer are loop-confined (loop
 // thread, or while the loop is not running — enforced under
 // PROBEMON_CHECKED); the counter accessors and instrument()'s callbacks
@@ -33,23 +37,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/entity_arena.hpp"
+#include "net/link.hpp"
 #include "runtime/event_loop/event_loop.hpp"
 #include "runtime/wire.hpp"
 #include "telemetry/registry.hpp"
 
 namespace probemon::runtime {
 
-class AsyncUdpTransport {
+class AsyncUdpTransport final : public net::Link {
  public:
-  /// Receives every datagram addressed to one attached NodeId.
-  using Handler = std::function<void(const net::Message&)>;
-
   struct Config {
     /// UDP port to bind on 127.0.0.1; 0 = ephemeral (see local_port()).
     std::uint16_t port = 0;
@@ -76,12 +78,14 @@ class AsyncUdpTransport {
   AsyncUdpTransport(const AsyncUdpTransport&) = delete;
   AsyncUdpTransport& operator=(const AsyncUdpTransport&) = delete;
 
-  /// Register a handler; returns the node's address (loop-confined).
-  net::NodeId attach(Handler handler);
-  /// Deregister (loop-confined): the handler is not invoked again.
-  void detach(net::NodeId id);
-  /// Fire-and-forget datagram send (loop-confined).
-  void send(net::Message msg);
+  // Link (loop-confined). A detached client is not invoked again; send()
+  // is false for a destination with no route.
+  net::NodeId attach(net::INetworkClient& client) override;
+  void detach(net::NodeId id) override;
+  bool attached(net::NodeId id) const noexcept override {
+    return id < clients_.size() && clients_[id] != nullptr;
+  }
+  bool send(net::Message msg) override;
 
   /// Pin an external NodeId to a UDP port on 127.0.0.1 (loop-confined).
   /// Datagram source addresses update the same table automatically.
@@ -90,6 +94,9 @@ class AsyncUdpTransport {
   std::uint16_t local_port() const noexcept { return local_port_; }
   int fd() const noexcept { return fd_; }
   EventLoop& loop() const noexcept { return loop_; }
+  /// Entity accounting for the control points on this transport
+  /// (loop-confined).
+  core::EntityArena& arena() noexcept { return arena_; }
 
   /// Transmit the pending send batch now (loop-confined). Called
   /// automatically as a loop flush hook; exposed for tests.
@@ -108,7 +115,7 @@ class AsyncUdpTransport {
   std::uint64_t recv_error_count() const noexcept {
     return recv_errors_.load(std::memory_order_relaxed);
   }
-  /// Datagrams that decoded fine but addressed no attached handler and
+  /// Datagrams that decoded fine but addressed no attached client and
   /// no known peer — the transport's drop counter.
   std::uint64_t unroutable_count() const noexcept {
     return unroutable_.load(std::memory_order_relaxed);
@@ -130,9 +137,6 @@ class AsyncUdpTransport {
   void on_readable();
   void handle_datagram(const std::uint8_t* data, std::size_t len,
                        std::uint16_t src_port);
-  bool locally_attached(net::NodeId id) const noexcept {
-    return id < handlers_.size() && handlers_[id] != nullptr;
-  }
   void assert_loop_confined(const char* what) const;
 
   EventLoop& loop_;
@@ -141,9 +145,9 @@ class AsyncUdpTransport {
   std::uint16_t local_port_ = 0;
   std::uint64_t flush_hook_ = 0;
 
-  /// Dense handler table indexed by NodeId (ids start at 1).
-  std::vector<Handler> handlers_;
-  std::size_t attached_ = 0;
+  /// Dense client table indexed by NodeId (ids start at 1).
+  std::vector<net::INetworkClient*> clients_;
+  core::EntityArena arena_;
   net::NodeId next_id_ = 1;
   /// External NodeId -> UDP port (127.0.0.1), learned or pinned.
   std::unordered_map<net::NodeId, std::uint16_t> peers_;

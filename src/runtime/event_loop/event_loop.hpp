@@ -38,13 +38,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "des/clock.hpp"
 #include "des/wall_clock.hpp"
 #include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace probemon::runtime {
 
-class EventLoop {
+class EventLoop final : public des::Clock {
  public:
   struct Config {
     /// epoll_wait / poll() event batch per wakeup.
@@ -69,7 +70,14 @@ class EventLoop {
   des::WallClockTimerWheel& timers() noexcept { return timers_; }
   const des::WallClockTimerWheel& timers() const noexcept { return timers_; }
   /// Seconds since loop construction (monotonic). Any thread.
-  double now() const { return timers_.now(); }
+  double now() const override { return timers_.now(); }
+  /// Clock for protocol objects (loop thread only): `delay` counts from
+  /// now(), not from the last poll, so a timer armed in a datagram
+  /// handler after an idle wait does not fire early.
+  des::EventId schedule_after(double delay, des::InlineCallback fn) override {
+    return timers_.schedule_at(now() + delay, std::move(fn));
+  }
+  bool cancel(des::EventId id) override { return timers_.cancel(id); }
 
   /// Register a readable-fd handler. The fd must be non-blocking.
   /// Loop thread, or while the loop is not running.

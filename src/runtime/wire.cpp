@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 
+#include <cmath>
 #include <cstring>
 
 namespace probemon::runtime {
@@ -80,6 +81,7 @@ bool udp_decode(const std::uint8_t in[kUdpWireSize], std::size_t size,
   out.pc = get_u64(p);
   const std::uint64_t grant_bits = get_u64(p);
   std::memcpy(&out.grant_delay, &grant_bits, 8);
+  if (!std::isfinite(out.grant_delay)) return false;
   out.last_probers[0] = get_u32(p);
   out.last_probers[1] = get_u32(p);
   out.subject = get_u32(p);

@@ -18,8 +18,9 @@ inline constexpr std::size_t kUdpWireSize = 48;
 std::size_t udp_encode(const net::Message& msg,
                        std::uint8_t out[kUdpWireSize]);
 
-/// Returns false on a datagram of the wrong size or with an unknown
-/// kind byte.
+/// Returns false on a datagram of the wrong size, with an unknown kind
+/// byte, or with a NaN or infinite grant (a DCPP control point waits
+/// the grant: no timer can be armed that far).
 bool udp_decode(const std::uint8_t in[kUdpWireSize], std::size_t size,
                 net::Message& out);
 

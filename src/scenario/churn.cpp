@@ -42,7 +42,7 @@ void DynamicUniformChurn::install(Experiment& exp) {
 
 void DynamicUniformChurn::schedule_next(Experiment& exp) {
   const double dt = -std::log(rng_.next_double_open0()) / rate_;
-  exp.sim().after(dt, [this, &exp] {
+  exp.sim().schedule_after(dt, [this, &exp] {
     const auto target = static_cast<std::size_t>(
         rng_.uniform_u64(min_cps_, max_cps_));
     exp.set_active_cp_count(target);
@@ -79,7 +79,7 @@ void PoissonChurn::install(Experiment& exp) {
 
 void PoissonChurn::schedule_join(Experiment& exp) {
   const double dt = -std::log(rng_.next_double_open0()) / join_rate_;
-  exp.sim().after(dt, [this, &exp] {
+  exp.sim().schedule_after(dt, [this, &exp] {
     if (exp.active_cp_count() < max_cps_) exp.add_cp();
     schedule_join(exp);
   });
@@ -87,7 +87,7 @@ void PoissonChurn::schedule_join(Experiment& exp) {
 
 void PoissonChurn::schedule_leave(Experiment& exp) {
   const double dt = -std::log(rng_.next_double_open0()) / leave_rate_;
-  exp.sim().after(dt, [this, &exp] {
+  exp.sim().schedule_after(dt, [this, &exp] {
     if (exp.active_cp_count() > min_cps_) exp.remove_random_cp();
     schedule_leave(exp);
   });

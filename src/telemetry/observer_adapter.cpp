@@ -102,14 +102,16 @@ void CycleTraceObserver::on_probe_sent(net::NodeId cp, net::NodeId device,
 }
 
 void CycleTraceObserver::on_cycle_success(net::NodeId cp, net::NodeId,
-                                          double t, std::uint8_t attempts) {
+                                          double t, std::uint8_t) {
   auto it = open_.find(cp);
   if (it == open_.end()) return;
   ProbeCycleTrace trace = std::move(it->second);
   open_.erase(it);
   trace.end = t;
   trace.success = true;
-  if (attempts) trace.attempts = attempts;
+  // Probes sent, not the answered attempt: a late reply to an earlier
+  // probe still completes a cycle that sent every probe in `sends`.
+  trace.attempts = static_cast<std::uint8_t>(trace.sends.size());
   if (!trace.sends.empty()) trace.rtt = t - trace.sends.back();
   tracer_.record(trace);
 }

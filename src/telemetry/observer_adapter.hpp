@@ -60,17 +60,18 @@ class ObserverAdapter final : public core::ProtocolObserver {
   double departure_time_ = -1.0;  ///< < 0: no departure recorded
 };
 
-/// CycleTraceObserver: DES protocol events -> ProbeCycleTrace records.
+/// CycleTraceObserver: protocol events -> ProbeCycleTrace records.
 ///
 /// Assembles the per-probe observer stream back into full cycle spans
 /// (first send, retransmissions, resolution) and commits each completed
-/// cycle to a ProbeCycleTracer — so a simulation run yields the same
-/// trace artifact as the reactor runtime, and the Chrome-trace export
-/// (`ProbeCycleTracer::to_chrome_trace()`) works on both.
+/// cycle to a ProbeCycleTracer. Both engines trace through it: a DES
+/// experiment attaches it as an observer, and AsyncPresenceService
+/// feeds it the reactor control points' events.
 ///
-/// Not internally synchronized: the DES kernel delivers observer events
-/// from its single run loop. The tracer itself is thread-safe, so
-/// snapshotting concurrently from another thread is fine.
+/// Not internally synchronized: the DES kernel and the event loop each
+/// deliver observer events from one thread. The tracer itself is
+/// thread-safe, so snapshotting concurrently from another thread is
+/// fine.
 class CycleTraceObserver final : public core::ProtocolObserver {
  public:
   /// `tracer` must outlive the observer.

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "runtime/event_loop/event_loop.hpp"
+#include "telemetry/observer_adapter.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 
@@ -29,6 +31,12 @@ namespace probemon::runtime {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// Counts the datagrams delivered to it.
+struct CountingClient final : net::INetworkClient {
+  void on_message(const net::Message&) override { ++received; }
+  std::atomic<int> received{0};
+};
 
 template <typename Pred>
 bool eventually(Pred pred, std::chrono::milliseconds budget = 3000ms) {
@@ -161,10 +169,10 @@ TEST(AsyncUdpTransport, MalformedDatagramCountsRecvError) {
 TEST(AsyncUdpTransport, DetachStopsDelivery) {
   EventLoop loop;
   AsyncUdpTransport transport(loop);
-  std::atomic<int> received{0};
-  const net::NodeId a = transport.attach([](const net::Message&) {});
-  const net::NodeId b =
-      transport.attach([&](const net::Message&) { ++received; });
+  CountingClient client_a, client_b;
+  std::atomic<int>& received = client_b.received;
+  const net::NodeId a = transport.attach(client_a);
+  const net::NodeId b = transport.attach(client_b);
   net::Message msg;
   msg.kind = net::MessageKind::kProbe;
   msg.from = a;
@@ -205,6 +213,7 @@ TEST(AsyncRuntime, DcppCyclesSucceedOverRealUdp) {
   loop.start();
 
   EXPECT_TRUE(eventually([&] { return successes.load() >= 3; }));
+  loop.stop();  // the CP's accessors are loop-confined
   EXPECT_TRUE(cp.device_considered_present());
   EXPECT_GE(cp.cycles_succeeded(), 3u);
   EXPECT_EQ(cp.cycles_failed(), 0u);
@@ -212,7 +221,6 @@ TEST(AsyncRuntime, DcppCyclesSucceedOverRealUdp) {
   EXPECT_GE(last_delay.load(), 0.0);
   EXPECT_LE(last_delay.load(), fast_dcpp_device().d_min + 1e-9);
   EXPECT_GE(device.probes_received(), cp.cycles_succeeded());
-  loop.stop();
 }
 
 TEST(AsyncRuntime, SappCycleObservesProbeCounter) {
@@ -231,6 +239,7 @@ TEST(AsyncRuntime, SappCycleObservesProbeCounter) {
   loop.start();
 
   EXPECT_TRUE(eventually([&] { return successes.load() >= 2; }));
+  loop.stop();  // the CP's accessors are loop-confined
   // Every probe bumps pc by Delta = l_ideal / l_nom.
   EXPECT_GT(device.probes_received(), 0u);
   EXPECT_EQ(device.probe_counter(),
@@ -238,7 +247,6 @@ TEST(AsyncRuntime, SappCycleObservesProbeCounter) {
   // The adaptive delay stays within the configured band.
   EXPECT_GE(cp.delta(), fast_sapp_cp().delta_min - 1e-9);
   EXPECT_LE(cp.delta(), fast_sapp_cp().delta_max + 1e-9);
-  loop.stop();
 }
 
 TEST(AsyncRuntime, SilentDeviceDeclaredAbsentAndMonitoringStops) {
@@ -260,20 +268,20 @@ TEST(AsyncRuntime, SilentDeviceDeclaredAbsentAndMonitoringStops) {
   loop.start();
 
   EXPECT_TRUE(eventually([&] { return absences.load() == 1; }));
+  std::this_thread::sleep_for(100ms);  // room for any further probe
+  loop.stop();  // the CP's accessors are loop-confined
   EXPECT_FALSE(cp.device_considered_present());
   EXPECT_EQ(cp.cycles_failed(), 1u);
   EXPECT_EQ(cp.cycles_succeeded(), 0u);
-  // First probe + max_retransmissions retries, then silence.
-  const auto sent = cp.probes_sent();
-  EXPECT_EQ(sent, 1u + fast_timeouts().max_retransmissions);
-  std::this_thread::sleep_for(100ms);
-  EXPECT_EQ(cp.probes_sent(), sent) << "monitoring must stop on absence";
+  // First probe + max_retransmissions retries, then silence: monitoring
+  // stops on absence.
+  EXPECT_EQ(cp.probes_sent(), 1u + fast_timeouts().max_retransmissions);
+  EXPECT_EQ(absences.load(), 1);
   // Detection takes at least TOF + R*TOS of wall time.
   EXPECT_GE(absent_at.load(),
             fast_timeouts().tof +
                 fast_timeouts().max_retransmissions * fast_timeouts().tos -
                 1e-3);
-  loop.stop();
 }
 
 TEST(AsyncRuntime, StaleRepliesFromOlderCyclesAreIgnored) {
@@ -296,9 +304,9 @@ TEST(AsyncRuntime, StaleRepliesFromOlderCyclesAreIgnored) {
   std::this_thread::sleep_for(30ms);  // at least one retransmission
   device.come_back();
   EXPECT_TRUE(eventually([&] { return completed.load() >= 5; }));
+  loop.stop();  // the CP's accessors are loop-confined
   EXPECT_TRUE(cp.device_considered_present());
   EXPECT_EQ(cp.cycles_failed(), 0u);
-  loop.stop();
 }
 
 TEST(AsyncRuntime, RetransmissionMeasuresRttFromTheLastSend) {
@@ -311,11 +319,10 @@ TEST(AsyncRuntime, RetransmissionMeasuresRttFromTheLastSend) {
   std::atomic<int> completed{0};
   // Written on the loop thread; read after loop.stop() joined it.
   AsyncControlPointBase::CycleInfo first;
-  telemetry::ProbeCycleTrace first_trace;
+  telemetry::ProbeCycleTracer tracer;
+  telemetry::CycleTraceObserver trace_observer(tracer);
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_cycle_trace = [&](const telemetry::ProbeCycleTrace& trace) {
-    if (completed.load() == 0) first_trace = trace;
-  };
+  callbacks.observer = &trace_observer;
   callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
     if (completed.load() == 0) first = info;
     ++completed;
@@ -336,6 +343,8 @@ TEST(AsyncRuntime, RetransmissionMeasuresRttFromTheLastSend) {
   EXPECT_TRUE(eventually([&] { return completed.load() >= 1; }));
   loop.stop();
 
+  ASSERT_GE(tracer.recorded(), 1u);
+  const telemetry::ProbeCycleTrace first_trace = tracer.snapshot().front();
   EXPECT_TRUE(first.success);
   EXPECT_EQ(first.attempts, 2);
   ASSERT_EQ(first_trace.sends.size(), 2u);
@@ -348,6 +357,47 @@ TEST(AsyncRuntime, RetransmissionMeasuresRttFromTheLastSend) {
   EXPECT_DOUBLE_EQ(first_trace.rtt, first.rtt);
   EXPECT_LT(first.rtt, first.end - first.start);
   EXPECT_EQ(cp.cycles_failed(), 0u);
+}
+
+TEST(AsyncRuntime, NonFiniteGrantIsRejectedAtTheWire) {
+  // A responder answers every probe with grant_delay = +inf. No timer
+  // can be armed that far, so the codec rejects the datagram: the loop
+  // survives, counts each reply as a receive error, and the CP sees
+  // silence and declares the device absent.
+  struct InfiniteGrantResponder final : net::INetworkClient {
+    explicit InfiniteGrantResponder(AsyncUdpTransport& t)
+        : transport(t), id(t.attach(*this)) {}
+    ~InfiniteGrantResponder() override { transport.detach(id); }
+    void on_message(const net::Message& probe) override {
+      net::Message reply;
+      reply.kind = net::MessageKind::kReply;
+      reply.from = id;
+      reply.to = probe.from;
+      reply.cycle = probe.cycle;
+      reply.attempt = probe.attempt;
+      reply.grant_delay = std::numeric_limits<double>::infinity();
+      transport.send(reply);
+    }
+    AsyncUdpTransport& transport;
+    net::NodeId id;
+  };
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  InfiniteGrantResponder responder(transport);
+  std::atomic<int> absences{0};
+  AsyncControlPointBase::Callbacks callbacks;
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (!info.success) ++absences;
+  };
+  AsyncDcppControlPoint cp(transport, responder.id, fast_dcpp_cp(), callbacks);
+  cp.start();
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return absences.load() == 1; }));
+  loop.stop();
+  EXPECT_GE(transport.recv_error_count(), 1u);
+  EXPECT_EQ(cp.probes_sent(), 1u + fast_timeouts().max_retransmissions);
+  EXPECT_EQ(cp.cycles_succeeded(), 0u);
+  EXPECT_FALSE(cp.device_considered_present());
 }
 
 TEST(AsyncRuntime, MultipleCpsShareDeviceFairly) {
@@ -562,6 +612,30 @@ TEST(AsyncPresence, UnsubscribeStopsEvents) {
   // The still-subscribed witness proves the transition was published.
   EXPECT_TRUE(eventually([&] { return witnessed.load() == 1; }));
   EXPECT_EQ(events.load(), 0);
+  loop.stop();
+}
+
+TEST(AsyncPresence, UnwatchFromSubscriberStopsProbing) {
+  // A subscriber that unwatches on the first presence event runs inside
+  // the CP's own success path, before the CP would arm its next cycle:
+  // the stopped CP must arm nothing (its destruction is deferred to a
+  // later loop iteration, so a timer left behind would fire into freed
+  // memory).
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  service.subscribe([&](const PresenceEvent& event) {
+    if (event.state == Presence::kPresent) service.unwatch(event.device);
+  });
+  service.watch_dcpp(device.id(), fast_dcpp_cp());
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return service.watch_count() == 0; }));
+  std::this_thread::sleep_for(20ms);  // let in-flight datagrams land
+  const auto received = device.probes_received();
+  std::this_thread::sleep_for(100ms);  // several d_min grants
+  EXPECT_EQ(device.probes_received(), received) << "probing must stop";
+  EXPECT_EQ(received, 1u);
   loop.stop();
 }
 

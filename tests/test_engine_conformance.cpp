@@ -1,0 +1,301 @@
+// Engine conformance: the simulator and the reactor run the same
+// control point, so one scripted device must see the same cycles from
+// both.
+//
+//   DES:     des::Simulation + net::Network with a constant delay,
+//            driving core::SappControlPoint / core::DcppControlPoint;
+//   reactor: runtime::EventLoop + a loopback AsyncUdpTransport, through
+//            the AsyncSapp/AsyncDcppControlPoint adapters.
+//
+// The responder is an INetworkClient on the engine's net::Link and
+// times its replies on the engine's des::Clock. Its script holds a
+// clean cycle, a dropped first probe, a duplicate reply, a late reply
+// to the first probe that lands after the retransmission, and then
+// silence until absence. Per cycle, the tuple (probes sent, answered
+// attempt, verdict, next delay) must be identical on both engines, and
+// times relative to the cycle start must agree within kTolerance.
+// Scripted events are at least 10 ms apart and every SAPP decision
+// sits at least 2x away from a beta-band edge, so wall-clock jitter on
+// the reactor cannot flip an outcome.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "core/probemon.hpp"
+#include "net/delay_model.hpp"
+#include "net/loss_model.hpp"
+#include "runtime/event_loop/async_control_point.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
+
+namespace probemon {
+namespace {
+
+using CycleInfo = runtime::AsyncControlPointBase::CycleInfo;
+
+constexpr double kTimeout = 0.06;    // TOF and TOS
+constexpr double kNetDelay = 0.0005;  // DES one-way delay, about loopback's
+/// How far a reactor time relative to its cycle start may stray from
+/// the simulator's: timer lateness and scheduling on a loaded host.
+constexpr double kTolerance = 0.02;
+
+struct ScriptedReply {
+  std::uint64_t cycle;   ///< of the probe answered (cycles count from 1)
+  std::uint8_t attempt;  ///< of the probe answered
+  double after;          ///< seconds after that probe arrives
+  std::uint64_t pc_step; ///< SAPP: added to the probe counter
+  double grant;          ///< DCPP: the granted wait
+};
+
+constexpr std::array<ScriptedReply, 6> kScript{{
+    {1, 0, 0.005, 100'000, 0.05},     // clean
+    {2, 1, 0.005, 10'000, 0.08},      // attempt 0 dropped
+    {3, 0, 0.005, 10'000'000, 0.06},  // answered ...
+    {3, 0, 0.015, 200'000, 0.5},      // ... and answered again
+    {4, 0, kTimeout + 0.02, 10'000, 0.07},  // after the retransmission
+    // cycle 5: silence until absence
+}};
+constexpr std::uint64_t kCycles = 5;
+
+/// Answers probes from kScript, timing replies on the engine's Clock.
+class ScriptedResponder final : public net::INetworkClient {
+ public:
+  ScriptedResponder(des::Clock& clock, net::Link& link)
+      : clock_(clock), link_(link), id_(link.attach(*this)) {}
+  ~ScriptedResponder() override { link_.detach(id_); }
+
+  net::NodeId id() const noexcept { return id_; }
+
+  void on_message(const net::Message& probe) override {
+    if (probe.kind != net::MessageKind::kProbe) return;
+    cp_ = probe.from;
+    for (std::size_t i = 0; i < kScript.size(); ++i) {
+      if (kScript[i].cycle != probe.cycle ||
+          kScript[i].attempt != probe.attempt) {
+        continue;
+      }
+      clock_.schedule_after(kScript[i].after, [this, i] { reply(i); });
+    }
+  }
+
+ private:
+  void reply(std::size_t i) {
+    net::Message msg;
+    msg.kind = net::MessageKind::kReply;
+    msg.from = id_;
+    msg.to = cp_;
+    msg.cycle = kScript[i].cycle;
+    msg.attempt = kScript[i].attempt;
+    pc_ += kScript[i].pc_step;
+    msg.pc = pc_;
+    msg.grant_delay = kScript[i].grant;
+    link_.send(msg);
+  }
+
+  des::Clock& clock_;
+  net::Link& link_;
+  net::NodeId id_;
+  net::NodeId cp_ = net::kInvalidNode;
+  std::uint64_t pc_ = 0;
+};
+
+struct CycleRecord {
+  int probes = 0;
+  int answered = -1;  ///< attempt of the completing reply; -1 on absence
+  bool present = false;
+  double next_delay = 0.0;  ///< 0 on absence
+  double start = 0.0;
+  double end = 0.0;
+};
+
+/// Rebuilds the cycles from the CP's observer events (either engine).
+class Recorder final : public core::ProtocolObserver {
+ public:
+  void on_probe_sent(net::NodeId, net::NodeId, double t,
+                     std::uint8_t attempt) override {
+    if (attempt == 0) cycles.push_back(CycleRecord{.start = t});
+    ++cycles.back().probes;
+  }
+  void on_cycle_success(net::NodeId, net::NodeId, double t,
+                        std::uint8_t attempts) override {
+    cycles.back().answered = attempts - 1;
+    cycles.back().present = true;
+    cycles.back().end = t;
+  }
+  void on_delay_updated(net::NodeId, double, double delay) override {
+    cycles.back().next_delay = delay;
+  }
+  void on_device_declared_absent(net::NodeId, net::NodeId,
+                                 double t) override {
+    cycles.back().end = t;
+    done.store(true);
+  }
+
+  std::vector<CycleRecord> cycles;
+  std::atomic<bool> done{false};
+};
+
+enum class Protocol { kSapp, kDcpp };
+
+core::TimeoutConfig timeouts() {
+  core::TimeoutConfig config;
+  config.tof = kTimeout;
+  config.tos = kTimeout;
+  return config;
+}
+
+core::SappCpConfig sapp_config() {
+  core::SappCpConfig config;
+  config.timeouts = timeouts();
+  config.delta_min = 0.025;
+  config.delta_max = 0.4;
+  config.initial_delay = 0.1;
+  return config;
+}
+
+core::DcppCpConfig dcpp_config() {
+  core::DcppCpConfig config;
+  config.timeouts = timeouts();
+  return config;
+}
+
+std::vector<CycleRecord> run_des(Protocol protocol) {
+  des::Simulation sim(1);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_constant_delay(kNetDelay),
+                       net::make_no_loss());
+  core::EntityArena arena;
+  ScriptedResponder responder(sim, network);
+  Recorder recorder;
+  std::unique_ptr<core::ControlPointBase> cp;
+  if (protocol == Protocol::kSapp) {
+    cp = std::make_unique<core::SappControlPoint>(
+        sim, network, arena, responder.id(), sapp_config(), &recorder);
+  } else {
+    cp = std::make_unique<core::DcppControlPoint>(
+        sim, network, arena, responder.id(), dcpp_config(), &recorder);
+  }
+  cp->start();
+  sim.run_until(10.0);
+  EXPECT_TRUE(recorder.done.load());
+  return recorder.cycles;
+}
+
+std::vector<CycleRecord> run_reactor(Protocol protocol,
+                                     std::vector<CycleInfo>& infos) {
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
+  ScriptedResponder responder(loop, transport);
+  Recorder recorder;
+  runtime::AsyncControlPointBase::Callbacks callbacks;
+  callbacks.observer = &recorder;
+  callbacks.on_cycle = [&infos](const CycleInfo& info) {
+    infos.push_back(info);
+  };
+  std::unique_ptr<runtime::AsyncControlPointBase> cp;
+  if (protocol == Protocol::kSapp) {
+    cp = std::make_unique<runtime::AsyncSappControlPoint>(
+        transport, responder.id(), sapp_config(), callbacks);
+  } else {
+    cp = std::make_unique<runtime::AsyncDcppControlPoint>(
+        transport, responder.id(), dcpp_config(), callbacks);
+  }
+  cp->start();  // the loop is not running yet: legal from this thread
+  loop.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!recorder.done.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  loop.stop();  // joins the loop thread: its records are ours to read
+  EXPECT_TRUE(recorder.done.load());
+  return recorder.cycles;
+}
+
+/// Runs the script on both engines and compares them cycle by cycle.
+/// Returns the simulator's cycles for protocol-specific checks.
+std::vector<CycleRecord> expect_engines_agree(Protocol protocol) {
+  const std::vector<CycleRecord> des = run_des(protocol);
+  std::vector<CycleInfo> infos;
+  const std::vector<CycleRecord> rt = run_reactor(protocol, infos);
+  EXPECT_EQ(des.size(), kCycles);
+  EXPECT_EQ(rt.size(), des.size());
+  for (std::size_t i = 0; i < std::min(des.size(), rt.size()); ++i) {
+    SCOPED_TRACE(testing::Message() << "cycle " << i + 1);
+    EXPECT_EQ(rt[i].probes, des[i].probes);
+    EXPECT_EQ(rt[i].answered, des[i].answered);
+    EXPECT_EQ(rt[i].present, des[i].present);
+    EXPECT_EQ(rt[i].next_delay, des[i].next_delay);
+    EXPECT_NEAR(rt[i].end - rt[i].start, des[i].end - des[i].start,
+                kTolerance);
+    if (i > 0) {
+      EXPECT_NEAR(rt[i].start - rt[i - 1].end, des[i].start - des[i - 1].end,
+                  kTolerance);
+    }
+  }
+  // The adapter's CycleInfo is the same cycle, summarized.
+  EXPECT_EQ(infos.size(), rt.size());
+  for (std::size_t i = 0; i < std::min(infos.size(), rt.size()); ++i) {
+    SCOPED_TRACE(testing::Message() << "reactor cycle " << i + 1);
+    EXPECT_EQ(infos[i].attempts, rt[i].probes);
+    EXPECT_EQ(infos[i].success, rt[i].present);
+    EXPECT_EQ(infos[i].next_delay, rt[i].next_delay);
+    EXPECT_EQ(infos[i].start, rt[i].start);
+    EXPECT_EQ(infos[i].end, rt[i].end);
+    EXPECT_GE(infos[i].rtt, 0.0);
+  }
+  return des;
+}
+
+void expect_shape(const std::vector<CycleRecord>& cycles) {
+  ASSERT_EQ(cycles.size(), kCycles);
+  const int probes[kCycles] = {1, 2, 1, 2, 4};
+  const int answered[kCycles] = {0, 1, 0, 0, -1};
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    SCOPED_TRACE(testing::Message() << "cycle " << i + 1);
+    EXPECT_EQ(cycles[i].probes, probes[i]);
+    EXPECT_EQ(cycles[i].answered, answered[i]);
+    EXPECT_EQ(cycles[i].present, i + 1 < kCycles);
+  }
+}
+
+TEST(EngineConformance, SappCyclesMatchAcrossEngines) {
+  const std::vector<CycleRecord> cycles = expect_engines_agree(Protocol::kSapp);
+  expect_shape(cycles);
+  if (cycles.size() != kCycles) return;
+  // L_exp decisions: none (first reply); 10k over ~0.16 s shrinks the
+  // delay; 10M over ~0.08 s doubles it; the duplicate's 200k over 10 ms
+  // doubles it again, effective from cycle 4; cycle 4's 10k over
+  // ~0.2 s shrinks it. Under use_every_reply the duplicate counts.
+  const core::SappCpConfig config = sapp_config();
+  const double d2 = config.initial_delay / config.alpha_dec;
+  const double d3 = config.alpha_inc * d2;
+  const double d4 = config.alpha_inc * d3 / config.alpha_dec;
+  EXPECT_DOUBLE_EQ(cycles[0].next_delay, config.initial_delay);
+  EXPECT_DOUBLE_EQ(cycles[1].next_delay, d2);
+  EXPECT_DOUBLE_EQ(cycles[2].next_delay, d3);
+  EXPECT_DOUBLE_EQ(cycles[3].next_delay, d4);
+  EXPECT_EQ(cycles[4].next_delay, 0.0);
+}
+
+TEST(EngineConformance, DcppCyclesMatchAcrossEngines) {
+  const std::vector<CycleRecord> cycles = expect_engines_agree(Protocol::kDcpp);
+  expect_shape(cycles);
+  if (cycles.size() != kCycles) return;
+  // The delay is the grant of the completing reply; the duplicate's
+  // grant is stale and ignored.
+  const double grants[kCycles] = {0.05, 0.08, 0.06, 0.07, 0.0};
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    EXPECT_EQ(cycles[i].next_delay, grants[i]) << "cycle " << i + 1;
+  }
+}
+
+}  // namespace
+}  // namespace probemon

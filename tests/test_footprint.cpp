@@ -46,12 +46,15 @@ TEST(Footprint, EntityStateFitsItsBudget) {
 }
 
 TEST(Footprint, ReactorControlPointsFitTheirBudget) {
-  // The reactor CP runs core::ProbeCycle and keeps two callbacks (the
-  // cycle summary and the optional trace), nothing of the cycle twice.
-  // Budgets as measured with g++ 12 on x86-64.
-  EXPECT_LE(sizeof(runtime::AsyncControlPointBase), 288u);
-  EXPECT_LE(sizeof(runtime::AsyncDcppControlPoint), 320u);
-  EXPECT_LE(sizeof(runtime::AsyncSappControlPoint), 424u);
+  // A reactor CP is one core CP plus its adapter: the cycle-summary
+  // callback, the observer sink, the core CP's address and the open
+  // cycle's start and end. No counters, no trace record, nothing of the
+  // cycle twice. Budgets as measured with g++ 12 on x86-64.
+  EXPECT_LE(sizeof(runtime::AsyncControlPointBase), 80u);
+  EXPECT_LE(sizeof(runtime::AsyncDcppControlPoint),
+            sizeof(runtime::AsyncControlPointBase) + sizeof(DcppControlPoint));
+  EXPECT_LE(sizeof(runtime::AsyncDcppControlPoint), 296u);
+  EXPECT_LE(sizeof(runtime::AsyncSappControlPoint), 392u);
 }
 
 TEST(Footprint, FleetHeapBytesPerEntityStayLean) {

@@ -12,6 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "check/invariant_auditor.hpp"
+#include "core/probemon.hpp"
+#include "net/delay_model.hpp"
+#include "net/loss_model.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
@@ -436,7 +440,7 @@ TEST(CycleTraceObserver, ReassemblesCyclesFromObserverEvents) {
   EXPECT_EQ(traces[1].attempts, 3u);
   ASSERT_EQ(traces[1].sends.size(), 3u);
   EXPECT_DOUBLE_EQ(traces[1].sends[2], 2.04);
-  // RTT is measured from the send that was answered.
+  // RTT is measured from the last send.
   EXPECT_NEAR(traces[1].rtt, 0.01, 1e-12);
 
   EXPECT_EQ(traces[2].cp, 11u);
@@ -444,6 +448,36 @@ TEST(CycleTraceObserver, ReassemblesCyclesFromObserverEvents) {
   EXPECT_FALSE(traces[2].success);
   EXPECT_EQ(traces[2].attempts, 2u);
   EXPECT_DOUBLE_EQ(traces[2].end, 3.05);
+}
+
+TEST(CycleTraceObserver, LateReplyTraceCountsEveryProbeSent) {
+  // The DCPP device computes for 25 ms, longer than TOF (22 ms): every
+  // cycle retransmits once and is completed by the late reply to its
+  // first probe. The trace must still count both probes it sent.
+  des::Simulation sim(5);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_constant_delay(0.0005), net::make_no_loss());
+  core::EntityArena arena;
+  core::DcppDeviceConfig device_config;
+  device_config.compute = {0.025, 0.025};
+  core::DcppDevice device(sim, network, arena, device_config);
+  ProbeCycleTracer tracer;
+  CycleTraceObserver observer(tracer);
+  core::DcppControlPoint cp(sim, network, arena, device.id(),
+                            core::DcppCpConfig{}, &observer);
+  cp.start();
+  sim.run_until(3.0);
+
+  const auto traces = tracer.snapshot();
+  ASSERT_GE(traces.size(), 5u);
+  check::InvariantAuditor auditor;
+  for (const auto& trace : traces) {
+    EXPECT_TRUE(trace.success);
+    EXPECT_EQ(trace.sends.size(), 2u);
+    EXPECT_EQ(trace.attempts, trace.sends.size());
+    auditor.audit_cycle(trace);
+  }
+  EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
 }
 
 TEST(Exporters, PeriodicReporterWritesSnapshotFile) {
@@ -627,7 +661,7 @@ TEST(SchedulerTelemetry, BridgeBindsEventCounters) {
   instrument_simulation(registry, sim);
   std::uint64_t fired = 0;
   for (int i = 0; i < 100; ++i) {
-    sim.after(0.01 * i, [&fired] { ++fired; });
+    sim.schedule_after(0.01 * i, [&fired] { ++fired; });
   }
   sim.run_all();
   const auto samples = registry.snapshot();

@@ -1,6 +1,8 @@
 // Tests for the 48-byte UDP wire codec (runtime/wire.hpp).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "runtime/wire.hpp"
 
 namespace probemon::runtime {
@@ -42,6 +44,17 @@ TEST(UdpWire, RejectsMalformedInput) {
   EXPECT_FALSE(udp_decode(wire, kUdpWireSize - 1, out));  // short datagram
   wire[0] = 0xFF;                                         // bogus kind
   EXPECT_FALSE(udp_decode(wire, kUdpWireSize, out));
+
+  // A grant no timer can wait: NaN and either infinity.
+  for (const double grant : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    net::Message reply;
+    reply.kind = net::MessageKind::kReply;
+    reply.grant_delay = grant;
+    udp_encode(reply, wire);
+    EXPECT_FALSE(udp_decode(wire, kUdpWireSize, out)) << grant;
+  }
 }
 
 }  // namespace

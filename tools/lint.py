@@ -68,6 +68,14 @@ Rules (suppress a line with ``NOLINT(<rule>)`` plus a reason comment):
                      use the *_ids interned-id overloads
                      (Registry::counter_ids et al.), holding the
                      returned metric reference.
+  one-probe-cycle    The bounded-retransmission cycle has one owner,
+                     core::ControlPointBase; every engine runs it through
+                     the clock + link port. Naming core::ProbeCycle in
+                     src/ outside src/core/ means a second copy of the
+                     cycle logic is growing, and copies drift (a reactor
+                     copy once dropped the replies SAPP's L_exp rule
+                     uses). SappAdaptation is not covered: the collector
+                     reuses it legitimately.
 
 Usage:
   tools/lint.py                  # lint src/ under the repo root
@@ -158,6 +166,10 @@ LOCK_INCLUDE = re.compile(
     r"^\s*#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>")
 ANNOTATED_LOCKS_EXEMPT = "src/util/thread_annotations.hpp"
 
+# one-probe-cycle: the cycle FSM's type name, anywhere under src/ except
+# src/core/ (ProbeCycleTrace/ProbeCycleTracer are other words).
+PROBE_CYCLE = re.compile(r"\bProbeCycle\b")
+
 NOLINT = re.compile(r"NOLINT\(([^)]*)\)")
 
 RULES = {
@@ -181,6 +193,9 @@ RULES = {
         "no raw std::mutex/lock_guard/unique_lock/condition_variable in "
         "src/ (use the util::Mutex wrappers from "
         "src/util/thread_annotations.hpp)",
+    "one-probe-cycle":
+        "core::ProbeCycle is named only under src/core/ (one cycle "
+        "owner: core::ControlPointBase)",
 }
 
 
@@ -241,6 +256,7 @@ def lint_file(path: pathlib.Path, rel: pathlib.Path) -> list[Finding]:
     registry_exempt = "telemetry" in parts
     lock_zone = "src" in parts and not rel.as_posix().endswith(
         ANNOTATED_LOCKS_EXEMPT)
+    second_copy_zone = "src" in parts and "core" not in parts
     lines = text.splitlines()
 
     in_block_comment = False
@@ -299,6 +315,14 @@ def lint_file(path: pathlib.Path, rel: pathlib.Path) -> list[Finding]:
                     "string-keyed metric construction on the DES hot "
                     "path — intern names/labels at setup and use the "
                     "*_ids interned-id API"))
+
+        if second_copy_zone and not suppressed(raw, "one-probe-cycle"):
+            if PROBE_CYCLE.search(code):
+                findings.append(Finding(
+                    rel, lineno, "one-probe-cycle",
+                    "core::ProbeCycle outside src/core — run the core "
+                    "control point on the engine's des::Clock + net::Link "
+                    "instead of driving the cycle a second time"))
 
         if wallclock_zone and not suppressed(raw, "no-wall-clock"):
             for pattern, what in WALL_CLOCK_PATTERNS:
