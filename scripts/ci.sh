@@ -11,7 +11,9 @@
 # Three examples then run end to end from a temporary dir and must exit
 # 0: realtime_runtime, presence_dashboard and telemetry_export are the
 # only end-to-end runs of the reactor with the HTTP routes, history and
-# alerts attached, and each self-checks its own outcome.
+# alerts attached, and each self-checks its own outcome. Then
+# tools/probemon_loadgen probes a lingering realtime_runtime from its
+# own socket and must get one 48-byte reply per probe.
 #
 # The self-diff runs the (deterministic, seeded) smoke benches twice and
 # requires identical summaries -- it catches accidental nondeterminism
@@ -120,6 +122,50 @@ mkdir -p "$SCRATCH/examples"
 run_example realtime_runtime --duration=1
 run_example presence_dashboard
 run_example telemetry_export
+
+# External-peer smoke: tools/probemon_loadgen is the one foreign
+# receiver in the tree. Its plain socket has no UDP_GRO, so the
+# reactor's coalesced replies must reach it segmented into single
+# 48-byte wire datagrams (it counts any other size as a decode error).
+# Devices 1..3 only: the example silences device 4 as its self-check.
+echo "==> external-peer smoke (probemon_loadgen against realtime_runtime)"
+RUNTIME_OUT="$SCRATCH/realtime_runtime.out"
+: > "$RUNTIME_OUT"
+(cd "$SCRATCH/examples" &&
+   stdbuf -oL "$BUILD/examples/realtime_runtime" --duration=1 \
+     --http-port=0 --linger=3 > "$RUNTIME_OUT" 2>&1) &
+RUNTIME_PID=$!
+UDP_PORT=""
+for _ in $(seq 100); do
+  UDP_PORT="$(sed -n 's/.*(UDP port \([0-9]*\)).*/\1/p' "$RUNTIME_OUT")"
+  [[ -n "$UDP_PORT" ]] && break
+  sleep 0.1
+done
+if [[ -z "$UDP_PORT" ]]; then
+  echo "    FAILED: realtime_runtime printed no UDP port" >&2
+  kill "$RUNTIME_PID" 2>/dev/null || true
+  cat "$RUNTIME_OUT" >&2
+  exit 1
+fi
+# A failed loadgen leaves its counts empty; the check below reports it.
+"$BUILD/tools/probemon_loadgen" --target="$UDP_PORT" --rate=5000 \
+  --duration=1 --devices=3 > "$SCRATCH/loadgen.out" || true
+LOADGEN_SENT="$(awk '$1 == "sent" {print $2}' "$SCRATCH/loadgen.out")"
+LOADGEN_REPLIES="$(awk '$1 == "replies" {print $2}' "$SCRATCH/loadgen.out")"
+LOADGEN_DECODE_ERRORS="$(sed -n 's/.*decode errors \([0-9]*\)).*/\1/p' \
+  "$SCRATCH/loadgen.out")"
+RUNTIME_RC=0
+wait "$RUNTIME_PID" || RUNTIME_RC=$?
+echo "    sent ${LOADGEN_SENT} replies ${LOADGEN_REPLIES}" \
+  "decode errors ${LOADGEN_DECODE_ERRORS}; realtime_runtime exit ${RUNTIME_RC}"
+if [[ -z "$LOADGEN_SENT" || "$LOADGEN_SENT" -eq 0 ||
+      "$LOADGEN_REPLIES" != "$LOADGEN_SENT" ||
+      "$LOADGEN_DECODE_ERRORS" != "0" || "$RUNTIME_RC" -ne 0 ]]; then
+  echo "    FAILED: every probe needs one 48-byte reply and the example" \
+    "must exit 0" >&2
+  cat "$SCRATCH/loadgen.out" "$RUNTIME_OUT" >&2
+  exit 1
+fi
 
 echo "==> bench smoke (pass 1)"
 run_smoke "$SCRATCH/run1"
@@ -528,10 +574,11 @@ EOF
        --duration=2)
 
   # --- scale: the 100k-endpoint real-time tier (ungated -- wall-clock
-  # numbers on a shared box are informational at this size). 100k live
-  # endpoints oversubscribe one loop thread at the default 5 cycles/s,
-  # so the tier rate-caps each CP at 2/s (d_min=0.5): ~100k probes/s
-  # of real UDP with every watch still present at the end.
+  # numbers on a shared box are informational at this size). At the
+  # default 5 cycles/s, 100k live endpoints demand 250k probes/s, near
+  # one loop thread's capacity on a loaded host, so the tier rate-caps
+  # each CP at 2/s (d_min=0.5): ~100k probes/s of real UDP with every
+  # watch still present at the end.
   echo "==> bench_rt_scale 100k-endpoint tier (d_min=0.5)"
   (cd "$SCRATCH/scale_full" &&
      "$BUILD/bench/bench_rt_scale" --endpoints=100000 --duration=3 \

@@ -1,5 +1,6 @@
 #include "runtime/event_loop/async_udp.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -25,7 +27,21 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-constexpr std::size_t kRecvBufSize = kUdpWireSize + 16;  // oversize detect
+// recvmmsg()/sendmmsg() depth per syscall. A run of datagrams to one
+// port is capped by the send batch; every kernel with UDP_SEGMENT
+// accepts that many segments.
+constexpr int kRecvBatch = 64;
+constexpr int kSendBatch = 64;
+// Fairness bound: max datagrams consumed per readable-fd wake
+// (level-triggered epoll re-fires for the remainder).
+constexpr int kMaxDatagramsPerWake = 4096;
+// Socket buffer sizes; generous, because an open-loop prober can burst
+// far ahead of the loop.
+constexpr int kSocketBufBytes = 1 << 22;
+
+// A receive slot holds one coalesced run, plus room to notice a
+// datagram that is larger than the wire format.
+constexpr std::size_t kRecvBufSize = kSendBatch * kUdpWireSize + 16;
 
 sockaddr_in loopback_addr(std::uint16_t port) {
   sockaddr_in addr{};
@@ -35,52 +51,79 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   return addr;
 }
 
+#ifdef __linux__
+/// Segment size of a received message: the UDP_GRO control message's
+/// value for a coalesced run, else the whole message is one datagram.
+std::size_t segment_size(msghdr& hdr, std::size_t len) {
+  for (cmsghdr* c = CMSG_FIRSTHDR(&hdr); c != nullptr;
+       c = CMSG_NXTHDR(&hdr, c)) {
+    if (c->cmsg_level == SOL_UDP && c->cmsg_type == UDP_GRO) {
+      int size = 0;
+      std::memcpy(&size, CMSG_DATA(c), sizeof(size));
+      if (size > 0) return static_cast<std::size_t>(size);
+    }
+  }
+  return len;
+}
+#endif
+
 }  // namespace
 
 struct AsyncUdpTransport::IoBatches {
 #ifdef __linux__
-  // recvmmsg scratch: one buffer/iovec/source-addr/header per slot.
-  std::vector<std::array<std::uint8_t, kRecvBufSize>> rbufs;
-  std::vector<iovec> riov;
-  std::vector<sockaddr_in> raddr;
-  std::vector<mmsghdr> rmsgs;
-  // sendmmsg batch, filled by send() and drained by flush().
-  std::vector<std::array<std::uint8_t, kUdpWireSize>> sbufs;
-  std::vector<iovec> siov;
-  std::vector<sockaddr_in> saddr;
-  std::vector<mmsghdr> smsgs;
+  // recvmmsg scratch: one slot/iovec/source-addr/control/header per
+  // message. The slots are allocated, not zero-filled: the kernel
+  // writes a slot before it is read, and untouched pages stay out of
+  // the resident set.
+  union Control {  // room for the UDP_GRO segment-size message
+    cmsghdr align;
+    char buf[CMSG_SPACE(sizeof(int))];
+  };
+  std::unique_ptr<std::uint8_t[]> rbuf =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kRecvBatch *
+                                                     kRecvBufSize);
+  std::array<iovec, kRecvBatch> riov{};
+  std::array<sockaddr_in, kRecvBatch> raddr{};
+  std::array<Control, kRecvBatch> rctl{};
+  std::array<mmsghdr, kRecvBatch> rmsgs{};
+  // sendmmsg batch, filled by send() and drained by flush(). Datagrams
+  // sit in consecutive slots of `sbuf`; smsgs[0, runs) are the pending
+  // messages, each one run whose iovec spans its datagrams' slots.
+  std::array<std::uint8_t, kSendBatch * kUdpWireSize> sbuf{};
+  std::array<iovec, kSendBatch> siov{};
+  std::array<sockaddr_in, kSendBatch> saddr{};
+  std::array<mmsghdr, kSendBatch> smsgs{};
+  int datagrams = 0;
+  int runs = 0;
+  /// The kernel accepted UDP_SEGMENT: a run may span several datagrams.
+  bool gso = false;
 
-  explicit IoBatches(const Config& config) {
-    const auto rn = static_cast<std::size_t>(config.recv_batch);
-    rbufs.resize(rn);
-    riov.resize(rn);
-    raddr.resize(rn);
-    rmsgs.resize(rn);
-    for (std::size_t i = 0; i < rn; ++i) {
-      riov[i] = {rbufs[i].data(), rbufs[i].size()};
-      std::memset(&rmsgs[i], 0, sizeof(rmsgs[i]));
+  IoBatches() {
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
+      riov[i] = {rbuf.get() + i * kRecvBufSize, kRecvBufSize};
       rmsgs[i].msg_hdr.msg_iov = &riov[i];
       rmsgs[i].msg_hdr.msg_iovlen = 1;
       rmsgs[i].msg_hdr.msg_name = &raddr[i];
-      rmsgs[i].msg_hdr.msg_namelen = sizeof(raddr[i]);
+      rmsgs[i].msg_hdr.msg_control = rctl[i].buf;
     }
-    const auto sn = static_cast<std::size_t>(config.send_batch);
-    sbufs.resize(sn);
-    siov.resize(sn);
-    saddr.resize(sn);
-    smsgs.resize(sn);
-    for (std::size_t i = 0; i < sn; ++i) {
-      siov[i] = {sbufs[i].data(), kUdpWireSize};
-      std::memset(&smsgs[i], 0, sizeof(smsgs[i]));
+    for (std::size_t i = 0; i < kSendBatch; ++i) {
       smsgs[i].msg_hdr.msg_iov = &siov[i];
       smsgs[i].msg_hdr.msg_iovlen = 1;
       smsgs[i].msg_hdr.msg_name = &saddr[i];
       smsgs[i].msg_hdr.msg_namelen = sizeof(saddr[i]);
     }
   }
+
+  /// Datagrams carried by the pending messages [first, last).
+  std::uint64_t datagrams_in(int first, int last) const {
+    std::size_t bytes = 0;
+    for (int i = first; i < last; ++i) {
+      bytes += siov[static_cast<std::size_t>(i)].iov_len;
+    }
+    return bytes / kUdpWireSize;
+  }
 #else
-  std::array<std::uint8_t, kRecvBufSize> rbuf{};
-  explicit IoBatches(const Config&) {}
+  std::array<std::uint8_t, kUdpWireSize + 16> rbuf{};  // oversize detect
 #endif
 };
 
@@ -88,32 +131,26 @@ AsyncUdpTransport::AsyncUdpTransport(EventLoop& loop)
     : AsyncUdpTransport(loop, Config{}) {}
 
 AsyncUdpTransport::AsyncUdpTransport(EventLoop& loop, Config config)
-    : loop_(loop),
-      config_(config),
-      io_(std::make_unique<IoBatches>(config)) {
+    : loop_(loop), io_(std::make_unique<IoBatches>()) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw_errno("AsyncUdpTransport: socket");
   int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-#ifdef SO_REUSEPORT
-  if (config_.reuse_port) {
-    if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-      const int saved = errno;
-      ::close(fd_);
-      errno = saved;
-      throw_errno("AsyncUdpTransport: SO_REUSEPORT");
-    }
-  }
+  ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &kSocketBufBytes,
+               sizeof(kSocketBufBytes));
+  ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &kSocketBufBytes,
+               sizeof(kSocketBufBytes));
+#ifdef __linux__
+  // Segmentation offload, each half on when the kernel accepts it:
+  // a send may carry a run of datagrams that the kernel cuts into
+  // kUdpWireSize-byte datagrams (GSO), and a receive may return such a
+  // run whole (GRO).
+  const int segment = static_cast<int>(kUdpWireSize);
+  io_->gso = ::setsockopt(fd_, SOL_UDP, UDP_SEGMENT, &segment,
+                          sizeof(segment)) == 0;
+  ::setsockopt(fd_, SOL_UDP, UDP_GRO, &one, sizeof(one));
 #endif
-  if (config_.rcvbuf_bytes > 0) {
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &config_.rcvbuf_bytes,
-                 sizeof(config_.rcvbuf_bytes));
-  }
-  if (config_.sndbuf_bytes > 0) {
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &config_.sndbuf_bytes,
-                 sizeof(config_.sndbuf_bytes));
-  }
-  sockaddr_in addr = loopback_addr(config_.port);
+  sockaddr_in addr = loopback_addr(config.port);
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
       0) {
     const int saved = errno;
@@ -181,11 +218,22 @@ bool AsyncUdpTransport::send(net::Message msg) {
     return false;
   }
 #ifdef __linux__
-  const auto slot = static_cast<std::size_t>(pending_send_);
-  udp_encode(msg, io_->sbufs[slot].data());
-  io_->saddr[slot] = loopback_addr(port);
-  io_->smsgs[slot].msg_hdr.msg_namelen = sizeof(io_->saddr[slot]);
-  if (++pending_send_ >= config_.send_batch) flush();
+  IoBatches& io = *io_;
+  std::uint8_t* slot =
+      io.sbuf.data() + static_cast<std::size_t>(io.datagrams) * kUdpWireSize;
+  udp_encode(msg, slot);
+  const std::uint16_t wire_port = htons(port);
+  if (io.gso && io.runs > 0 &&
+      io.saddr[static_cast<std::size_t>(io.runs - 1)].sin_port == wire_port) {
+    // Same destination as the open run: the slots are adjacent, so the
+    // run's iovec grows over this datagram.
+    io.siov[static_cast<std::size_t>(io.runs - 1)].iov_len += kUdpWireSize;
+  } else {
+    const auto run = static_cast<std::size_t>(io.runs++);
+    io.siov[run] = {slot, kUdpWireSize};
+    io.saddr[run] = loopback_addr(port);
+  }
+  if (++io.datagrams >= kSendBatch) flush();
   return true;
 #else
   std::uint8_t buf[kUdpWireSize];
@@ -205,38 +253,42 @@ bool AsyncUdpTransport::send(net::Message msg) {
 
 void AsyncUdpTransport::flush() {
 #ifdef __linux__
-  if (pending_send_ == 0) return;
+  IoBatches& io = *io_;
   int done = 0;
-  while (done < pending_send_) {
-    const int n = ::sendmmsg(fd_, io_->smsgs.data() + done,
-                             static_cast<unsigned>(pending_send_ - done), 0);
+  while (done < io.runs) {
+    const int n = ::sendmmsg(fd_, io.smsgs.data() + done,
+                             static_cast<unsigned>(io.runs - done), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       // EAGAIN (full socket buffer) or a real error: UDP is best-effort
-      // loss either way — count the remainder and move on, never block
-      // the loop.
-      send_errors_.fetch_add(
-          static_cast<std::uint64_t>(pending_send_ - done),
-          std::memory_order_relaxed);
+      // loss either way — count the remainder's datagrams and move on,
+      // never block the loop.
+      send_errors_.fetch_add(io.datagrams_in(done, io.runs),
+                             std::memory_order_relaxed);
       break;
     }
-    done += n;
-    sent_.fetch_add(static_cast<std::uint64_t>(n),
+    sent_.fetch_add(io.datagrams_in(done, done + n),
                     std::memory_order_relaxed);
+    done += n;
   }
-  pending_send_ = 0;
+  io.runs = 0;
+  io.datagrams = 0;
 #endif
 }
 
 void AsyncUdpTransport::on_readable() {
   int consumed = 0;
 #ifdef __linux__
-  while (consumed < config_.max_datagrams_per_wake) {
-    // Source-addr lengths are overwritten by the kernel; re-arm them.
-    for (auto& m : io_->rmsgs) m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
-    const int n = ::recvmmsg(fd_, io_->rmsgs.data(),
-                             static_cast<unsigned>(config_.recv_batch),
-                             MSG_DONTWAIT, nullptr);
+  IoBatches& io = *io_;
+  while (consumed < kMaxDatagramsPerWake) {
+    // Source-addr and control lengths are overwritten by the kernel;
+    // re-arm them.
+    for (auto& m : io.rmsgs) {
+      m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
+      m.msg_hdr.msg_controllen = sizeof(IoBatches::Control);
+    }
+    const int n = ::recvmmsg(fd_, io.rmsgs.data(), kRecvBatch, MSG_DONTWAIT,
+                             nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
@@ -245,17 +297,34 @@ void AsyncUdpTransport::on_readable() {
       break;
     }
     if (n == 0) break;
-    if (recv_depth_hist_) recv_depth_hist_->observe(static_cast<double>(n));
-    for (int i = 0; i < n; ++i) {
-      handle_datagram(io_->rbufs[static_cast<std::size_t>(i)].data(),
-                      io_->rmsgs[static_cast<std::size_t>(i)].msg_len,
-                      ntohs(io_->raddr[static_cast<std::size_t>(i)].sin_port));
+    int datagrams = 0;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+      msghdr& hdr = io.rmsgs[i].msg_hdr;
+      const std::uint16_t src_port = ntohs(io.raddr[i].sin_port);
+      if ((hdr.msg_flags & MSG_TRUNC) != 0) {
+        // Larger than a slot: one bad datagram, none of it delivered.
+        recv_errors_.fetch_add(1, std::memory_order_relaxed);
+        ++datagrams;
+        continue;
+      }
+      const std::uint8_t* data = io.rbuf.get() + i * kRecvBufSize;
+      const std::size_t len = io.rmsgs[i].msg_len;
+      const std::size_t segment = segment_size(hdr, len);
+      std::size_t off = 0;
+      do {  // a zero-length datagram is still one (undecodable) datagram
+        handle_datagram(data + off, std::min(segment, len - off), src_port);
+        ++datagrams;
+        off += segment;
+      } while (off < len);
     }
-    consumed += n;
-    if (n < config_.recv_batch) break;  // socket drained
+    if (recv_depth_hist_) {
+      recv_depth_hist_->observe(static_cast<double>(datagrams));
+    }
+    consumed += datagrams;
+    if (n < kRecvBatch) break;  // socket drained
   }
 #else
-  while (consumed < config_.max_datagrams_per_wake) {
+  while (consumed < kMaxDatagramsPerWake) {
     sockaddr_in src{};
     socklen_t src_len = sizeof(src);
     const ssize_t n =
@@ -286,7 +355,10 @@ void AsyncUdpTransport::handle_datagram(const std::uint8_t* data,
   }
   // Peer learning: an unknown external sender binds its NodeId to the
   // datagram's source port, so replies route back without pre-config.
-  if (msg.from != net::kInvalidNode && !attached(msg.from)) {
+  // Our own port teaches nothing: a datagram from it comes from a local
+  // endpoint that detached while the datagram was in flight.
+  if (msg.from != net::kInvalidNode && !attached(msg.from) &&
+      src_port != local_port_) {
     peers_[msg.from] = src_port;
   }
   if (!attached(msg.to)) {
@@ -322,9 +394,10 @@ void AsyncUdpTransport::instrument(telemetry::Registry& registry,
       "Datagrams addressed to no attached handler or known peer", labels);
   recv_depth_hist_ = &registry.histogram(
       "probemon_transport_recv_batch_depth",
-      telemetry::Histogram::exponential_buckets(
-          1.0, 2.0, 8),
-      "Datagrams returned per recvmmsg() call", labels);
+      // 1 .. 4096: a full call of 64 messages, each a run of 64.
+      telemetry::Histogram::exponential_buckets(1.0, 2.0, 13),
+      "Datagrams returned per receive call, coalesced ones included",
+      labels);
 }
 
 }  // namespace probemon::runtime

@@ -1,29 +1,38 @@
-// AsyncUdpTransport: batched, non-blocking UDP for the event loop.
+// AsyncUdpTransport: batched, segmentation-offloaded, non-blocking UDP
+// for the event loop.
 //
 // The transport multiplexes *all* locally attached NodeIds over ONE
 // non-blocking socket owned by an EventLoop — the 48-byte wire format
 // (runtime/wire.hpp) carries from/to ids in the payload, so one fd (and
-// one epoll registration) serves 10^5 endpoints. IO is batched:
+// one epoll registration) serves 10^5 endpoints. IO is batched and, on
+// Linux, segmentation-offloaded:
 //
-//   * receive — recvmmsg() pulls up to Config::recv_batch datagrams per
-//     syscall; the loop's level-triggered epoll re-arms if more than
-//     Config::max_datagrams_per_wake are queued (fairness bound).
-//   * send    — send() encodes into a pending sendmmsg() batch which is
-//     flushed when full and at the end of every loop iteration (the
-//     transport registers itself as a loop flush hook), so datagrams
-//     never sit across a sleep.
+//   * send    — send() encodes into a pending batch of up to 64
+//     datagrams, flushed when full and at the end of every loop
+//     iteration (the transport registers itself as a loop flush hook),
+//     so datagrams never sit across a sleep. Each run of consecutive
+//     datagrams to one port is one sendmmsg() message whose payload the
+//     kernel splits back into 48-byte datagrams (UDP_SEGMENT, GSO).
+//   * receive — recvmmsg() pulls up to 64 messages per syscall; with
+//     UDP_GRO a message may be a whole run, split here by the segment
+//     size the kernel reports. The loop's level-triggered epoll re-arms
+//     if more than 4096 datagrams are queued (fairness bound).
 //
-// Non-Linux builds fall back to recvfrom()/sendto() per datagram over
-// the same non-blocking socket; semantics are identical, only the
-// syscall count differs.
+// Every probe and reply still crosses the kernel as its own 48-byte
+// wire datagram: a peer without GRO (tools/probemon_loadgen) receives
+// exactly the datagrams it would without offload. Offload is on when
+// the kernel accepts the socket options; when it refuses, a run is one
+// datagram. Non-Linux builds fall back to recvfrom()/sendto() per
+// datagram over the same non-blocking socket; semantics are identical,
+// only the syscall count differs.
 //
 // Routing: destinations that are locally attached loop through the
 // socket to our own port (real kernel UDP, not a shortcut). External
 // peers are learned from datagram source addresses — the first message
 // from an unknown NodeId binds that id to its source port (how
 // tools/probemon_loadgen gets replies back) — or pinned explicitly via
-// set_peer(). SO_REUSEPORT sharding (Config::reuse_port) lets N loops
-// bind the same port and have the kernel spread load.
+// set_peer(). A datagram from our own port teaches nothing: its sender
+// is a local endpoint that detached while the datagram was in flight.
 //
 // The transport is the reactor's net::Link: core control points attach
 // to it as they attach to the simulated network, and its arena() is
@@ -55,18 +64,6 @@ class AsyncUdpTransport final : public net::Link {
   struct Config {
     /// UDP port to bind on 127.0.0.1; 0 = ephemeral (see local_port()).
     std::uint16_t port = 0;
-    /// SO_REUSEPORT, for N-loop sharding on a fixed port.
-    bool reuse_port = false;
-    /// recvmmsg()/sendmmsg() batch depth per syscall.
-    int recv_batch = 64;
-    int send_batch = 64;
-    /// Fairness bound: max datagrams consumed per readable-fd wake
-    /// (level-triggered epoll re-fires for the remainder).
-    int max_datagrams_per_wake = 4096;
-    /// Socket buffer sizes; generous, because an open-loop prober can
-    /// burst far ahead of the loop.
-    int rcvbuf_bytes = 1 << 22;
-    int sndbuf_bytes = 1 << 22;
   };
 
   /// Binds the socket and registers it (plus a flush hook) on `loop`,
@@ -124,10 +121,11 @@ class AsyncUdpTransport final : public net::Link {
   /// Mirror counters into `registry` with label transport=<name>
   /// (probemon_transport_datagrams_{sent,delivered}_total,
   /// probemon_transport_{send,recv}_errors_total,
-  /// probemon_transport_unroutable_total) plus the
-  /// probemon_transport_recv_batch_depth histogram — the recvmmsg-depth
-  /// distribution that shows how much batching actually bought. The
-  /// registry must outlive the transport.
+  /// probemon_transport_unroutable_total) plus a histogram of datagrams
+  /// per receive call, coalesced ones included — the distribution that
+  /// shows how much batching actually bought. Every counter counts
+  /// datagrams, never syscalls or coalesced messages. The registry must
+  /// outlive the transport.
   void instrument(telemetry::Registry& registry,
                   const std::string& transport_name = "async_udp");
 
@@ -140,7 +138,6 @@ class AsyncUdpTransport final : public net::Link {
   void assert_loop_confined(const char* what) const;
 
   EventLoop& loop_;
-  Config config_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::uint64_t flush_hook_ = 0;
@@ -153,7 +150,6 @@ class AsyncUdpTransport final : public net::Link {
   std::unordered_map<net::NodeId, std::uint16_t> peers_;
 
   std::unique_ptr<IoBatches> io_;
-  int pending_send_ = 0;
 
   telemetry::Histogram* recv_depth_hist_ = nullptr;
 

@@ -1,5 +1,7 @@
-// Tests for the event-loop runtime: AsyncUdpTransport routing and peer
-// learning over real sockets, device/control-point protocol behaviour
+// Tests for the event-loop runtime: AsyncUdpTransport routing, peer
+// learning and segmentation offload (runs of datagrams sent as one
+// message, coalesced receives split back) over real sockets,
+// device/control-point protocol behaviour
 // (clean cycles, retransmission, absence, fair sharing), the
 // AsyncPresenceService facade, and a few-hundred-endpoint smoke run on
 // one loop thread.
@@ -7,14 +9,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <limits>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -37,6 +42,113 @@ struct CountingClient final : net::INetworkClient {
   void on_message(const net::Message&) override { ++received; }
   std::atomic<int> received{0};
 };
+
+/// Records the cycle number of every datagram delivered to it, in
+/// order. `cycles` is written on the loop thread: read it after stop().
+struct RecordingClient final : net::INetworkClient {
+  void on_message(const net::Message& msg) override {
+    cycles.push_back(msg.cycle);
+    received.fetch_add(1);
+  }
+  std::vector<std::uint64_t> cycles;
+  std::atomic<int> received{0};
+};
+
+sockaddr_in loopback(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
+/// A plain UDP socket on 127.0.0.1 standing in for an external peer
+/// (no UDP_GRO: it receives one datagram per recv, like
+/// tools/probemon_loadgen).
+class RawPeer {
+ public:
+  RawPeer() : fd_(socket(AF_INET, SOCK_DGRAM, 0)) {
+    sockaddr_in local = loopback(0);
+    bind(fd_, reinterpret_cast<sockaddr*>(&local), sizeof local);
+    socklen_t len = sizeof local;
+    getsockname(fd_, reinterpret_cast<sockaddr*>(&local), &len);
+    port_ = ntohs(local.sin_port);
+    timeval rcv_timeout{2, 0};
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &rcv_timeout,
+               sizeof rcv_timeout);
+  }
+  ~RawPeer() { close(fd_); }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+  /// Sends `bytes` as one datagram, or as a coalesced run the kernel
+  /// cuts into `segment`-byte datagrams when `segment` > 0. False when
+  /// the kernel refuses.
+  bool send_to(std::uint16_t port, const std::vector<std::uint8_t>& bytes,
+               int segment = 0) {
+    // Size 0 clears the option, so a plain send follows a coalesced one.
+    const bool segmented =
+        setsockopt(fd_, SOL_UDP, UDP_SEGMENT, &segment, sizeof segment) == 0;
+    if (segment > 0 && !segmented) return false;
+    const sockaddr_in dst = loopback(port);
+    return sendto(fd_, bytes.data(), bytes.size(), 0,
+                  reinterpret_cast<const sockaddr*>(&dst), sizeof dst) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// Receives one datagram and decodes it; false on timeout, on a
+  /// datagram that is not exactly kUdpWireSize bytes, or on bad input.
+  bool receive(net::Message& msg) {
+    std::uint8_t wire[2 * kUdpWireSize];
+    const ssize_t n = recv(fd_, wire, sizeof wire, 0);
+    return n == static_cast<ssize_t>(kUdpWireSize) &&
+           udp_decode(wire, kUdpWireSize, msg);
+  }
+
+  /// True when a datagram is waiting.
+  bool pending() const {
+    std::uint8_t byte = 0;
+    return recv(fd_, &byte, 1, MSG_DONTWAIT | MSG_PEEK) >= 0;
+  }
+
+ private:
+  int fd_;
+  std::uint16_t port_ = 0;
+};
+
+/// The NodeId an external peer's control point speaks as.
+constexpr net::NodeId kExternalCp = 0x40000000;
+
+/// `count` wire probes from kExternalCp to `to`, back to back, numbered
+/// by cycle.
+std::vector<std::uint8_t> probe_run(net::NodeId to, std::size_t count) {
+  std::vector<std::uint8_t> bytes(count * kUdpWireSize);
+  for (std::size_t k = 0; k < count; ++k) {
+    net::Message probe;
+    probe.kind = net::MessageKind::kProbe;
+    probe.from = kExternalCp;
+    probe.to = to;
+    probe.cycle = k;
+    udp_encode(probe, bytes.data() + k * kUdpWireSize);
+  }
+  return bytes;
+}
+
+/// Whether the kernel offers both halves of UDP segmentation offload;
+/// the coalesced-input tests need a sender with UDP_SEGMENT and a
+/// transport that receives runs whole.
+bool kernel_offers_udp_offload() {
+  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  const int segment = static_cast<int>(kUdpWireSize);
+  const int one = 1;
+  const bool ok =
+      setsockopt(fd, SOL_UDP, UDP_SEGMENT, &segment, sizeof segment) == 0 &&
+      setsockopt(fd, SOL_UDP, UDP_GRO, &one, sizeof one) == 0;
+  close(fd);
+  return ok;
+}
 
 template <typename Pred>
 bool eventually(Pred pred, std::chrono::milliseconds budget = 3000ms) {
@@ -190,6 +302,161 @@ TEST(AsyncUdpTransport, DetachStopsDelivery) {
   transport.send(msg);
   EXPECT_EQ(transport.unroutable_count(), 2u);
   EXPECT_EQ(received.load(), 0);
+}
+
+TEST(AsyncUdpTransport, NoPeerIsLearnedFromItsOwnPort) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  CountingClient client;
+  const net::NodeId cp = transport.attach(client);
+  net::Message probe;
+  probe.kind = net::MessageKind::kProbe;
+  probe.from = cp;
+  probe.to = device.id();
+  transport.send(probe);
+  transport.flush();     // in flight from our own port
+  transport.detach(cp);  // e.g. an unwatch while the probe is in flight
+  loop.start();
+  // The device answers, but the detached CP's id must not have been
+  // bound to our own port: the reply never leaves the process.
+  EXPECT_TRUE(eventually([&] { return transport.unroutable_count() == 1; }));
+  loop.stop();
+  EXPECT_EQ(device.probes_received(), 1u);
+  EXPECT_EQ(transport.sent_count(), 1u);
+  EXPECT_EQ(transport.unroutable_count(), 1u);
+  EXPECT_EQ(client.received.load(), 0);
+}
+
+TEST(AsyncUdpTransport, MixedDestinationsKeepSendOrder) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  RecordingClient local;
+  const net::NodeId l = transport.attach(local);
+  RawPeer external;
+  const net::NodeId x = kExternalCp;
+  transport.set_peer(x, external.port());
+  // One flush, runs L L | X | L | X X: coalesced runs and runs of one.
+  const net::NodeId order[] = {l, l, x, l, x, x};
+  for (std::uint64_t k = 0; k < std::size(order); ++k) {
+    net::Message msg;
+    msg.kind = net::MessageKind::kProbe;
+    msg.from = l;
+    msg.to = order[k];
+    msg.cycle = k;
+    ASSERT_TRUE(transport.send(msg));
+  }
+  transport.flush();
+  EXPECT_EQ(transport.sent_count(), 6u);
+  EXPECT_EQ(transport.send_error_count(), 0u);
+
+  // The external side has no GRO: the kernel hands it its three
+  // datagrams one by one, 48 bytes each, in send order.
+  std::vector<std::uint64_t> external_cycles;
+  for (int i = 0; i < 3; ++i) {
+    net::Message msg;
+    ASSERT_TRUE(external.receive(msg)) << "datagram " << i;
+    EXPECT_EQ(msg.to, x);
+    external_cycles.push_back(msg.cycle);
+  }
+  EXPECT_EQ(external_cycles, (std::vector<std::uint64_t>{2, 4, 5}));
+  EXPECT_FALSE(external.pending());
+
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return local.received.load() == 3; }));
+  loop.stop();
+  EXPECT_EQ(local.cycles, (std::vector<std::uint64_t>{0, 1, 3}));
+  EXPECT_EQ(transport.delivered_count(), 3u);
+  EXPECT_EQ(transport.recv_error_count(), 0u);
+}
+
+TEST(AsyncUdpTransport, BurstFromExternalPeerGetsSeparateReplies) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  std::vector<std::unique_ptr<AsyncDcppDevice>> devices;
+  for (int i = 0; i < 40; ++i) {
+    devices.push_back(
+        std::make_unique<AsyncDcppDevice>(transport, fast_dcpp_device()));
+  }
+  // All 40 probes queue before the loop runs, so one wake answers them
+  // together: one run of 40 replies to the peer's port.
+  RawPeer peer;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    std::vector<std::uint8_t> wire = probe_run(devices[i]->id(), 1);
+    ASSERT_TRUE(peer.send_to(transport.local_port(), wire));
+  }
+  loop.start();
+  std::set<net::NodeId> repliers;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    net::Message reply;
+    ASSERT_TRUE(peer.receive(reply)) << "reply " << i;
+    EXPECT_EQ(reply.kind, net::MessageKind::kReply);
+    EXPECT_EQ(reply.to, kExternalCp);
+    repliers.insert(reply.from);
+  }
+  EXPECT_EQ(repliers.size(), devices.size());
+  EXPECT_FALSE(peer.pending());
+  loop.stop();
+  EXPECT_EQ(transport.sent_count(), devices.size());
+  EXPECT_EQ(transport.send_error_count(), 0u);
+}
+
+TEST(AsyncUdpTransport, CoalescedInputIsSplitIntoDatagrams) {
+  if (!kernel_offers_udp_offload()) GTEST_SKIP() << "no UDP GSO/GRO";
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  RecordingClient client;
+  const net::NodeId id = transport.attach(client);
+  loop.start();
+  RawPeer peer;
+  ASSERT_TRUE(peer.send_to(transport.local_port(), probe_run(id, 10),
+                           static_cast<int>(kUdpWireSize)));
+  EXPECT_TRUE(eventually([&] { return transport.delivered_count() == 10; }));
+  loop.stop();
+  EXPECT_EQ(client.cycles,
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(transport.recv_error_count(), 0u);
+}
+
+TEST(AsyncUdpTransport, CoalescedInputWithForeignSegmentSizeIsRejected) {
+  if (!kernel_offers_udp_offload()) GTEST_SKIP() << "no UDP GSO/GRO";
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  RecordingClient client;
+  const net::NodeId id = transport.attach(client);
+  loop.start();
+  RawPeer peer;
+  // 480 bytes cut at 40: twelve 40-byte segments, none a wire datagram.
+  ASSERT_TRUE(peer.send_to(transport.local_port(), probe_run(id, 10), 40));
+  EXPECT_TRUE(
+      eventually([&] { return transport.recv_error_count() == 12; }));
+  loop.stop();
+  EXPECT_EQ(transport.delivered_count(), 0u);
+  EXPECT_EQ(client.received.load(), 0);
+}
+
+TEST(AsyncUdpTransport, OversizedCoalescedInputIsDroppedWhole) {
+  if (!kernel_offers_udp_offload()) GTEST_SKIP() << "no UDP GSO/GRO";
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  RecordingClient client;
+  const net::NodeId id = transport.attach(client);
+  loop.start();
+  RawPeer peer;
+  // 100 wire datagrams in one run: larger than a receive slot (64).
+  if (!peer.send_to(transport.local_port(), probe_run(id, 100),
+                    static_cast<int>(kUdpWireSize))) {
+    loop.stop();
+    GTEST_SKIP() << "kernel refuses 100 UDP segments";
+  }
+  EXPECT_TRUE(eventually([&] { return transport.recv_error_count() == 1; }));
+  // The loop keeps serving: a plain datagram after it is delivered.
+  std::vector<std::uint8_t> next = probe_run(id, 1);
+  ASSERT_TRUE(peer.send_to(transport.local_port(), next));
+  EXPECT_TRUE(eventually([&] { return transport.delivered_count() == 1; }));
+  loop.stop();
+  EXPECT_EQ(client.cycles, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(transport.recv_error_count(), 1u);
 }
 
 TEST(AsyncRuntime, DcppCyclesSucceedOverRealUdp) {
