@@ -65,7 +65,17 @@ int main(int argc, char** argv) {
   telemetry::Registry registry;
   telemetry::instrument_lock_order(registry);  // 0 unless a checked build
   telemetry::ProbeCycleTracer tracer(2048);
-  check::InvariantAuditor auditor({}, &registry);
+  // The auditor sees both sides: the watches' cycles and the devices'
+  // grants (nt monotone, the Delta(nt, t) formula, no more probes
+  // received than the watches sent). A foreign prober's probes are
+  // received but never seen sent, so probing the fleet from outside
+  // during --linger (tools/probemon_loadgen) counts
+  // counter_consistency violations.
+  check::AuditConfig audit;
+  audit.timeouts = cp_config.timeouts;
+  audit.audit_dcpp = true;
+  audit.dcpp = device_config;
+  check::InvariantAuditor auditor(audit, &registry);
 
   runtime::EventLoop loop;
   loop.instrument(registry);
@@ -75,7 +85,8 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<runtime::AsyncDcppDevice>> devices;
   for (std::uint64_t i = 0; i < n_devices; ++i) {
     devices.push_back(
-        std::make_unique<runtime::AsyncDcppDevice>(transport, device_config));
+        std::make_unique<runtime::AsyncDcppDevice>(transport, device_config,
+                                                   &auditor));
     devices.back()->instrument(registry);
   }
 

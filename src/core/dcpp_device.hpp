@@ -28,10 +28,12 @@
 
 namespace probemon::core {
 
-class DcppDevice final : public DeviceBase {
+template <class Server>
+class BasicDcppDevice : public BasicDevice<Server> {
  public:
-  DcppDevice(des::Simulation& sim, net::Network& network, EntityArena& arena,
-             DcppDeviceConfig config, ProtocolObserver* observer = nullptr);
+  BasicDcppDevice(typename Server::Clock& clock, net::Link& link,
+                  EntityArena& arena, DcppDeviceConfig config,
+                  ProtocolObserver* observer = nullptr);
 
   const DcppDeviceConfig& config() const noexcept { return config_; }
 
@@ -45,11 +47,14 @@ class DcppDevice final : public DeviceBase {
 
  protected:
   void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
+                  net::Message& reply) final;
 
  private:
   DcppDeviceConfig config_;
   double nt_ = 0.0;
 };
+
+/// The simulator's DCPP device.
+using DcppDevice = BasicDcppDevice<SerialServer>;
 
 }  // namespace probemon::core

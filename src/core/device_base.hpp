@@ -1,58 +1,105 @@
 // Common device behaviour shared by SAPP and DCPP devices.
 //
-// A device is attached to the network, answers probes while present, and
-// can depart either gracefully (sends bye to recent probers) or silently
-// (simply stops answering — the failure mode the probe protocols exist to
-// detect). Replies are issued after a uniform computation delay, matching
-// the "maximal computation time of the device" in the paper's timeout
-// calibration.
+// A device is attached to a link, answers probes while present, and can
+// depart either gracefully (sends bye to recent probers) or silently
+// (simply stops answering — the failure mode the probe protocols exist
+// to detect). Like a control point it runs on a des::Clock + net::Link
+// port (des::Simulation + net::Network, or runtime::EventLoop +
+// runtime::AsyncUdpTransport), so both engines run one implementation.
 //
 // The device also tracks the last two *distinct* CPs that probed it and
 // piggybacks their ids on every reply (paper section 2) — this is the
 // overlay the dissemination extension uses.
 //
-// All mutable protocol state (presence, probe counters, the service
-// queue head) is the object's first member, right after the vptr: a
-// delivery touches one object, whose first two cache lines the network
-// prefetched when the probe was sent. The queued probes themselves sit
-// in the `core::EntityArena`'s shared node pool, so an idle device
-// carries no deque and no heap node.
+// How a probe is served is part of the type. The simulator's
+// SerialServer answers one probe at a time, FIFO, each after a uniform
+// computation delay (the "maximal computation time of the device" in
+// the paper's timeout calibration). On the reactor the loop is the
+// server: InlineServer answers a probe as the loop reads it and holds
+// nothing. on_message picks the path at compile time.
+//
+// All mutable protocol state is the object's first member, right after
+// the vptr, followed by the port and the serial server's queue head,
+// epoch and compute stream: a delivery touches one object, whose first
+// two cache lines the network prefetched when the probe was sent. The
+// queued probes sit in the `core::EntityArena`'s shared node pool, so
+// an idle device carries no deque and no heap node.
+//
+// On the reactor, go_silent(), come_back(), present() and
+// probes_received() are safe from any thread; everything else is
+// loop-confined.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/config.hpp"
 #include "core/entity_arena.hpp"
 #include "core/observer.hpp"
+#include "des/clock.hpp"
 #include "des/simulation.hpp"
-#include "net/network.hpp"
+#include "net/link.hpp"
+#include "util/rng.hpp"
 
 namespace probemon::core {
 
-/// All mutable protocol state of one device.
+/// All mutable protocol state of one device. The atomics have a single
+/// writer and are accessed with relaxed plain loads and stores, never a
+/// locked read-modify-write, so the simulator pays nothing for them.
 struct DeviceState {
-  std::uint64_t probes_received = 0;
-  std::uint64_t service_epoch = 0;  ///< bumped on go_silent
+  std::atomic<std::uint64_t> probes_received{0};
   /// Last two *distinct* probers, most recent first (overlay seed).
   std::array<net::NodeId, 2> last_probers{net::kInvalidNode,
                                           net::kInvalidNode};
-  ServiceQueue queue;  ///< the probe in service included while `busy`
-  bool present = true;
-  bool busy = false;
+  net::NodeId id = net::kInvalidNode;
+  std::atomic<bool> present{true};
 };
 
-class DeviceBase : public net::INetworkClient {
+/// The simulator's device: a FIFO single server whose service time is
+/// uniform in [compute.min, compute.max], drawn from a per-device stream
+/// forked from the simulation's root RNG.
+struct SerialServer {
+  using Clock = des::Simulation;
+
+  SerialServer(des::Simulation& sim, ComputeConfig config)
+      : compute(config), rng(sim.rng().fork("device.compute")) {
+    compute.validate();
+  }
+
+  ServiceQueue queue;  ///< the probe in service included while `busy`
+  bool busy = false;
+  std::uint64_t epoch = 0;  ///< bumped on go_silent
+  ComputeConfig compute;
+  util::Rng rng;
+};
+
+/// The reactor's device: the loop is the server, and its own service
+/// time the computation time, so ComputeConfig is ignored.
+struct InlineServer {
+  using Clock = des::Clock;
+
+  InlineServer(des::Clock& /*clock*/, ComputeConfig /*config*/) noexcept {}
+};
+
+template <class Server>
+class BasicDevice : public net::INetworkClient {
  public:
-  DeviceBase(des::Simulation& sim, net::Network& network, EntityArena& arena,
-             ComputeConfig compute, ProtocolObserver* observer);
-  ~DeviceBase() override;
+  static constexpr bool kSerial = std::is_same_v<Server, SerialServer>;
 
-  DeviceBase(const DeviceBase&) = delete;
-  DeviceBase& operator=(const DeviceBase&) = delete;
+  BasicDevice(typename Server::Clock& clock, net::Link& link,
+              EntityArena& arena, ComputeConfig compute,
+              ProtocolObserver* observer);
+  ~BasicDevice() override;
 
-  net::NodeId id() const noexcept { return id_; }
-  bool present() const noexcept { return state_.present; }
+  BasicDevice(const BasicDevice&) = delete;
+  BasicDevice& operator=(const BasicDevice&) = delete;
+
+  net::NodeId id() const noexcept { return state_.id; }
+  bool present() const noexcept {
+    return state_.present.load(std::memory_order_relaxed);
+  }
 
   /// Crash-style departure: the device stays attached (so probes are
   /// still *delivered*) but never answers again.
@@ -63,18 +110,22 @@ class DeviceBase : public net::INetworkClient {
   void leave_gracefully();
 
   /// Rejoin after a silent period.
-  void come_back();
+  void come_back() noexcept {
+    state_.present.store(true, std::memory_order_relaxed);
+  }
 
   /// Total probes accepted since creation (including ones still queued
   /// for processing).
   std::uint64_t probes_received() const noexcept {
-    return state_.probes_received;
+    return state_.probes_received.load(std::memory_order_relaxed);
   }
 
   /// Probes waiting for the device's single-threaded processor (the one
   /// in service excluded).
-  std::size_t service_queue_length() const noexcept {
-    return state_.queue.len - (state_.busy ? 1 : 0);
+  std::size_t service_queue_length() const noexcept
+    requires kSerial
+  {
+    return server_.queue.len - (server_.busy ? 1 : 0);
   }
 
   /// Ids of the last two distinct probers (kInvalidNode when unknown).
@@ -86,8 +137,8 @@ class DeviceBase : public net::INetworkClient {
   void on_message(const net::Message& msg) final;
 
  protected:
-  /// Fill the protocol-specific reply payload for a probe that arrived at
-  /// time `t`. The base class has already prepared kind/from/to/cycle/
+  /// Fill the protocol-specific reply payload for a probe served at time
+  /// `t`. The base class has already prepared kind/from/to/cycle/
   /// attempt/last_probers.
   virtual void fill_reply(const net::Message& probe, double t,
                           net::Message& reply) = 0;
@@ -96,23 +147,27 @@ class DeviceBase : public net::INetworkClient {
   virtual void on_probe_accepted(const net::Message& /*probe*/,
                                  double /*t*/) {}
 
-  des::Simulation& sim() noexcept { return sim_; }
-  net::Network& network() noexcept { return network_; }
+  des::Clock& engine_clock() noexcept { return clock_; }
   ProtocolObserver* observer() noexcept { return observer_; }
-  void notify_delta_changed(std::uint64_t delta);
+  void notify_delta_changed(std::uint64_t delta) {
+    if (observer_) observer_->on_delta_changed(id(), clock_.now(), delta);
+  }
 
  private:
-  void record_prober(net::NodeId cp);
-  void start_service();
+  /// Build the reply to `probe` in the default Message `reply`.
+  void answer(const net::Message& probe, double t, net::Message& reply);
+  void start_service()
+    requires kSerial;
 
   DeviceState state_;  ///< first: shares the vptr's cache line
-  des::Simulation& sim_;
-  net::Network& network_;
+  des::Clock& clock_;
+  net::Link& link_;
   EntityArena& arena_;
   ProtocolObserver* observer_;
-  net::NodeId id_ = net::kInvalidNode;
-  ComputeConfig compute_;
-  util::Rng compute_rng_;
+  [[no_unique_address]] Server server_;
 };
+
+/// The simulator's device base.
+using DeviceBase = BasicDevice<SerialServer>;
 
 }  // namespace probemon::core

@@ -1,67 +1,93 @@
 #include "core/sapp_device.hpp"
 
 #include <algorithm>
-
-#include "util/logging.hpp"
+#include <deque>
+#include <stdexcept>
 
 namespace probemon::core {
 
-SappDevice::SappDevice(des::Simulation& sim, net::Network& network,
-                       EntityArena& arena, SappDeviceConfig config,
-                       ProtocolObserver* observer)
-    : DeviceBase(sim, network, arena, config.compute, observer),
+template <class Server>
+struct BasicSappDevice<Server>::Adaptation {
+  std::deque<double> probe_times;  ///< inside the adapt window, oldest first
+  des::EventId timer;              ///< the next load evaluation
+};
+
+template <class Server>
+BasicSappDevice<Server>::BasicSappDevice(typename Server::Clock& clock,
+                                         net::Link& link, EntityArena& arena,
+                                         SappDeviceConfig config,
+                                         ProtocolObserver* observer)
+    : BasicDevice<Server>(clock, link, arena, config.compute, observer),
       config_(config),
       delta_(config.delta()),
       base_delta_(config.delta()) {
   config_.validate();
   if (config_.adaptive_delta) {
-    adapt_task_ = sim.every(config_.adapt_period,
-                            [this](double) { adapt_delta(); });
+    adaptation_ = std::make_unique<Adaptation>();
+    arm_adaptation();
   }
 }
 
-void SappDevice::set_delta(std::uint64_t delta) {
-  if (delta == 0) throw std::invalid_argument("SappDevice: delta > 0");
-  delta_ = delta;
-  notify_delta_changed(delta_);
+template <class Server>
+BasicSappDevice<Server>::~BasicSappDevice() {
+  if (adaptation_) this->engine_clock().cancel(adaptation_->timer);
 }
 
-void SappDevice::fill_reply(const net::Message& /*probe*/, double /*t*/,
-                            net::Message& reply) {
+template <class Server>
+void BasicSappDevice<Server>::set_delta(std::uint64_t delta) {
+  if (delta == 0) throw std::invalid_argument("SappDevice: delta > 0");
+  delta_ = delta;
+  this->notify_delta_changed(delta_);
+}
+
+template <class Server>
+void BasicSappDevice<Server>::fill_reply(const net::Message& /*probe*/,
+                                         double /*t*/, net::Message& reply) {
   pc_ += delta_;
   reply.pc = pc_;
 }
 
-void SappDevice::on_probe_accepted(const net::Message& /*probe*/, double t) {
-  if (!config_.adaptive_delta) return;
-  recent_probe_times_.push_back(t);
-  const double horizon = t - config_.adapt_window;
-  while (recent_probe_times_[recent_head_] < horizon) ++recent_head_;
-  // Drop the expired prefix once it is half the buffer: amortized O(1)
-  // per probe, and the buffer stays within twice the window's probes.
-  if (2 * recent_head_ >= recent_probe_times_.size()) {
-    const auto begin = recent_probe_times_.begin();
-    recent_probe_times_.erase(
-        begin, begin + static_cast<std::ptrdiff_t>(recent_head_));
-    recent_head_ = 0;
-  }
+template <class Server>
+void BasicSappDevice<Server>::on_probe_accepted(const net::Message& /*probe*/,
+                                                double t) {
+  if (!adaptation_) return;
+  std::deque<double>& times = adaptation_->probe_times;
+  times.push_back(t);
+  while (times.front() < t - config_.adapt_window) times.pop_front();
 }
 
-double SappDevice::measured_load() const {
-  return static_cast<double>(recent_probe_times_.size() - recent_head_) /
+template <class Server>
+double BasicSappDevice<Server>::measured_load() const {
+  if (!adaptation_) return 0.0;
+  return static_cast<double>(adaptation_->probe_times.size()) /
          config_.adapt_window;
 }
 
-void SappDevice::adapt_delta() {
+template <class Server>
+void BasicSappDevice<Server>::arm_adaptation() {
+  auto evaluate = [this] {
+    adapt_delta();
+    arm_adaptation();  // after the evaluation, as a periodic task re-arms
+  };
+  static_assert(des::InlineCallback::fits_inline<decltype(evaluate)>);
+  adaptation_->timer = this->engine_clock().schedule_after(
+      config_.adapt_period, std::move(evaluate));
+}
+
+template <class Server>
+void BasicSappDevice<Server>::adapt_delta() {
   const double load = measured_load();
   const double high = config_.overload_factor * config_.l_nom;
   const double low = config_.l_nom / config_.overload_factor;
-  if (load > high) {
+  if (load > high && delta_ < kDeltaCeiling) {
     // Look twice as busy: CPs will eventually halve the probe load.
-    set_delta(delta_ * 2);
+    set_delta(std::min(delta_ * 2, kDeltaCeiling));
   } else if (load < low && delta_ > base_delta_) {
     set_delta(std::max(base_delta_, delta_ / 2));
   }
 }
+
+template class BasicSappDevice<SerialServer>;
+template class BasicSappDevice<InlineServer>;
 
 }  // namespace probemon::core

@@ -8,20 +8,32 @@
 //
 // The optional overload-control extension implements exactly that lever:
 // the device measures its own recent probe load and doubles/halves Delta
-// when the load leaves [L_nom/f, f*L_nom].
+// when the load leaves [L_nom/f, f*L_nom], re-evaluating on a timer on
+// the device's clock.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "core/device_base.hpp"
 
 namespace probemon::core {
 
-class SappDevice final : public DeviceBase {
+template <class Server>
+class BasicSappDevice : public BasicDevice<Server> {
  public:
-  SappDevice(des::Simulation& sim, net::Network& network, EntityArena& arena,
-             SappDeviceConfig config, ProtocolObserver* observer = nullptr);
+  /// Where adaptive doubling stops (a prober that never backs off would
+  /// otherwise double Delta until uint64_t wraps to 0). Above
+  /// beta * L_ideal * delta_max (1.5e7 with the paper's values) every
+  /// SAPP CP already sits at delta_max, so a larger Delta changes
+  /// nothing; 2^32 is far above that and far below where a CP's
+  /// pc' - pc, taken as a double, stops being exact.
+  static constexpr std::uint64_t kDeltaCeiling = std::uint64_t{1} << 32;
+
+  BasicSappDevice(typename Server::Clock& clock, net::Link& link,
+                  EntityArena& arena, SappDeviceConfig config,
+                  ProtocolObserver* observer = nullptr);
+  ~BasicSappDevice() override;
 
   const SappDeviceConfig& config() const noexcept { return config_; }
   std::uint64_t probe_counter() const noexcept { return pc_; }
@@ -30,27 +42,30 @@ class SappDevice final : public DeviceBase {
   /// Manually change Delta (e.g. to script a "device got busy" event).
   void set_delta(std::uint64_t delta);
 
-  /// Probe load measured by the device itself over the adapt window.
+  /// Probe load measured by the device itself over the adapt window (0
+  /// without adaptive_delta).
   double measured_load() const;
 
  protected:
   void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
-  void on_probe_accepted(const net::Message& probe, double t) override;
+                  net::Message& reply) final;
+  void on_probe_accepted(const net::Message& probe, double t) final;
 
  private:
+  struct Adaptation;
+
+  void arm_adaptation();
   void adapt_delta();
 
   SappDeviceConfig config_;
   std::uint64_t pc_ = 0;
   std::uint64_t delta_;
   std::uint64_t base_delta_;
-  /// Probe times inside the adapt window, oldest at recent_head_ (a FIFO
-  /// that, unlike std::deque, allocates nothing until the first push, so
-  /// a device without adaptive_delta carries no heap block).
-  std::vector<double> recent_probe_times_;
-  std::size_t recent_head_ = 0;
-  std::unique_ptr<des::Simulation::Periodic> adapt_task_;
+  /// Load window and evaluation timer; only with adaptive_delta.
+  std::unique_ptr<Adaptation> adaptation_;
 };
+
+/// The simulator's SAPP device.
+using SappDevice = BasicSappDevice<SerialServer>;
 
 }  // namespace probemon::core

@@ -1,132 +1,72 @@
-// Async devices: the protocols' device side on the event loop.
+// Async devices: the core SAPP and DCPP devices on the event loop, with
+// the transport's EventLoop as their des::Clock, the AsyncUdpTransport
+// as their net::Link and its arena() as their EntityArena. The loop is
+// the server (core::InlineServer): it answers a probe as it reads it,
+// with zero locks and zero allocation. So the reactor runs the
+// simulator's device rules — Delta and its adaptation, the DCPP grant,
+// the last-probers piggyback, bye — and reports to the same observer.
 //
-// SAPP bumps its probe counter per probe; DCPP grants
-// Δ = max{δ_min, d_min−(nt−t)} through core::DcppDevice::grant, the
-// rule the DES device uses. Loop-confined and lock-free: the reactor's
-// single thread owns all device state, so a probe is handled with zero
-// mutex traffic and zero allocation, which is what lets one process
-// answer for 10^5 endpoints. The only cross-thread surface is
-// go_silent()/come_back() (atomic flag, so tests and demos can kill a
-// device from the main thread) and the scrape counters.
-//
-// The device keeps no trailing-window load estimate (a per-device
-// window is exactly the kind of per-endpoint cost this runtime exists
-// to avoid): its experienced load is the rate of the
-// probemon_device_probes_received_total counter, which is what the
-// default device_load alert rule reads.
+// Threading: go_silent()/come_back()/present() and probes_received()
+// are safe from any thread; everything else, construction and
+// destruction included, is loop-confined.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <string>
 
-#include "core/config.hpp"
+#include "core/dcpp_device.hpp"
+#include "core/sapp_device.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "telemetry/registry.hpp"
 
 namespace probemon::runtime {
 
-class AsyncDeviceBase : public net::INetworkClient {
+using AsyncDeviceBase = core::BasicDevice<core::InlineServer>;
+
+namespace detail {
+
+/// probemon_device_probes_received_total and the
+/// probemon_device_nominal_load gauge, labelled device=<id>: a
+/// cardinality cost meant for small fleets and tests, not 10^5
+/// endpoints. The device must outlive the registry entries.
+inline void instrument_device(telemetry::Registry& registry,
+                              const AsyncDeviceBase& device,
+                              double nominal_load) {
+  const telemetry::Labels labels{{"device", std::to_string(device.id())}};
+  registry.counter_callback(
+      "probemon_device_probes_received_total",
+      [&device] { return static_cast<double>(device.probes_received()); },
+      "Probes accepted by the device", labels);
+  registry.gauge("probemon_device_nominal_load",
+                 "Protocol nominal load cap L_nom (probes/s)", labels)
+      .set(nominal_load);
+}
+
+}  // namespace detail
+
+class AsyncSappDevice final
+    : public core::BasicSappDevice<core::InlineServer> {
  public:
-  /// Attaches to `transport` (loop-confined, like all transport calls).
-  explicit AsyncDeviceBase(AsyncUdpTransport& transport);
-  ~AsyncDeviceBase() override;
+  AsyncSappDevice(AsyncUdpTransport& transport, core::SappDeviceConfig config,
+                  core::ProtocolObserver* observer = nullptr)
+      : BasicSappDevice(transport.loop(), transport, transport.arena(),
+                        config, observer) {}
 
-  AsyncDeviceBase(const AsyncDeviceBase&) = delete;
-  AsyncDeviceBase& operator=(const AsyncDeviceBase&) = delete;
-
-  net::NodeId id() const noexcept { return id_; }
-
-  /// Crash-style departure: stop answering (stays attached). Safe from
-  /// any thread.
-  void go_silent() noexcept {
-    present_.store(false, std::memory_order_relaxed);
+  void instrument(telemetry::Registry& registry) {
+    detail::instrument_device(registry, *this, config().l_nom);
   }
-  void come_back() noexcept {
-    present_.store(true, std::memory_order_relaxed);
-  }
-  bool present() const noexcept {
-    return present_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t probes_received() const noexcept {
-    return probes_received_.load(std::memory_order_relaxed);
-  }
-
-  /// Per-device metrics (device=<id> label):
-  /// probemon_device_probes_received_total and the
-  /// probemon_device_nominal_load gauge. Per-device series are a
-  /// cardinality cost — intended for small fleets and tests, not for
-  /// 10^5 endpoints. The device must outlive the registry entries.
-  void instrument(telemetry::Registry& registry, double nominal_load);
-
-  /// Answers a probe while present (loop thread).
-  void on_message(const net::Message& msg) final;
-
- protected:
-  /// Protocol-specific reply payload; runs on the loop thread.
-  virtual void fill_reply(const net::Message& probe, double t,
-                          net::Message& reply) = 0;
-
-  /// Detach from the transport (idempotent; loop-confined). Subclass
-  /// destructors call this so no datagram can virtual-dispatch into a
-  /// half-destroyed object.
-  void shutdown();
-
- private:
-  AsyncUdpTransport& transport_;
-  net::NodeId id_;
-  bool detached_ = false;
-  std::atomic<bool> present_{true};
-  std::atomic<std::uint64_t> probes_received_{0};
 };
 
-/// SAPP device: pc += Delta per probe; reply carries pc.
-class AsyncSappDevice final : public AsyncDeviceBase {
+class AsyncDcppDevice final
+    : public core::BasicDcppDevice<core::InlineServer> {
  public:
-  AsyncSappDevice(AsyncUdpTransport& transport, core::SappDeviceConfig config);
-  ~AsyncSappDevice() override { shutdown(); }
+  AsyncDcppDevice(AsyncUdpTransport& transport, core::DcppDeviceConfig config,
+                  core::ProtocolObserver* observer = nullptr)
+      : BasicDcppDevice(transport.loop(), transport, transport.arena(),
+                        config, observer) {}
 
-  std::uint64_t probe_counter() const noexcept {
-    return pc_.load(std::memory_order_relaxed);
-  }
-
-  using AsyncDeviceBase::instrument;
   void instrument(telemetry::Registry& registry) {
-    AsyncDeviceBase::instrument(registry, config_.l_nom);
+    detail::instrument_device(registry, *this, config().l_nom());
   }
-
- protected:
-  void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
-
- private:
-  core::SappDeviceConfig config_;
-  /// Written on the loop thread, readable from any (tests scrape it).
-  std::atomic<std::uint64_t> pc_{0};
-  std::uint64_t delta_;
-};
-
-/// DCPP device: schedules probers via core::DcppDevice::grant.
-class AsyncDcppDevice final : public AsyncDeviceBase {
- public:
-  AsyncDcppDevice(AsyncUdpTransport& transport, core::DcppDeviceConfig config);
-  ~AsyncDcppDevice() override { shutdown(); }
-
-  /// Next grantable probe instant (loop thread, or stopped loop).
-  double next_slot() const noexcept { return nt_; }
-
-  using AsyncDeviceBase::instrument;
-  void instrument(telemetry::Registry& registry) {
-    AsyncDeviceBase::instrument(registry, config_.l_nom());
-  }
-
- protected:
-  void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
-
- private:
-  core::DcppDeviceConfig config_;
-  double nt_ = 0.0;  ///< loop-confined
 };
 
 }  // namespace probemon::runtime

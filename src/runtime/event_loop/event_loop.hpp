@@ -19,13 +19,14 @@
 //   5. dispatch fd events to their handlers
 //
 // Threading contract:
-//   * post(), stop(), running() and the counter accessors are safe
+//   * post(), stop(), running(), the counter accessors and a device's
+//     go_silent()/come_back()/present()/probes_received() are safe
 //     from any thread.
 //   * Everything else — add_fd/remove_fd/add_flush_hook, timers(), and
 //     all AsyncUdpTransport / AsyncDevice / AsyncControlPoint methods
-//     that are not explicitly atomic — must run on the loop thread or
-//     while the loop is not running. Cross-thread work enters via
-//     post().
+//     that are not explicitly atomic, constructors and destructors
+//     included — must run on the loop thread or while the loop is not
+//     running. Cross-thread work enters via post().
 //   * Non-Linux builds fall back from epoll/eventfd to poll(2) and a
 //     self-pipe; semantics are identical.
 #pragma once

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/fixed_rate_control_point.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
@@ -603,8 +605,11 @@ TEST(AsyncRuntime, RetransmissionMeasuresRttFromTheLastSend) {
   device.go_silent();
   loop.post([&] {
     cp.start();
-    loop.timers().schedule_after(cp_config.timeouts.tof / 2,
-                                 [&device] { device.come_back(); });
+    // Half a TOF after the first send: the loop's clock counts from
+    // now(), where the wheel's own schedule_after counts from its last
+    // poll, which may already be more than that in the past.
+    loop.schedule_after(cp_config.timeouts.tof / 2,
+                        [&device] { device.come_back(); });
   });
   loop.start();
   EXPECT_TRUE(eventually([&] { return completed.load() >= 1; }));
@@ -689,6 +694,125 @@ TEST(AsyncRuntime, MultipleCpsShareDeviceFairly) {
   EXPECT_GT(min_cycles, 5u);
   // Fair sharing: no CP gets more than ~2x another.
   EXPECT_LT(max_cycles, 2 * min_cycles + 5);
+}
+
+TEST(AsyncRuntime, RepliesCarryTheLastProbersIntoTheOverlay) {
+  // The device piggybacks its last two distinct probers on every reply,
+  // so a second CP watching it learns the first one over real UDP.
+  struct SuccessCounter final : core::ProtocolObserver {
+    void on_cycle_success(net::NodeId, net::NodeId, double,
+                          std::uint8_t) override {
+      ++successes;
+    }
+    std::atomic<int> successes{0};
+  } counter;
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  core::DcppControlPoint first(loop, transport, transport.arena(),
+                               device.id(), fast_dcpp_cp());
+  core::DcppControlPoint second(loop, transport, transport.arena(),
+                                device.id(), fast_dcpp_cp(), &counter);
+  first.start();
+  second.start(0.01);
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return counter.successes.load() >= 3; }));
+  loop.stop();  // the overlay is loop-confined
+  const auto overlay = second.overlay_neighbors();
+  EXPECT_NE(std::find(overlay.begin(), overlay.end(), first.id()),
+            overlay.end());
+  EXPECT_EQ(std::find(overlay.begin(), overlay.end(), second.id()),
+            overlay.end());
+  const auto& probers = device.last_probers();
+  EXPECT_TRUE((probers[0] == first.id() && probers[1] == second.id()) ||
+              (probers[0] == second.id() && probers[1] == first.id()));
+}
+
+/// Counts how each watch of a device ended.
+struct AbsenceSpy final : core::ProtocolObserver {
+  void on_device_declared_absent(net::NodeId, net::NodeId, double) override {
+    ++declared;
+  }
+  void on_absence_learned(net::NodeId, net::NodeId, double) override {
+    ++learned;
+  }
+  std::atomic<int> declared{0};
+  std::atomic<int> learned{0};
+};
+
+TEST(AsyncRuntime, LeaveGracefullyEndsTheWatchWithBye) {
+  // A graceful leave sends bye to the device's last probers: the watch
+  // learns the absence at once instead of timing out TOF + R * TOS.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  AbsenceSpy spy;
+  std::atomic<int> successes{0};
+  std::atomic<int> failures{0};
+  AsyncControlPointBase::Callbacks callbacks;
+  callbacks.observer = &spy;
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    ++(info.success ? successes : failures);
+  };
+  // A long TOS: a timeout could not end the cycle within the test.
+  core::DcppCpConfig cp_config = fast_dcpp_cp();
+  cp_config.timeouts.tof = 5.0;
+  cp_config.timeouts.tos = 5.0;
+  AsyncDcppControlPoint cp(transport, device.id(), cp_config, callbacks);
+  cp.start();
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return successes.load() >= 2; }));
+  loop.post([&device] { device.leave_gracefully(); });
+  EXPECT_TRUE(eventually([&] { return spy.learned.load() == 1; }));
+  loop.stop();
+  EXPECT_EQ(spy.declared.load(), 0);
+  EXPECT_EQ(failures.load(), 1);  // the learned absence ends the watch
+  EXPECT_FALSE(cp.device_considered_present());
+  EXPECT_FALSE(device.present());
+  EXPECT_EQ(cp.cycles_failed(), 0u);  // no cycle exhausted its probes
+}
+
+TEST(AsyncRuntime, AdaptiveDeltaSaturatesOverUdp) {
+  // The SAPP overload extension on the reactor: a fixed-rate prober far
+  // above L_nom keeps the device overloaded, so Delta doubles at every
+  // evaluation until it stops at the ceiling.
+  struct DeltaSpy final : core::ProtocolObserver {
+    void on_delta_changed(net::NodeId, double, std::uint64_t delta) override {
+      deltas.push_back(delta);  // loop thread; read after stop()
+      last.store(delta);
+    }
+    std::vector<std::uint64_t> deltas;
+    std::atomic<std::uint64_t> last{0};
+  } spy;
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::SappDeviceConfig device_config;  // L_nom = 10
+  device_config.adaptive_delta = true;
+  device_config.adapt_period = 0.01;
+  device_config.adapt_window = 0.05;
+  AsyncSappDevice device(transport, device_config, &spy);
+  core::FixedRateCpConfig cp_config;
+  cp_config.period = 0.002;  // ~500 probes/s
+  // Loopback loses nothing: generous timeouts keep a stalled loop from
+  // ending the prober with a false absence.
+  cp_config.timeouts.tof = 1.0;
+  cp_config.timeouts.tos = 1.0;
+  core::FixedRateControlPoint cp(loop, transport, transport.arena(),
+                                 device.id(), cp_config);
+  cp.start();
+  loop.start();
+  constexpr std::uint64_t kCeiling = AsyncSappDevice::kDeltaCeiling;
+  EXPECT_TRUE(eventually([&] { return spy.last.load() == kCeiling; }));
+  std::this_thread::sleep_for(50ms);  // more evaluations at the ceiling
+  loop.stop();
+  ASSERT_FALSE(spy.deltas.empty());
+  std::uint64_t previous = device_config.delta();
+  for (std::uint64_t delta : spy.deltas) {
+    EXPECT_GE(delta, previous) << "Delta fell while overloaded";
+    previous = delta;
+  }
+  EXPECT_EQ(spy.deltas.back(), kCeiling);
+  EXPECT_EQ(device.delta(), kCeiling);
 }
 
 TEST(AsyncPresence, WatchUnwatchLifecycle) {

@@ -1,6 +1,6 @@
 // Engine conformance: the simulator and the reactor run the same
-// control point, so one scripted device must see the same cycles from
-// both.
+// control point and the same device, so one scenario must play out the
+// same on both.
 //
 //   DES:     des::Simulation + net::Network with a constant delay,
 //            driving core::SappControlPoint / core::DcppControlPoint;
@@ -17,12 +17,21 @@
 // Scripted events are at least 10 ms apart and every SAPP decision
 // sits at least 2x away from a beta-band edge, so wall-clock jitter on
 // the reactor cannot flip an outcome.
+//
+// The device cases replace the responder with a core device — the
+// simulator's serial one with zero computation time, the reactor's
+// inline one — probed by two core CPs starting 20 ms apart. After its
+// sixth probe the device leaves gracefully. Per CP the cycles match as
+// above; the device's probe count, its replies (SAPP pc exactly, DCPP
+// grants within kTolerance) and the CPs' overlays must match; and the
+// bye must end both watches as a learned absence on both engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -136,8 +145,13 @@ class Recorder final : public core::ProtocolObserver {
     cycles.back().end = t;
     done.store(true);
   }
+  void on_absence_learned(net::NodeId, net::NodeId, double) override {
+    learned = true;
+    done.store(true);
+  }
 
   std::vector<CycleRecord> cycles;
+  bool learned = false;  ///< absence learned from a bye
   std::atomic<bool> done{false};
 };
 
@@ -295,6 +309,262 @@ TEST(EngineConformance, DcppCyclesMatchAcrossEngines) {
   for (std::size_t i = 0; i < kCycles; ++i) {
     EXPECT_EQ(cycles[i].next_delay, grants[i]) << "cycle " << i + 1;
   }
+}
+
+// --- core devices on both engines ------------------------------------------
+
+constexpr std::size_t kProbesBeforeLeave = 6;
+constexpr double kLeaveAfter = 0.02;  // after the last probe
+constexpr double kCpStagger = 0.02;
+
+/// Two probers per device, starts kCpStagger apart: with these grants
+/// (DCPP) and delays (SAPP) their probes alternate at least 20 ms
+/// apart, and the leave falls at least 20 ms before any further probe.
+core::DcppDeviceConfig dcpp_device() {
+  core::DcppDeviceConfig config;
+  config.delta_min = 0.05;
+  config.d_min = 0.1;
+  config.compute = {0.0, 0.0};  // the reactor answers inline
+  return config;
+}
+
+/// Delta = 2e6: even one probe in 0.4 s reads as L_exp = 5e6, far above
+/// beta * L_ideal = 1.5e6, so every decision doubles the delay.
+core::SappDeviceConfig sapp_device() {
+  core::SappDeviceConfig config;
+  config.l_nom = 0.5;
+  config.compute = {0.0, 0.0};
+  return config;
+}
+
+/// A net::Link that records the replies its one client sends.
+class ReplyTap final : public net::Link {
+ public:
+  explicit ReplyTap(net::Link& inner) : inner_(inner) {}
+
+  net::NodeId attach(net::INetworkClient& client) override {
+    return inner_.attach(client);
+  }
+  bool attached(net::NodeId id) const override { return inner_.attached(id); }
+  void detach(net::NodeId id) override { inner_.detach(id); }
+  bool send(net::Message msg) override {
+    if (msg.kind == net::MessageKind::kReply) replies.push_back(msg);
+    return inner_.send(msg);
+  }
+
+  std::vector<net::Message> replies;
+
+ private:
+  net::Link& inner_;
+};
+
+/// Records the device's probers and makes it leave after the
+/// kProbesBeforeLeave-th probe.
+class LeaveAfterProbes final : public core::ProtocolObserver {
+ public:
+  explicit LeaveAfterProbes(des::Clock& clock) : clock_(clock) {}
+
+  void on_probe_received(net::NodeId, net::NodeId cp, double) override {
+    probers.push_back(cp);
+    if (probers.size() == kProbesBeforeLeave) {
+      clock_.schedule_after(kLeaveAfter, [this] { leave(); });
+    }
+  }
+
+  std::function<void()> leave;
+  std::vector<net::NodeId> probers;
+
+ private:
+  des::Clock& clock_;
+};
+
+struct DeviceRun {
+  std::array<std::vector<CycleRecord>, 2> cycles;
+  std::array<bool, 2> learned{};
+  std::array<std::vector<net::NodeId>, 2> overlays;
+  std::array<net::NodeId, 2> cp_ids{};
+  net::NodeId device_id = net::kInvalidNode;
+  std::uint64_t probes_received = 0;
+  std::vector<net::NodeId> probers;
+  std::vector<net::Message> replies;
+};
+
+template <class Server>
+std::unique_ptr<core::BasicDevice<Server>> make_device(
+    Protocol protocol, typename Server::Clock& clock, net::Link& link,
+    core::EntityArena& arena, core::ProtocolObserver* observer) {
+  if (protocol == Protocol::kSapp) {
+    return std::make_unique<core::BasicSappDevice<Server>>(
+        clock, link, arena, sapp_device(), observer);
+  }
+  return std::make_unique<core::BasicDcppDevice<Server>>(
+      clock, link, arena, dcpp_device(), observer);
+}
+
+template <class Device>
+void collect(DeviceRun& run, const Device& device,
+             const std::array<std::unique_ptr<core::ControlPointBase>, 2>& cps,
+             const std::array<Recorder, 2>& recorders,
+             const LeaveAfterProbes& leave, const ReplyTap& tap) {
+  run.device_id = device.id();
+  run.probes_received = device.probes_received();
+  run.probers = leave.probers;
+  run.replies = tap.replies;
+  for (std::size_t i = 0; i < 2; ++i) {
+    run.cycles[i] = recorders[i].cycles;
+    run.learned[i] = recorders[i].learned;
+    const auto overlay = cps[i]->overlay_neighbors();
+    run.overlays[i].assign(overlay.begin(), overlay.end());
+    run.cp_ids[i] = cps[i]->id();
+  }
+}
+
+DeviceRun run_devices_des(Protocol protocol) {
+  des::Simulation sim(1);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_constant_delay(kNetDelay),
+                       net::make_no_loss());
+  core::EntityArena arena;
+  ReplyTap tap(network);
+  LeaveAfterProbes leave(sim);
+  auto device =
+      make_device<core::SerialServer>(protocol, sim, tap, arena, &leave);
+  leave.leave = [&device] { device->leave_gracefully(); };
+  std::array<Recorder, 2> recorders;
+  std::array<std::unique_ptr<core::ControlPointBase>, 2> cps;
+  for (std::size_t i = 0; i < 2; ++i) {
+    if (protocol == Protocol::kSapp) {
+      cps[i] = std::make_unique<core::SappControlPoint>(
+          sim, network, arena, device->id(), sapp_config(), &recorders[i]);
+    } else {
+      cps[i] = std::make_unique<core::DcppControlPoint>(
+          sim, network, arena, device->id(), dcpp_config(), &recorders[i]);
+    }
+    cps[i]->start(kCpStagger * static_cast<double>(i));
+  }
+  sim.run_until(10.0);
+  DeviceRun run;
+  collect(run, *device, cps, recorders, leave, tap);
+  return run;
+}
+
+DeviceRun run_devices_reactor(Protocol protocol) {
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
+  ReplyTap tap(transport);
+  LeaveAfterProbes leave(loop);
+  auto device = make_device<core::InlineServer>(protocol, loop, tap,
+                                                transport.arena(), &leave);
+  leave.leave = [&device] { device->leave_gracefully(); };
+  std::array<Recorder, 2> recorders;
+  std::array<std::unique_ptr<core::ControlPointBase>, 2> cps;
+  for (std::size_t i = 0; i < 2; ++i) {
+    if (protocol == Protocol::kSapp) {
+      cps[i] = std::make_unique<core::SappControlPoint>(
+          loop, transport, transport.arena(), device->id(), sapp_config(),
+          &recorders[i]);
+    } else {
+      cps[i] = std::make_unique<core::DcppControlPoint>(
+          loop, transport, transport.arena(), device->id(), dcpp_config(),
+          &recorders[i]);
+    }
+    cps[i]->start(kCpStagger * static_cast<double>(i));
+  }
+  loop.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!(recorders[0].done.load() && recorders[1].done.load()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  loop.stop();  // joins the loop thread: its records are ours to read
+  DeviceRun run;
+  collect(run, *device, cps, recorders, leave, tap);
+  return run;
+}
+
+/// Runs the device scenario on both engines and compares them. Returns
+/// the simulator's run for protocol-specific checks.
+DeviceRun expect_devices_agree(Protocol protocol) {
+  const DeviceRun des = run_devices_des(protocol);
+  const DeviceRun rt = run_devices_reactor(protocol);
+  EXPECT_EQ(rt.device_id, des.device_id);
+  EXPECT_EQ(rt.cp_ids, des.cp_ids);
+  EXPECT_EQ(des.probes_received, kProbesBeforeLeave);
+  EXPECT_EQ(rt.probes_received, des.probes_received);
+  EXPECT_EQ(rt.probers, des.probers);
+  EXPECT_EQ(rt.overlays, des.overlays);
+  for (std::size_t cp = 0; cp < 2; ++cp) {
+    SCOPED_TRACE(testing::Message() << "cp " << cp);
+    EXPECT_TRUE(des.learned[cp]);
+    EXPECT_TRUE(rt.learned[cp]);
+    const auto& d = des.cycles[cp];
+    const auto& r = rt.cycles[cp];
+    EXPECT_EQ(d.size(), kProbesBeforeLeave / 2);
+    EXPECT_EQ(r.size(), d.size());
+    for (std::size_t i = 0; i < std::min(r.size(), d.size()); ++i) {
+      SCOPED_TRACE(testing::Message() << "cycle " << i + 1);
+      EXPECT_EQ(r[i].probes, d[i].probes);
+      EXPECT_EQ(r[i].answered, d[i].answered);
+      EXPECT_EQ(r[i].present, d[i].present);
+      EXPECT_TRUE(d[i].present);
+      EXPECT_NEAR(r[i].end - r[i].start, d[i].end - d[i].start, kTolerance);
+      if (protocol == Protocol::kSapp) {
+        EXPECT_EQ(r[i].next_delay, d[i].next_delay);
+      } else {
+        EXPECT_NEAR(r[i].next_delay, d[i].next_delay, kTolerance);
+      }
+    }
+  }
+  EXPECT_EQ(des.replies.size(), kProbesBeforeLeave);
+  EXPECT_EQ(rt.replies.size(), des.replies.size());
+  for (std::size_t i = 0; i < std::min(rt.replies.size(), des.replies.size());
+       ++i) {
+    SCOPED_TRACE(testing::Message() << "reply " << i + 1);
+    EXPECT_EQ(rt.replies[i].to, des.replies[i].to);
+    EXPECT_EQ(rt.replies[i].cycle, des.replies[i].cycle);
+    EXPECT_EQ(rt.replies[i].last_probers, des.replies[i].last_probers);
+    EXPECT_EQ(rt.replies[i].pc, des.replies[i].pc);
+    EXPECT_NEAR(rt.replies[i].grant_delay, des.replies[i].grant_delay,
+                kTolerance);
+  }
+  return des;
+}
+
+TEST(EngineConformance, SappDeviceMatchesAcrossEngines) {
+  const DeviceRun des = expect_devices_agree(Protocol::kSapp);
+  // The probers alternate, so each reply's pc is one Delta per probe
+  // so far, and every CP doubles its delay up to delta_max.
+  const std::uint64_t delta = sapp_device().delta();
+  for (std::size_t i = 0; i < des.replies.size(); ++i) {
+    EXPECT_EQ(des.replies[i].pc, delta * (i + 1));
+  }
+  const core::SappCpConfig config = sapp_config();
+  const double delays[] = {config.initial_delay, 2 * config.initial_delay,
+                           config.delta_max};
+  for (const auto& cycles : des.cycles) {
+    for (std::size_t i = 0; i < std::min<std::size_t>(cycles.size(), 3); ++i) {
+      EXPECT_DOUBLE_EQ(cycles[i].next_delay, delays[i]) << "cycle " << i + 1;
+    }
+  }
+}
+
+TEST(EngineConformance, DcppDeviceMatchesAcrossEngines) {
+  const DeviceRun des = expect_devices_agree(Protocol::kDcpp);
+  // The second prober's first slot is delta_min after the first one's;
+  // from then on each CP waits d_min and the slots alternate.
+  const core::DcppDeviceConfig config = dcpp_device();
+  ASSERT_EQ(des.replies.size(), kProbesBeforeLeave);
+  EXPECT_NEAR(des.replies[1].grant_delay,
+              config.d_min + config.delta_min - kCpStagger, 1e-9);
+  for (std::size_t i = 0; i < des.replies.size(); ++i) {
+    if (i == 1) continue;
+    EXPECT_NEAR(des.replies[i].grant_delay, config.d_min, 1e-9)
+        << "reply " << i + 1;
+  }
+  // Both overlays: the other prober.
+  EXPECT_EQ(des.overlays[0], std::vector<net::NodeId>{des.cp_ids[1]});
+  EXPECT_EQ(des.overlays[1], std::vector<net::NodeId>{des.cp_ids[0]});
 }
 
 }  // namespace

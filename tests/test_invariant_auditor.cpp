@@ -5,11 +5,13 @@
 // produce such sequences.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
 
 #include "check/invariant_auditor.hpp"
+#include "core/observer_fanout.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
@@ -259,23 +261,39 @@ TEST(InvariantAuditor, ViolationsSurfaceInRegistryAndReports) {
   EXPECT_NE(auditor.summary().find("cycle_order"), std::string::npos);
 }
 
-// --- runtime path: AsyncPresenceService feeds the auditor -------------------
+// --- runtime path: the service's CPs and the device feed the auditor ------
 
 TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
   using namespace std::chrono_literals;
   core::DcppCpConfig cp_config;
   cp_config.timeouts.tof = 0.020;
   cp_config.timeouts.tos = 0.015;
-  AuditConfig audit;
-  audit.timeouts = cp_config.timeouts;
-  InvariantAuditor auditor(audit);
-
-  runtime::EventLoop loop;
-  runtime::AsyncUdpTransport transport(loop);
   core::DcppDeviceConfig device_config;
   device_config.delta_min = 0.005;
   device_config.d_min = 0.02;
-  runtime::AsyncDcppDevice device(transport, device_config);
+  AuditConfig audit;
+  audit.timeouts = cp_config.timeouts;
+  audit.audit_dcpp = true;  // the device's grants, over real UDP
+  audit.dcpp = device_config;
+  InvariantAuditor auditor(audit);
+
+  // Proves the device's events reached the auditor: zero violations
+  // alone would also hold if none were audited.
+  struct DeviceEventSpy final : core::ProtocolObserver {
+    void on_probe_received(net::NodeId, net::NodeId, double) override {
+      ++received;
+    }
+    void on_slot_granted(net::NodeId, double, double, double) override {
+      ++granted;
+    }
+    std::atomic<int> received{0};
+    std::atomic<int> granted{0};
+  } spy;
+  core::FanoutObserver device_observer({&auditor, &spy});
+
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
+  runtime::AsyncDcppDevice device(transport, device_config, &device_observer);
 
   runtime::AsyncPresenceService::TelemetryOptions wiring;
   wiring.auditor = &auditor;
@@ -283,7 +301,7 @@ TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
   loop.start();
   service.watch_dcpp(device.id(), cp_config);
   const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (!service.present(device.id()) &&
+  while (!(service.present(device.id()) && spy.granted.load() >= 3) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }
@@ -296,6 +314,8 @@ TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
   EXPECT_EQ(service.presence(device.id()), runtime::Presence::kAbsent);
   service.unwatch(device.id());
   loop.stop();
+  EXPECT_GE(spy.granted.load(), 3);
+  EXPECT_EQ(spy.received.load(), spy.granted.load());
   EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
 }
 

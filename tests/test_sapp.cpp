@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/probemon.hpp"
 #include "core/sapp_adaptation.hpp"
@@ -272,6 +273,40 @@ TEST(SappDevice, SetDeltaValidates) {
   EXPECT_THROW(device.set_delta(0), std::invalid_argument);
   device.set_delta(42);
   EXPECT_EQ(device.delta(), 42u);
+}
+
+TEST(SappDevice, AdaptiveDeltaSaturatesUnderANonBackingOffProber) {
+  // A fixed-rate prober never backs off, so the device stays overloaded
+  // and doubles Delta at every evaluation. Unbounded, the doubling
+  // wrapped uint64_t near t = 245 s (Delta dropped) and reached 0 at
+  // t = 295 s, where set_delta threw out of run_until.
+  struct DeltaSpy final : ProtocolObserver {
+    void on_delta_changed(net::NodeId, double, std::uint64_t delta) override {
+      deltas.push_back(delta);
+    }
+    std::vector<std::uint64_t> deltas;
+  } spy;
+  des::Simulation sim(12);
+  auto net = net::Network::make_paper_default(sim.scheduler(), sim.rng());
+  EntityArena arena;
+  SappDeviceConfig config;  // L_nom = 10
+  config.adaptive_delta = true;
+  SappDevice device(sim, *net, arena, config, &spy);
+  FixedRateCpConfig cp_config;
+  cp_config.period = 0.02;  // ~30 probes/s with the device's compute time
+  FixedRateControlPoint cp(sim, *net, arena, device.id(), cp_config);
+  cp.start();
+
+  EXPECT_NO_THROW(sim.run_until(400.0));
+  ASSERT_FALSE(spy.deltas.empty());
+  std::uint64_t previous = config.delta();
+  for (std::uint64_t delta : spy.deltas) {
+    EXPECT_GE(delta, previous) << "Delta fell while overloaded";
+    previous = delta;
+  }
+  EXPECT_EQ(spy.deltas.back(), SappDevice::kDeltaCeiling);
+  EXPECT_EQ(device.delta(), SappDevice::kDeltaCeiling);
+  EXPECT_TRUE(cp.device_considered_present());
 }
 
 TEST(SappDeviceConfig, Validation) {

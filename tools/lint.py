@@ -76,6 +76,14 @@ Rules (suppress a line with ``NOLINT(<rule>)`` plus a reason comment):
                      copy once dropped the replies SAPP's L_exp rule
                      uses). SappAdaptation is not covered: the collector
                      reuses it legitimately.
+  one-device         The device rules have one owner, core::BasicDevice
+                     and its SAPP/DCPP subclasses; the simulator's serial
+                     server and the reactor's inline one both build the
+                     reply there. Assigning MessageKind::kReply in src/
+                     outside src/core/ means a second copy of the device
+                     is growing (a reactor copy once dropped the
+                     last-probers piggyback, bye and adaptive Delta).
+                     Comparisons against kReply are not covered.
 
 Usage:
   tools/lint.py                  # lint src/ under the repo root
@@ -170,6 +178,11 @@ ANNOTATED_LOCKS_EXEMPT = "src/util/thread_annotations.hpp"
 # src/core/ (ProbeCycleTrace/ProbeCycleTracer are other words).
 PROBE_CYCLE = re.compile(r"\bProbeCycle\b")
 
+# one-device: a reply's kind assigned (not compared) anywhere under src/
+# except src/core/.
+REPLY_BUILT = re.compile(
+    r"(?<![=!<>])=(?!=)\s*(?:\w+::)*MessageKind::kReply\b")
+
 NOLINT = re.compile(r"NOLINT\(([^)]*)\)")
 
 RULES = {
@@ -196,6 +209,9 @@ RULES = {
     "one-probe-cycle":
         "core::ProbeCycle is named only under src/core/ (one cycle "
         "owner: core::ControlPointBase)",
+    "one-device":
+        "MessageKind::kReply is assigned only under src/core/ (one "
+        "device owner: core::BasicDevice)",
 }
 
 
@@ -323,6 +339,14 @@ def lint_file(path: pathlib.Path, rel: pathlib.Path) -> list[Finding]:
                     "core::ProbeCycle outside src/core — run the core "
                     "control point on the engine's des::Clock + net::Link "
                     "instead of driving the cycle a second time"))
+
+        if second_copy_zone and not suppressed(raw, "one-device"):
+            if REPLY_BUILT.search(code):
+                findings.append(Finding(
+                    rel, lineno, "one-device",
+                    "a reply built outside src/core — run the core device "
+                    "on the engine's des::Clock + net::Link instead of "
+                    "answering probes a second time"))
 
         if wallclock_zone and not suppressed(raw, "no-wall-clock"):
             for pattern, what in WALL_CLOCK_PATTERNS:
