@@ -1,12 +1,13 @@
-// Telemetry export — one registry observing both halves of the repo:
+// Telemetry export — one presence service on both engines of the repo:
 // the event-loop runtime (UDP transport, devices, AsyncPresenceService
-// with per-watch RTT histograms and a probe-cycle tracer) and a DES DCPP run
-// (scheduler event counters plus the same probe-cycle traces,
-// reassembled from protocol observer events). Ends by dumping the
-// Prometheus text exposition to stdout — exactly what the HTTP
-// /metrics route serves — plus the JSON snapshot and both trace rings
-// (JSON and Chrome trace-event format, loadable in Perfetto /
-// chrome://tracing) under telemetry_out/. Wall-clock runtime: ~2 s.
+// with per-watch RTT histograms and a probe-cycle tracer) and its
+// deterministic twin, the same service on a DES DCPP run (scheduler
+// event counters in the shared registry, and the same probe-cycle
+// traces in a ring of its own). Ends by dumping the Prometheus text
+// exposition to stdout — exactly what the HTTP /metrics route serves —
+// plus the JSON snapshot and both trace rings (JSON and Chrome
+// trace-event format, loadable in Perfetto / chrome://tracing) under
+// telemetry_out/. Wall-clock runtime: ~2 s.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -23,7 +24,6 @@
 #include "runtime/event_loop/event_loop.hpp"
 #include "telemetry/bridges.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/observer_adapter.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 #include "util/cli.hpp"
@@ -96,31 +96,38 @@ int main(int argc, char** argv) {
   // counters stay readable for the export below.
   loop.stop();
 
-  // ---- Part 2: a DES run bound into the same registry. The protocol
-  // events are reassembled into ProbeCycleTrace records by
-  // CycleTraceObserver, so the simulation yields the same trace
-  // artifact as the runtime above. ----
+  // ---- Part 2: the same service on the simulator, the deployed
+  // monitor's deterministic twin: three DES DCPP devices, one of which
+  // goes silent, watched through an AsyncPresenceService on
+  // des::Simulation + net::Network. It traces into a ring of its own and
+  // has no registry, so the two engines' counts are not summed; the
+  // registry sees the run through the scheduler bridge. ----
   des::Simulation sim(7);
   telemetry::instrument_simulation(registry, sim, {{"run", "example"}});
   telemetry::ProbeCycleTracer des_tracer(4096);
-  telemetry::CycleTraceObserver des_observer(des_tracer);
-
   auto network = net::Network::make_paper_default(sim.scheduler(), sim.rng());
   core::EntityArena arena;
-  core::DcppDevice sim_device(sim, *network, arena, core::DcppDeviceConfig{},
-                              &des_observer);
-  std::vector<std::unique_ptr<core::DcppControlPoint>> sim_cps;
-  for (int i = 0; i < 5; ++i) {
-    sim_cps.push_back(std::make_unique<core::DcppControlPoint>(
-        sim, *network, arena, sim_device.id(), core::DcppCpConfig{}, &des_observer));
-    sim_cps.back()->start(0.01 * i);
+  std::vector<std::unique_ptr<core::DcppDevice>> sim_devices;
+  for (int i = 0; i < 3; ++i) {
+    sim_devices.push_back(std::make_unique<core::DcppDevice>(
+        sim, *network, arena, core::DcppDeviceConfig{}));
+  }
+  runtime::AsyncPresenceService sim_service(sim, *network, arena,
+                                            {.tracer = &des_tracer});
+  for (std::size_t i = 0; i < sim_devices.size(); ++i) {
+    sim_service.watch_dcpp(sim_devices[i]->id(), core::DcppCpConfig{},
+                           0.01 * static_cast<double>(i));
   }
   sim.run_until(30.0);
-  sim_device.go_silent();
-  sim.run_until(40.0);  // every CP declares absence -> failed cycles too
-  std::cout << "DES run traced " << des_tracer.recorded()
+  sim_devices[1]->go_silent();
+  sim.run_until(40.0);  // the silenced watch fails its cycle and goes absent
+  const bool des_absent = sim_service.presence(sim_devices[1]->id()) ==
+                          runtime::Presence::kAbsent;
+  std::cout << "DES twin traced " << des_tracer.recorded()
             << " probe cycles at " << sim.speedup_ratio()
-            << "x realtime\n\n";
+            << "x realtime; silenced device "
+            << (des_absent ? "declared absent" : "NOT declared absent")
+            << "\n\n";
 
   // ---- Export. ----
   const std::string prometheus = telemetry::to_prometheus(registry);
@@ -156,7 +163,8 @@ int main(int argc, char** argv) {
             << " DES cycles, Chrome trace-event format) and "
             << "telemetry_out/runtime_trace.chrome.json\n";
 
-  // Self-check: the exposition must cover all instrumented layers.
+  // Self-check: the exposition must cover all instrumented layers, and
+  // the twin must have declared its silenced device absent.
   const char* required[] = {
       "probemon_watch_probes_sent_total",
       "probemon_watch_rtt_seconds_bucket",
@@ -175,5 +183,6 @@ int main(int argc, char** argv) {
   std::cout << (ok ? "all expected metric families present."
                    : "exposition incomplete!")
             << '\n';
-  return ok ? 0 : 1;
+  if (!des_absent) std::cout << "DES twin missed the silenced device!\n";
+  return ok && des_absent ? 0 : 1;
 }

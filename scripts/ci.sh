@@ -38,8 +38,8 @@
 #   * clang-tidy over src/ (skipped with a notice when not installed)
 #   * tools/lint.py project rules, plus self-tests that seed violations
 #     (a rand() call, a second ProbeCycle owner, a reply built outside
-#     src/core, ...) in a scratch tree
-#     and require the linter to catch them
+#     src/core, a metric family registered from two files, ...) in a
+#     scratch tree and require the linter to catch them
 #   * a tsan.supp audit (every suppression needs a reason comment)
 #   * a clang -Wthread-safety -Werror=thread-safety build of the whole
 #     tree plus tools/tsa_selftest.py (strip-and-flip proof that the
@@ -504,6 +504,50 @@ EOF
     exit 1
   fi
   echo "    OK (one-device finding produced outside src/core only)"
+
+  # --- static: lint self-test for the one-metric-owner rule -- one
+  # probemon_* family registered from two files under src/ (the second
+  # call spread over lines) must be caught, while either file alone
+  # must pass.
+  echo "==> lint self-test (a metric family with two producers must be caught)"
+  mkdir -p "$SCRATCH/lint_selftest/src/telemetry"
+  cat > "$SCRATCH/lint_selftest/src/runtime/first_owner.cpp" <<'EOF'
+#include "telemetry/registry.hpp"
+void produce(probemon::telemetry::Registry& r) {
+  r.counter("probemon_selftest_total", "Seeded family").inc();
+}
+EOF
+  cat > "$SCRATCH/lint_selftest/src/telemetry/second_owner.cpp" <<'EOF'
+#include "telemetry/registry.hpp"
+void produce_again(probemon::telemetry::Registry* r) {
+  r->counter(
+       "probemon_selftest_total", "Same family, second producer")
+      .inc();
+}
+EOF
+  if python3 "$ROOT/tools/lint.py" --root "$SCRATCH/lint_selftest" \
+       "$SCRATCH/lint_selftest/src/runtime/first_owner.cpp" \
+       "$SCRATCH/lint_selftest/src/telemetry/second_owner.cpp" \
+       > "$SCRATCH/lint_selftest10.out" 2>&1; then
+    echo "    FAILED: linter missed the family with two producers" >&2
+    cat "$SCRATCH/lint_selftest10.out" >&2
+    exit 1
+  fi
+  grep -q 'one-metric-owner' "$SCRATCH/lint_selftest10.out" || {
+    echo "    FAILED: linter flagged something, but not one-metric-owner" >&2
+    cat "$SCRATCH/lint_selftest10.out" >&2
+    exit 1
+  }
+  for one in runtime/first_owner.cpp telemetry/second_owner.cpp; do
+    if ! python3 "$ROOT/tools/lint.py" --root "$SCRATCH/lint_selftest" \
+         "$SCRATCH/lint_selftest/src/$one" \
+         > "$SCRATCH/lint_selftest11.out" 2>&1; then
+      echo "    FAILED: linter flagged a family with one producer ($one)" >&2
+      cat "$SCRATCH/lint_selftest11.out" >&2
+      exit 1
+    fi
+  done
+  echo "    OK (one-metric-owner finding produced for two producers only)"
 
   # --- static: every tsan.supp suppression must carry a reason comment
   # directly above it (stale or unexplained suppressions hide real

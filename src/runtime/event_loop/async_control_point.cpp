@@ -51,13 +51,15 @@ void AsyncControlPointBase::on_device_declared_absent(net::NodeId cp,
 void AsyncControlPointBase::on_absence_learned(net::NodeId cp,
                                                net::NodeId device, double t) {
   callbacks_.observer->on_absence_learned(cp, device, t);
-  finish(false, t, 0.0);  // a bye or notify; any open cycle was dropped
+  // A bye or notify; any open cycle was dropped, not exhausted.
+  finish(false, t, 0.0, /*learned=*/true);
 }
 
 void AsyncControlPointBase::finish(bool success, double end,
-                                   double next_delay) {
+                                   double next_delay, bool learned) {
   CycleInfo info;
   info.success = success;
+  info.learned = learned;
   info.start = open_ ? start_ : end;
   info.end = end;
   info.rtt = success ? end - core_->cycle().last_send_time() : 0.0;
@@ -68,23 +70,25 @@ void AsyncControlPointBase::finish(bool success, double end,
   if (callbacks_.on_cycle) callbacks_.on_cycle(info);
 }
 
-AsyncSappControlPoint::AsyncSappControlPoint(AsyncUdpTransport& transport,
+AsyncSappControlPoint::AsyncSappControlPoint(des::Clock& clock,
+                                             net::Link& link,
+                                             core::EntityArena& arena,
                                              net::NodeId device,
                                              core::SappCpConfig config,
                                              Callbacks callbacks)
     : AsyncControlPointBase(std::move(callbacks)),
-      cp_(transport.loop(), transport, transport.arena(), device, config,
-          this) {
+      cp_(clock, link, arena, device, config, this) {
   bind(cp_);
 }
 
-AsyncDcppControlPoint::AsyncDcppControlPoint(AsyncUdpTransport& transport,
+AsyncDcppControlPoint::AsyncDcppControlPoint(des::Clock& clock,
+                                             net::Link& link,
+                                             core::EntityArena& arena,
                                              net::NodeId device,
                                              core::DcppCpConfig config,
                                              Callbacks callbacks)
     : AsyncControlPointBase(std::move(callbacks)),
-      cp_(transport.loop(), transport, transport.arena(), device, config,
-          this) {
+      cp_(clock, link, arena, device, config, this) {
   bind(cp_);
 }
 

@@ -1,10 +1,12 @@
-// Async control points: the core SAPP and DCPP control points on the
-// event loop. Each adapter owns one core::SappControlPoint or
-// core::DcppControlPoint and runs it on the reactor's port — the
-// EventLoop is its des::Clock, the AsyncUdpTransport its net::Link and
-// the transport's arena() its EntityArena — so the reactor runs the
-// simulator's protocol code, and a CP costs one timer slot and a few
-// hundred bytes.
+// Async control points: the core SAPP and DCPP control points behind
+// the presence service. Each adapter owns one core::SappControlPoint or
+// core::DcppControlPoint and runs it on the port it is given — a
+// des::Clock, a net::Link and the EntityArena it counts into. On the
+// reactor that is the EventLoop, the AsyncUdpTransport and the
+// transport's arena() (the transport constructors bind them); in a
+// simulation it is des::Simulation and net::Network. So both engines
+// run the simulator's protocol code, and a CP costs one timer slot and
+// a few hundred bytes.
 //
 // The adapter is the core CP's ProtocolObserver. It forwards every
 // event to Callbacks::observer (a service's auditor and tracer fan-out)
@@ -14,15 +16,19 @@
 //   * end        — the success or absence instant;
 //   * rtt        — end − the cycle's last send (0 on failure);
 //   * attempts   — probes the cycle sent;
-//   * next_delay — the inter-cycle delay the reply chose (0 on failure).
+//   * next_delay — the inter-cycle delay the reply chose (0 on failure);
+//   * learned    — the absence came from a bye or notify: no cycle
+//                  exhausted its probes.
 //
-// Threading: everything here, the accessors included, is loop-confined
-// (loop thread, or while the loop is not running). A service scraped
-// from other threads keeps its own counts, as AsyncPresenceService does.
+// Threading: everything here, the accessors included, is confined to
+// the engine's thread (on the reactor: the loop thread, or while the
+// loop is not running). A service scraped from other threads keeps its
+// own counts, as AsyncPresenceService does.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "core/dcpp_control_point.hpp"
 #include "core/observer.hpp"
@@ -41,11 +47,13 @@ class AsyncControlPointBase : public core::ProtocolObserver {
     double rtt = 0.0;         ///< last send -> reply; 0 on failure
     double next_delay = 0.0;  ///< inter-cycle delay chosen; 0 on failure
     std::uint8_t attempts = 0;  ///< probes sent in the cycle
+    bool learned = false;  ///< absence learned from a bye or notify
   };
 
   struct Callbacks {
-    /// Invoked once per completed cycle, success or failure. A failed
-    /// cycle is the absence verdict, declared or learned.
+    /// Invoked once per completed cycle, success or failure, and once
+    /// per absence verdict: a declared absence is a failed cycle, a
+    /// learned one (`learned`) ends the watch without one.
     std::function<void(const CycleInfo&)> on_cycle;
     /// Sees every protocol event before on_cycle does; must outlive
     /// the CP.
@@ -96,7 +104,8 @@ class AsyncControlPointBase : public core::ProtocolObserver {
   void bind(core::ControlPointBase& cp) noexcept { core_ = &cp; }
 
  private:
-  void finish(bool success, double end, double next_delay);
+  void finish(bool success, double end, double next_delay,
+              bool learned = false);
 
   Callbacks callbacks_;  ///< observer never null: a no-op stands in
   core::ControlPointBase* core_ = nullptr;
@@ -107,8 +116,13 @@ class AsyncControlPointBase : public core::ProtocolObserver {
 
 class AsyncSappControlPoint final : public AsyncControlPointBase {
  public:
-  AsyncSappControlPoint(AsyncUdpTransport& transport, net::NodeId device,
+  AsyncSappControlPoint(des::Clock& clock, net::Link& link,
+                        core::EntityArena& arena, net::NodeId device,
                         core::SappCpConfig config, Callbacks callbacks = {});
+  AsyncSappControlPoint(AsyncUdpTransport& transport, net::NodeId device,
+                        core::SappCpConfig config, Callbacks callbacks = {})
+      : AsyncSappControlPoint(transport.loop(), transport, transport.arena(),
+                              device, config, std::move(callbacks)) {}
 
   /// Current inter-cycle delay delta (the adaptation state).
   double delta() const noexcept { return cp_.delta(); }
@@ -119,8 +133,13 @@ class AsyncSappControlPoint final : public AsyncControlPointBase {
 
 class AsyncDcppControlPoint final : public AsyncControlPointBase {
  public:
-  AsyncDcppControlPoint(AsyncUdpTransport& transport, net::NodeId device,
+  AsyncDcppControlPoint(des::Clock& clock, net::Link& link,
+                        core::EntityArena& arena, net::NodeId device,
                         core::DcppCpConfig config, Callbacks callbacks = {});
+  AsyncDcppControlPoint(AsyncUdpTransport& transport, net::NodeId device,
+                        core::DcppCpConfig config, Callbacks callbacks = {})
+      : AsyncDcppControlPoint(transport.loop(), transport, transport.arena(),
+                              device, config, std::move(callbacks)) {}
 
  private:
   core::DcppControlPoint cp_;

@@ -16,11 +16,11 @@ const char* to_string(Presence presence) noexcept {
   return "?";
 }
 
-AsyncPresenceService::AsyncPresenceService(AsyncUdpTransport& transport,
+AsyncPresenceService::AsyncPresenceService(des::Clock& clock,
+                                           net::Link& link,
+                                           core::EntityArena& arena,
                                            TelemetryOptions telemetry)
-    : transport_(transport),
-      loop_(transport.loop()),
-      telemetry_(telemetry) {
+    : clock_(clock), link_(link), arena_(arena), telemetry_(telemetry) {
   if (telemetry_.registry) {
     auto& r = *telemetry_.registry;
     transitions_present_ =
@@ -61,27 +61,12 @@ AsyncPresenceService::~AsyncPresenceService() {
     watches_.clear();
     subscribers_.clear();
   }
-  stop_watches(doomed);
-  // The stopped watches are destroyed here (or, when torn down from a
-  // loop callback, on a later loop iteration via the holder task).
+  stop_watches(doomed);  // frees retired_ too, on the engine's thread
 }
 
 void AsyncPresenceService::stop_watches(
     std::unordered_map<net::NodeId, Watch>& watches) {
-  if (watches.empty()) return;
-  if (loop_.on_loop_thread()) {
-    // Possibly inside one of these CPs' callbacks: stop now, but push
-    // destruction to a later iteration so we never free a CP whose
-    // callback frame is still on the stack. The task runs on the loop
-    // thread, where a CP's destructor may touch the transport.
-    for (auto& [id, watch] : watches) watch.cp->stop();
-    auto holder = std::make_shared<std::unordered_map<net::NodeId, Watch>>(
-        std::move(watches));
-    watches.clear();
-    loop_.post([holder] {});
-    return;
-  }
-  if (loop_.running()) {
+  if (off_loop()) {
     // Stop and destroy on the loop thread and wait, so after return no
     // callback can reference this service. The task co-owns the
     // handshake: this caller may see `done`, return and unwind while
@@ -92,10 +77,8 @@ void AsyncPresenceService::stop_watches(
       bool done PROBEMON_GUARDED_BY(mutex) = false;
     };
     auto handshake = std::make_shared<Handshake>();
-    auto* watches_ptr = &watches;
-    loop_.post([handshake, watches_ptr] {
-      for (auto& [id, watch] : *watches_ptr) watch.cp->stop();
-      watches_ptr->clear();
+    loop_->post([this, handshake, &watches] {
+      stop_watches(watches);
       {
         util::MutexLock lock(handshake->mutex);
         handshake->done = true;
@@ -106,8 +89,12 @@ void AsyncPresenceService::stop_watches(
     while (!handshake->done) handshake->cv.wait(handshake->mutex);
     return;
   }
-  // Loop not running: loop-confined calls are legal from this thread.
-  for (auto& [id, watch] : watches) watch.cp->stop();
+  for (auto& [id, watch] : watches) {
+    watch.cp->stop();
+    if (notifying_ > 0) retired_.push_back(std::move(watch.cp));
+  }
+  watches.clear();
+  if (notifying_ == 0) retired_.clear();
 }
 
 std::uint64_t AsyncPresenceService::subscribe(EventCallback callback) {
@@ -151,74 +138,47 @@ AsyncPresenceService::WatchMetrics AsyncPresenceService::make_watch_metrics(
   return metrics;
 }
 
-void AsyncPresenceService::watch_dcpp(net::NodeId device,
-                                      core::DcppCpConfig config,
-                                      double start_jitter_s) {
+template <class Cp, class Config>
+void AsyncPresenceService::add_watch(net::NodeId device, const Config& config,
+                                     double start_jitter_s) {
   {
     util::MutexLock lock(mutex_);
     if (watches_.contains(device)) return;
   }
-  if (loop_.running() && !loop_.on_loop_thread()) {
-    loop_.post([this, device, config, start_jitter_s] {
-      do_watch_dcpp(device, config, start_jitter_s);
+  if (off_loop()) {
+    loop_->post([this, device, config, start_jitter_s] {
+      add_watch<Cp>(device, config, start_jitter_s);
     });
     return;
   }
-  do_watch_dcpp(device, config, start_jitter_s);
-}
-
-void AsyncPresenceService::watch_sapp(net::NodeId device,
-                                      core::SappCpConfig config,
-                                      double start_jitter_s) {
-  {
-    util::MutexLock lock(mutex_);
-    if (watches_.contains(device)) return;
-  }
-  if (loop_.running() && !loop_.on_loop_thread()) {
-    loop_.post([this, device, config, start_jitter_s] {
-      do_watch_sapp(device, config, start_jitter_s);
-    });
-    return;
-  }
-  do_watch_sapp(device, config, start_jitter_s);
-}
-
-void AsyncPresenceService::do_watch_dcpp(net::NodeId device,
-                                         const core::DcppCpConfig& config,
-                                         double start_jitter_s) {
-  adopt_watch(device,
-              std::make_unique<AsyncDcppControlPoint>(
-                  transport_, device, config, make_callbacks(device)),
-              start_jitter_s);
-}
-
-void AsyncPresenceService::do_watch_sapp(net::NodeId device,
-                                         const core::SappCpConfig& config,
-                                         double start_jitter_s) {
-  adopt_watch(device,
-              std::make_unique<AsyncSappControlPoint>(
-                  transport_, device, config, make_callbacks(device)),
-              start_jitter_s);
-}
-
-void AsyncPresenceService::adopt_watch(
-    net::NodeId device, std::unique_ptr<AsyncControlPointBase> cp,
-    double start_jitter_s) {
-  AsyncControlPointBase* raw = cp.get();
+  auto cp = std::make_unique<Cp>(clock_, link_, arena_, device, config,
+                                 make_callbacks(device));
+  Cp& started = *cp;
   // Registered before the lock: a scrape holds the registry's lock while
   // its callbacks may read this service.
   const WatchMetrics metrics = make_watch_metrics(device);
   {
     util::MutexLock lock(mutex_);
-    auto [it, inserted] = watches_.try_emplace(device);
-    if (!inserted) return;  // raced with another watcher; drop ours
-    it->second.cp = std::move(cp);
-    it->second.metrics = metrics;
+    Watch& watch = watches_[device];
+    watch.cp = std::move(cp);
+    watch.metrics = metrics;
     if (watches_gauge_) {
       watches_gauge_->set(static_cast<double>(watches_.size()));
     }
   }
-  raw->start(start_jitter_s);
+  started.start(start_jitter_s);
+}
+
+void AsyncPresenceService::watch_dcpp(net::NodeId device,
+                                      core::DcppCpConfig config,
+                                      double start_jitter_s) {
+  add_watch<AsyncDcppControlPoint>(device, config, start_jitter_s);
+}
+
+void AsyncPresenceService::watch_sapp(net::NodeId device,
+                                      core::SappCpConfig config,
+                                      double start_jitter_s) {
+  add_watch<AsyncSappControlPoint>(device, config, start_jitter_s);
 }
 
 void AsyncPresenceService::unwatch(net::NodeId device) {
@@ -238,10 +198,15 @@ void AsyncPresenceService::unwatch(net::NodeId device) {
 
 void AsyncPresenceService::on_cycle(
     net::NodeId device, const AsyncControlPointBase::CycleInfo& info) {
+  // With no subscriber running, every retired control point has left
+  // its event: an event completes at most one cycle per control point.
+  if (notifying_ == 0) retired_.clear();
+  // A learned absence (bye, notify) is a verdict without a failed cycle.
+  const bool failed = !info.success && !info.learned;
   if (info.success) {
     if (cycles_success_) cycles_success_->inc();
     if (reply_latency_) reply_latency_->observe(info.rtt);
-  } else {
+  } else if (failed) {
     if (cycles_failure_) cycles_failure_->inc();
     if (detection_latency_) detection_latency_->observe(info.end - info.start);
   }
@@ -265,9 +230,11 @@ void AsyncPresenceService::on_cycle(
       watch.next_probe_due = info.end + info.next_delay;
       if (metrics.rtt) metrics.rtt->observe(info.rtt);
     } else {
-      ++watch.cycles_failed;
-      watch.consecutive_failures = info.attempts;
-      watch.next_probe_due = 0.0;  // absence declared: probing stops
+      if (failed) {
+        ++watch.cycles_failed;
+        watch.consecutive_failures = info.attempts;
+      }
+      watch.next_probe_due = 0.0;  // absent: probing stops
     }
     if (watch.state == state) return;  // no transition
     watch.state = state;
@@ -282,7 +249,9 @@ void AsyncPresenceService::on_cycle(
     for (const auto& [token, cb] : subscribers_) to_notify.push_back(cb);
   }
   const PresenceEvent event{device, state, info.end};
+  ++notifying_;
   for (const auto& cb : to_notify) cb(event);
+  --notifying_;
 }
 
 Presence AsyncPresenceService::presence(net::NodeId device) const {

@@ -1,10 +1,18 @@
-// AsyncPresenceService: the embedding API of the real-time runtime.
+// AsyncPresenceService: the embedding API of the presence monitor.
 //
 // An application (a UPnP control point, a smart-home hub) watches many
 // devices at once: watch/unwatch, a presence table, an event stream of
 // transitions, and snapshotWatches() for the /watches route. Each watch
-// is an AsyncControlPoint on the transport's EventLoop, so one service
-// scales to 10^5 watches. What that scale shapes:
+// is an AsyncControlPoint on the service's port — a des::Clock, a
+// net::Link and an EntityArena — so one service runs on every engine:
+//
+//   * on the reactor (the AsyncUdpTransport constructors), it is the
+//     deployed monitor and scales to 10^5 watches on one loop thread;
+//   * on des::Simulation + net::Network, it is that monitor's
+//     deterministic twin: the same watches, counts, metrics and events,
+//     in virtual time, with no sockets.
+//
+// What the scale shapes:
 //
 //   * per-watch metric series (device=<id> labels) are OFF by default
 //     (TelemetryOptions::per_watch_metrics) — 10^5 devices would mint
@@ -15,14 +23,17 @@
 //     presence transitions and the per-watch counts are derived from
 //     it, under one lock per cycle; the tracer and the invariant
 //     auditor see the control points' ProtocolObserver events, as they
-//     do in the simulator (CycleTraceObserver and the auditor's hooks);
-//   * watch_*/unwatch hop onto the loop thread via post() when called
-//     while the loop runs (transport attach/detach are loop-confined),
-//     so watch registration from an HTTP handler is asynchronous —
-//     the watch appears in the table once the loop task runs.
+//     do in the simulator (CycleTraceObserver and the auditor's hooks).
 //
-// Scrapes (presence/snapshot*/stats) are safe from any thread; do not
-// destroy the service from inside one of its own callbacks.
+// Threading. Only the reactor binding can be called from a second
+// thread: watch_*/unwatch and the destructor, called off the loop
+// thread while the loop runs, hop onto it via post() (transport
+// attach/detach are loop-confined). A watch registered from an HTTP
+// handler therefore appears in the table once the loop task runs,
+// while unwatch and the destructor wait for theirs. On any other engine, and on the loop thread, the service is
+// single-threaded and acts at once. Scrapes (presence/snapshot*/stats)
+// are safe from any thread; do not destroy the service from inside one
+// of its own callbacks.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +46,6 @@
 #include "core/config.hpp"
 #include "core/observer_fanout.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
-#include "telemetry/observer_adapter.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
@@ -58,7 +68,7 @@ const char* to_string(Presence presence) noexcept;
 struct PresenceEvent {
   net::NodeId device = net::kInvalidNode;
   Presence state = Presence::kUnknown;
-  double t = 0.0;  ///< loop-clock time of the transition
+  double t = 0.0;  ///< engine-clock time of the transition
 };
 
 class AsyncPresenceService {
@@ -66,7 +76,7 @@ class AsyncPresenceService {
   using EventCallback = std::function<void(const PresenceEvent&)>;
 
   /// Everything an operator dashboard wants to show about one watch.
-  /// Times are loop-clock seconds (EventLoop::now()).
+  /// Times are engine-clock seconds (des::Clock::now()).
   struct WatchInfo {
     net::NodeId device = net::kInvalidNode;
     Presence state = Presence::kUnknown;
@@ -76,14 +86,15 @@ class AsyncPresenceService {
     double last_rtt = 0.0;
     /// Unanswered probes closing the most recent completed cycle:
     /// retransmissions needed before the last reply, or every attempt
-    /// of the final cycle once the device is declared absent.
+    /// of the final cycle once the device is declared absent. A learned
+    /// absence (bye) completes no cycle and leaves it as it was.
     std::uint32_t consecutive_failures = 0;
     std::uint64_t probes_sent = 0;
     std::uint64_t cycles_succeeded = 0;
     std::uint64_t cycles_failed = 0;
     /// When the next probe cycle starts (last cycle end + inter-cycle
     /// delay); 0 while no cycle has completed or once the watch stopped
-    /// probing (device absent).
+    /// probing (device absent, declared or learned).
     double next_probe_due = 0.0;
   };
 
@@ -113,10 +124,21 @@ class AsyncPresenceService {
     bool per_watch_metrics = false;
   };
 
+  /// The service on an engine's port: every watch's control point
+  /// times on `clock`, sends on `link` and counts into `arena`, which
+  /// must all outlive the service.
+  AsyncPresenceService(des::Clock& clock, net::Link& link,
+                       core::EntityArena& arena, TelemetryOptions telemetry);
+  /// The reactor binding: the transport's loop, the transport and its
+  /// arena, plus the loop as the hop from a foreign thread.
   explicit AsyncPresenceService(AsyncUdpTransport& transport)
       : AsyncPresenceService(transport, TelemetryOptions()) {}
   AsyncPresenceService(AsyncUdpTransport& transport,
-                       TelemetryOptions telemetry);
+                       TelemetryOptions telemetry)
+      : AsyncPresenceService(transport.loop(), transport, transport.arena(),
+                             telemetry) {
+    loop_ = &transport.loop();
+  }
   ~AsyncPresenceService();
 
   AsyncPresenceService(const AsyncPresenceService&) = delete;
@@ -128,14 +150,17 @@ class AsyncPresenceService {
   /// Watch a device. `start_jitter_s` delays the first probe cycle —
   /// spread it over [0, d_min) when watching a fleet so cycle starts
   /// desynchronize. No-op if already watched. Runs asynchronously (via
-  /// the loop) when called off-loop while the loop is running.
+  /// the loop) when called off the reactor's loop thread while the loop
+  /// is running.
   void watch_dcpp(net::NodeId device, core::DcppCpConfig config = {},
                   double start_jitter_s = 0.0) PROBEMON_EXCLUDES(mutex_);
   void watch_sapp(net::NodeId device, core::SappCpConfig config = {},
                   double start_jitter_s = 0.0) PROBEMON_EXCLUDES(mutex_);
 
   /// Stop watching; forgets the device's state. The control point is
-  /// stopped and destroyed on the loop thread.
+  /// stopped and destroyed on the engine's thread. Called from one of
+  /// this service's subscriber callbacks, it stops the control point
+  /// at once and destroys it at the service's next step.
   void unwatch(net::NodeId device) PROBEMON_EXCLUDES(mutex_);
 
   /// Current presence verdict (kUnknown if not watched).
@@ -182,28 +207,43 @@ class AsyncPresenceService {
     WatchMetrics metrics;
   };
 
+  /// True when a call must hop onto the reactor's loop thread: bound
+  /// to a running loop and called from another thread.
+  bool off_loop() const noexcept {
+    return loop_ && loop_->running() && !loop_->on_loop_thread();
+  }
   AsyncControlPointBase::Callbacks make_callbacks(net::NodeId device);
   WatchMetrics make_watch_metrics(net::NodeId device);
-  void do_watch_dcpp(net::NodeId device, const core::DcppCpConfig& config,
-                     double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
-  void do_watch_sapp(net::NodeId device, const core::SappCpConfig& config,
-                     double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
-  void adopt_watch(net::NodeId device,
-                   std::unique_ptr<AsyncControlPointBase> cp,
-                   double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
+  /// watch_dcpp/watch_sapp: `Cp` is the adapter, `Config` its config.
+  template <class Cp, class Config>
+  void add_watch(net::NodeId device, const Config& config,
+                 double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
   /// Cycle bookkeeping and the presence transition it implies, under
   /// one lock: a reader never sees the new state without its counts.
   void on_cycle(net::NodeId device,
                 const AsyncControlPointBase::CycleInfo& info)
       PROBEMON_EXCLUDES(mutex_);
-  /// Stop and destroy `watches` on the loop thread (waiting for it when
-  /// off-loop) so no callback can touch `this` afterwards.
+  /// Stop and destroy `watches` on the engine's thread (waiting for the
+  /// loop when off it) so no callback can touch `this` afterwards.
   void stop_watches(std::unordered_map<net::NodeId, Watch>& watches);
 
-  AsyncUdpTransport& transport_;
-  EventLoop& loop_;
+  des::Clock& clock_;
+  net::Link& link_;
+  core::EntityArena& arena_;
+  /// The reactor's loop when bound to a transport, else null: the one
+  /// thing the service needs beyond the port, a hop from a foreign
+  /// thread.
+  EventLoop* loop_ = nullptr;
   TelemetryOptions telemetry_;
-  /// Loop-confined event sinks shared by every watch: the tracer's
+  /// Subscriber callbacks of this service on the stack. While one runs,
+  /// the control point that completed the cycle is still inside its
+  /// own event, so a watch removed there is only stopped and parked in
+  /// retired_, which the next step taken with none running (a completed
+  /// cycle, unwatch, the destructor) frees. Both are engine-confined,
+  /// and nothing that owns a watch is ever left pending on the engine.
+  int notifying_ = 0;
+  std::vector<std::unique_ptr<AsyncControlPointBase>> retired_;
+  /// Engine-confined event sinks shared by every watch: the tracer's
   /// cycle assembler and the auditor.
   std::unique_ptr<telemetry::CycleTraceObserver> trace_observer_;
   core::FanoutObserver observers_;

@@ -1,6 +1,5 @@
 #include "runtime/metrics_push.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "telemetry/export.hpp"
@@ -19,8 +18,6 @@ MetricsPusher::MetricsPusher(const telemetry::Registry& store,
     throw std::invalid_argument("MetricsPusher: collector port required");
   }
 }
-
-MetricsPusher::~MetricsPusher() { stop(); }
 
 bool MetricsPusher::push_once() {
   std::vector<telemetry::Sample> samples;
@@ -59,50 +56,6 @@ bool MetricsPusher::push_once() {
   need_full_ = true;
   failed_.fetch_add(1, std::memory_order_relaxed);
   return false;
-}
-
-void MetricsPusher::start() {
-  util::MutexLock lock(mutex_);
-  if (started_) return;
-  started_ = true;
-  stop_ = false;
-  thread_ = std::thread([this] { run(); });
-}
-
-void MetricsPusher::stop() {
-  std::thread worker;
-  {
-    util::MutexLock lock(mutex_);
-    if (!started_) return;
-    stop_ = true;
-    worker = std::move(thread_);
-  }
-  cv_.notify_all();
-  if (worker.joinable()) worker.join();
-  push_once();  // final state so the collector sees the shutdown values
-  util::MutexLock lock(mutex_);
-  started_ = false;
-}
-
-void MetricsPusher::run() {
-  const auto period =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.period_s));
-  for (;;) {
-    {
-      util::MutexLock lock(mutex_);
-      const auto deadline = std::chrono::steady_clock::now() + period;
-      while (!stop_) {
-        if (cv_.wait_until(mutex_, deadline) == std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (stop_) return;
-    }
-    // Push with the lock dropped: push_once() takes it itself and the
-    // HTTP round-trip must not block stop()/start().
-    push_once();
-  }
 }
 
 }  // namespace probemon::runtime

@@ -1,7 +1,7 @@
 // MetricsPusher: the agent side of the push topology (collector.hpp).
 //
-// Wraps a local Registry and periodically POSTs its state to a
-// collector's /push route as JSON:
+// Wraps a local Registry and POSTs its state to a collector's /push
+// route as JSON, once per push_once() call, on the caller's cadence:
 //
 //   {"agent": "node-7", "full": false, "metrics": [ ...changed... ]}
 //
@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
@@ -35,26 +34,20 @@ class MetricsPusher {
     std::uint16_t port = 0;     ///< collector port (required)
     std::string path = "/push";
     std::string agent;          ///< report identity (required)
-    double period_s = 1.0;      ///< background push cadence
     double timeout_s = 2.0;     ///< per-request socket timeout
   };
 
   /// `store` must outlive the pusher. Throws std::invalid_argument on
   /// an empty agent id or zero port.
   MetricsPusher(const telemetry::Registry& store, Config config);
-  ~MetricsPusher();
 
   MetricsPusher(const MetricsPusher&) = delete;
   MetricsPusher& operator=(const MetricsPusher&) = delete;
 
   /// One synchronous report. Returns true on success (including the
-  /// nothing-changed case where no request is sent).
+  /// nothing-changed case where no request is sent). Safe from any
+  /// thread.
   bool push_once() PROBEMON_EXCLUDES(mutex_);
-
-  /// Start/stop the background thread pushing every period_s seconds
-  /// (plus one final push on stop()). Idempotent.
-  void start() PROBEMON_EXCLUDES(mutex_);
-  void stop() PROBEMON_EXCLUDES(mutex_);
 
   std::uint64_t pushes_ok() const noexcept {
     return ok_.load(std::memory_order_relaxed);
@@ -67,22 +60,16 @@ class MetricsPusher {
   }
 
  private:
-  void run() PROBEMON_EXCLUDES(mutex_);
-
   const telemetry::Registry& store_;
   const Config config_;
   std::atomic<std::uint64_t> ok_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> skipped_{0};  ///< empty deltas not sent
   util::Mutex mutex_{"runtime.MetricsPusher"};
-  util::CondVar cv_;
   /// delta cursor into store_
   std::uint64_t since_ PROBEMON_GUARDED_BY(mutex_) = 0;
   /// first report / resync after failure
   bool need_full_ PROBEMON_GUARDED_BY(mutex_) = true;
-  bool stop_ PROBEMON_GUARDED_BY(mutex_) = false;
-  bool started_ PROBEMON_GUARDED_BY(mutex_) = false;
-  std::thread thread_ PROBEMON_GUARDED_BY(mutex_);
 };
 
 }  // namespace probemon::runtime

@@ -46,7 +46,8 @@ std::vector<AlertRule> default_presence_rules(const DefaultRuleParams& params) {
   latency.op = AlertOp::kGt;
   latency.threshold = params.detection_latency_budget_s;
   latency.for_s = params.detection_latency_for_s;
-  latency.summary = "p99 departure-to-detection latency over budget";
+  latency.summary =
+      "p99 first-unanswered-probe-to-absence latency over budget";
   rules.push_back(std::move(latency));
 
   AlertRule false_alarms;

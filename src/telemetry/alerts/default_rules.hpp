@@ -24,7 +24,8 @@ namespace probemon::telemetry {
 
 struct DefaultRuleParams {
   // --- detection_latency_p99 ------------------------------------------------
-  /// Histogram of departure -> declared-absent latencies.
+  /// Histogram of first unanswered probe -> declared-absent latencies
+  /// (AsyncPresenceService's, on either engine).
   std::string detection_latency_series = "probemon_detection_latency_seconds";
   Labels detection_latency_labels;
   /// Budget: p99 detection latency must stay under this many seconds.

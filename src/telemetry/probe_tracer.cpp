@@ -220,4 +220,50 @@ std::string ProbeCycleTracer::to_chrome_trace() const {
   return w.str();
 }
 
+void CycleTraceObserver::on_probe_sent(net::NodeId cp, net::NodeId device,
+                                       double t, std::uint8_t attempt) {
+  if (attempt == 0) {
+    ProbeCycleTrace trace;
+    trace.cp = cp;
+    trace.device = device;
+    trace.cycle = ++next_cycle_[cp];
+    trace.start = t;
+    trace.sends.push_back(t);
+    trace.attempts = 1;
+    open_[cp] = std::move(trace);
+    return;
+  }
+  auto it = open_.find(cp);
+  if (it == open_.end()) return;  // observer attached mid-cycle
+  it->second.sends.push_back(t);
+  it->second.attempts = static_cast<std::uint8_t>(it->second.sends.size());
+}
+
+void CycleTraceObserver::on_cycle_success(net::NodeId cp, net::NodeId,
+                                          double t, std::uint8_t) {
+  auto it = open_.find(cp);
+  if (it == open_.end()) return;
+  ProbeCycleTrace trace = std::move(it->second);
+  open_.erase(it);
+  trace.end = t;
+  trace.success = true;
+  // Probes sent, not the answered attempt: a late reply to an earlier
+  // probe still completes a cycle that sent every probe in `sends`.
+  trace.attempts = static_cast<std::uint8_t>(trace.sends.size());
+  if (!trace.sends.empty()) trace.rtt = t - trace.sends.back();
+  tracer_.record(trace);
+}
+
+void CycleTraceObserver::on_device_declared_absent(net::NodeId cp,
+                                                   net::NodeId, double t) {
+  auto it = open_.find(cp);
+  if (it == open_.end()) return;
+  ProbeCycleTrace trace = std::move(it->second);
+  open_.erase(it);
+  trace.end = t;
+  trace.success = false;
+  trace.rtt = 0.0;
+  tracer_.record(trace);
+}
+
 }  // namespace probemon::telemetry

@@ -11,13 +11,16 @@
 // The tracer keeps the most recent N records in a ring buffer behind a
 // mutex. Commit happens once per cycle (≥ tens of milliseconds apart per
 // CP), so a mutex is plenty; the hot per-probe path stays in
-// telemetry::Counter territory.
+// telemetry::Counter territory. CycleTraceObserver builds the records
+// from a control point's protocol events, on either engine.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "core/observer.hpp"
 #include "net/message.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -85,6 +88,39 @@ class ProbeCycleTracer {
   /// ring slot the next record lands in
   std::size_t next_ PROBEMON_GUARDED_BY(mutex_) = 0;
   std::uint64_t recorded_ PROBEMON_GUARDED_BY(mutex_) = 0;
+};
+
+/// CycleTraceObserver: protocol events -> ProbeCycleTrace records.
+///
+/// Assembles the per-probe observer stream back into full cycle spans
+/// (first send, retransmissions, resolution) and commits each completed
+/// cycle to a ProbeCycleTracer. AsyncPresenceService feeds it its
+/// control points' events on every engine; a hand-wired DES run can
+/// attach it as an observer too.
+///
+/// Not internally synchronized: the DES kernel and the event loop each
+/// deliver observer events from one thread. The tracer itself is
+/// thread-safe, so snapshotting concurrently from another thread is
+/// fine.
+class CycleTraceObserver final : public core::ProtocolObserver {
+ public:
+  /// `tracer` must outlive the observer.
+  explicit CycleTraceObserver(ProbeCycleTracer& tracer) : tracer_(tracer) {}
+
+  void on_probe_sent(net::NodeId cp, net::NodeId device, double t,
+                     std::uint8_t attempt) override;
+  void on_cycle_success(net::NodeId cp, net::NodeId device, double t,
+                        std::uint8_t attempts) override;
+  void on_device_declared_absent(net::NodeId cp, net::NodeId device,
+                                 double t) override;
+
+  /// Cycles currently in flight (first send seen, no resolution yet).
+  std::size_t open_cycles() const { return open_.size(); }
+
+ private:
+  ProbeCycleTracer& tracer_;
+  std::unordered_map<net::NodeId, ProbeCycleTrace> open_;  ///< keyed by CP
+  std::unordered_map<net::NodeId, std::uint64_t> next_cycle_;
 };
 
 }  // namespace probemon::telemetry

@@ -13,15 +13,15 @@
 #include <thread>
 #include <vector>
 
+#include "core/probemon.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "runtime/event_loop/event_loop.hpp"
-#include "scenario/experiment.hpp"
 #include "telemetry/alerts/alert_engine.hpp"
 #include "telemetry/alerts/default_rules.hpp"
 #include "telemetry/history/history.hpp"
-#include "telemetry/observer_adapter.hpp"
 #include "telemetry/registry.hpp"
 
 namespace probemon {
@@ -291,18 +291,18 @@ TEST(DefaultRules, DeviceLoadReadsALiveReactorDevice) {
   EXPECT_TRUE(found);
 }
 
-/// Run one DES experiment where the device departs mid-run, with the
-/// default detection-latency rule evaluated from simulation time, and
-/// return {observed state sequence, final /alerts JSON}.
+/// Watch one simulated SAPP device through the presence service — the
+/// deployed monitor's deterministic twin — while it departs mid-run,
+/// with the default detection-latency rule evaluated from simulation
+/// time, and return {observed state sequence, final /alerts JSON}.
 std::pair<std::vector<AlertState>, std::string> des_alert_timeline() {
-  scenario::ExperimentConfig config;
-  config.seed = 7;
-  config.initial_cps = 5;
-  scenario::Experiment exp(config);
-
   Registry registry;
-  telemetry::ObserverAdapter adapter(registry);
-  exp.add_observer(adapter);
+  des::Simulation sim(7);
+  auto network = net::Network::make_paper_default(sim.scheduler(), sim.rng());
+  core::EntityArena arena;
+  core::SappDevice device(sim, *network, arena, core::SappDeviceConfig{});
+  runtime::AsyncPresenceService service(sim, *network, arena,
+                                        {.registry = &registry});
 
   TimeSeriesHistory history(registry,
                             {.sample_period_s = 1.0, .slots = 128});
@@ -320,20 +320,19 @@ std::pair<std::vector<AlertState>, std::string> des_alert_timeline() {
     engine.add_rule(rule);
   }
 
-  const double departure_t = 20.0;
-  exp.schedule_device_departure(departure_t);
-  adapter.set_device_departure_time(departure_t);
+  service.watch_sapp(device.id());
+  sim.at(20.0, [&device] { device.go_silent(); });
 
   std::vector<AlertState> states;
-  auto sampler = exp.sim().every(1.0, [&](des::Time t) {
+  auto sampler = sim.every(1.0, [&](des::Time t) {
     history.sample(t);
     engine.evaluate(t);
     for (const auto& status : engine.snapshot()) {
       if (status.rule == "detection_latency_p99") states.push_back(status.state);
     }
   });
-  exp.run_until(80.0);
-  exp.finish();
+  sim.run_until(80.0);
+  EXPECT_EQ(service.presence(device.id()), runtime::Presence::kAbsent);
   return {states, telemetry::alerts_to_json(engine)};
 }
 
@@ -341,7 +340,7 @@ TEST(AlertEngine, DesDepartureDrivesTheFullStateMachine) {
   const auto [states, json] = des_alert_timeline();
 
   // The observed sequence must walk inactive -> pending -> firing ->
-  // resolved in order (SAPP CPs declare absence within seconds of the
+  // resolved in order (the watch declares absence within seconds of the
   // t=20 departure; the 15 s window then empties out).
   auto first = [&](AlertState want) {
     for (std::size_t i = 0; i < states.size(); ++i) {

@@ -24,13 +24,14 @@
 #include <thread>
 #include <vector>
 
-#include "core/fixed_rate_control_point.hpp"
+#include "core/probemon.hpp"
+#include "net/delay_model.hpp"
+#include "net/loss_model.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "runtime/event_loop/event_loop.hpp"
-#include "telemetry/observer_adapter.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 
@@ -1009,8 +1010,8 @@ TEST(AsyncPresence, UnsubscribeStopsEvents) {
 TEST(AsyncPresence, UnwatchFromSubscriberStopsProbing) {
   // A subscriber that unwatches on the first presence event runs inside
   // the CP's own success path, before the CP would arm its next cycle:
-  // the stopped CP must arm nothing (its destruction is deferred to a
-  // later loop iteration, so a timer left behind would fire into freed
+  // the stopped CP must arm nothing (its destruction waits for the
+  // service's next step, so a timer left behind would fire into freed
   // memory).
   EventLoop loop;
   AsyncUdpTransport transport(loop);
@@ -1028,6 +1029,92 @@ TEST(AsyncPresence, UnwatchFromSubscriberStopsProbing) {
   EXPECT_EQ(device.probes_received(), received) << "probing must stop";
   EXPECT_EQ(received, 1u);
   loop.stop();
+}
+
+/// The graceful-leave script's watch: TOF = TOS = 5 s, so only the bye
+/// can end it within the test.
+core::DcppCpConfig leave_cp() {
+  core::DcppCpConfig config = fast_dcpp_cp();
+  config.timeouts.tof = 5.0;
+  config.timeouts.tos = 5.0;
+  return config;
+}
+
+/// A bye is a verdict, not a failed cycle: the service publishes and
+/// counts the absent transition, books no failed cycle and no detection
+/// sample, and leaves the row's failure counts as the last completed
+/// cycle set them.
+void expect_leave_is_a_verdict_only(const AsyncPresenceService& service,
+                                    net::NodeId device,
+                                    telemetry::Registry& registry,
+                                    int absent_events) {
+  EXPECT_EQ(absent_events, 1);
+  EXPECT_EQ(service.presence(device), Presence::kAbsent);
+  EXPECT_EQ(service.stats().cycles_failed, 0u);
+  const auto rows = service.snapshotWatches();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_GE(rows[0].cycles_succeeded, 3u);
+  EXPECT_EQ(rows[0].cycles_failed, 0u);
+  EXPECT_EQ(rows[0].consecutive_failures, 0u);
+  EXPECT_EQ(rows[0].next_probe_due, 0.0);  // probing stopped
+  EXPECT_EQ(registry
+                .counter("probemon_watch_cycles_total", "",
+                         {{"result", "failure"}})
+                .value(),
+            0u);
+  EXPECT_EQ(registry
+                .counter("probemon_presence_transitions_total", "",
+                         {{"state", "absent"}})
+                .value(),
+            1u);
+  EXPECT_EQ(registry
+                .histogram("probemon_detection_latency_seconds",
+                           telemetry::Histogram::exponential_buckets(
+                               0.01, 2.0, 11))
+                .count(),
+            0u);
+}
+
+TEST(AsyncPresence, GracefulLeaveIsNotAFailedCycle) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  telemetry::Registry registry;
+  AsyncPresenceService service(transport, {.registry = &registry});
+  std::atomic<int> absent{0};
+  service.subscribe([&](const PresenceEvent& event) {
+    if (event.state == Presence::kAbsent) ++absent;
+  });
+  service.watch_dcpp(device.id(), leave_cp());
+  loop.start();
+  ASSERT_TRUE(
+      eventually([&] { return service.stats().cycles_succeeded >= 3; }));
+  loop.post([&device] { device.leave_gracefully(); });
+  EXPECT_TRUE(eventually([&] { return absent.load() == 1; }));
+  loop.stop();
+  expect_leave_is_a_verdict_only(service, device.id(), registry,
+                                 absent.load());
+}
+
+TEST(AsyncPresence, GracefulLeaveIsNotAFailedCycleOnTheTwin) {
+  // The same script on the service's deterministic twin.
+  des::Simulation sim(1);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_constant_delay(0.0005), net::make_no_loss());
+  core::EntityArena arena;
+  core::DcppDevice device(sim, network, arena, fast_dcpp_device());
+  telemetry::Registry registry;
+  AsyncPresenceService service(sim, network, arena, {.registry = &registry});
+  int absent = 0;
+  service.subscribe([&](const PresenceEvent& event) {
+    if (event.state == Presence::kAbsent) ++absent;
+  });
+  service.watch_dcpp(device.id(), leave_cp());
+  sim.run_until(0.05);  // one d_min = 20 ms grant per cycle
+  ASSERT_GE(service.stats().cycles_succeeded, 3u);
+  device.leave_gracefully();
+  sim.run_until(sim.now() + 1.0);
+  expect_leave_is_a_verdict_only(service, device.id(), registry, absent);
 }
 
 TEST(AsyncPresence, SnapshotWatchesReportsLiveCycleState) {

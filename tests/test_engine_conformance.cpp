@@ -25,6 +25,17 @@
 // above; the device's probe count, its replies (SAPP pc exactly, DCPP
 // grants within kTolerance) and the CPs' overlays must match; and the
 // bye must end both watches as a learned absence on both engines.
+//
+// The service cases run one runtime::AsyncPresenceService per engine —
+// on the reactor through the transport, on the simulator through
+// des::Simulation + net::Network, its deterministic twin — over four
+// core devices, a DCPP and a SAPP one leaving gracefully and a DCPP
+// and a SAPP one going silent after their sixth probe, watched 20 ms
+// apart. The presence events, the table rows and the traced cycles
+// must match, times within kTolerance. The twin also keeps the
+// reactor's teardown rules: a watch removed from a subscriber callback
+// stops at once and is freed by the service, never by an event left
+// on the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,8 +51,10 @@
 #include "net/delay_model.hpp"
 #include "net/loss_model.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
+#include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "runtime/event_loop/event_loop.hpp"
+#include "telemetry/probe_tracer.hpp"
 
 namespace probemon {
 namespace {
@@ -565,6 +578,275 @@ TEST(EngineConformance, DcppDeviceMatchesAcrossEngines) {
   // Both overlays: the other prober.
   EXPECT_EQ(des.overlays[0], std::vector<net::NodeId>{des.cp_ids[1]});
   EXPECT_EQ(des.overlays[1], std::vector<net::NodeId>{des.cp_ids[0]});
+}
+
+
+// --- the presence service on both engines ----------------------------------
+
+using runtime::AsyncPresenceService;
+using runtime::Presence;
+using runtime::PresenceEvent;
+
+/// The four watched devices: which protocol, and whether the device
+/// leaves gracefully (bye) or goes silent after kProbesBeforeLeave.
+struct FleetDevice {
+  Protocol protocol;
+  bool graceful;
+};
+constexpr std::array<FleetDevice, 4> kFleet{{{Protocol::kDcpp, true},
+                                             {Protocol::kDcpp, false},
+                                             {Protocol::kSapp, true},
+                                             {Protocol::kSapp, false}}};
+constexpr double kWatchStagger = 0.02;
+
+struct ServiceRun {
+  std::vector<PresenceEvent> events;  ///< times relative to t0
+  std::vector<AsyncPresenceService::WatchInfo> rows;
+  std::vector<telemetry::ProbeCycleTrace> traces;  ///< times relative to t0
+};
+
+/// Builds kFleet on an engine's port, each device ended by its
+/// `enders` entry. The devices must outlive the watches.
+template <class Server>
+std::vector<std::unique_ptr<core::BasicDevice<Server>>> make_fleet(
+    typename Server::Clock& clock, net::Link& link, core::EntityArena& arena,
+    std::array<LeaveAfterProbes, kFleet.size()>& enders) {
+  std::vector<std::unique_ptr<core::BasicDevice<Server>>> devices;
+  for (std::size_t i = 0; i < kFleet.size(); ++i) {
+    devices.push_back(make_device<Server>(kFleet[i].protocol, clock, link,
+                                          arena, &enders[i]));
+    auto* device = devices.back().get();
+    enders[i].leave = [device, graceful = kFleet[i].graceful] {
+      if (graceful) {
+        device->leave_gracefully();
+      } else {
+        device->go_silent();
+      }
+    };
+  }
+  return devices;
+}
+
+template <class Device>
+void watch_all(AsyncPresenceService& service,
+               const std::vector<std::unique_ptr<Device>>& devices) {
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const double jitter = kWatchStagger * static_cast<double>(i);
+    if (kFleet[i].protocol == Protocol::kSapp) {
+      service.watch_sapp(devices[i]->id(), sapp_config(), jitter);
+    } else {
+      service.watch_dcpp(devices[i]->id(), dcpp_config(), jitter);
+    }
+  }
+}
+
+ServiceRun collect_service(const AsyncPresenceService& service,
+                           const telemetry::ProbeCycleTracer& tracer,
+                           std::vector<PresenceEvent> events, double t0) {
+  ServiceRun run;
+  run.events = std::move(events);
+  for (auto& event : run.events) event.t -= t0;
+  run.rows = service.snapshotWatches();
+  run.traces = tracer.snapshot();
+  for (auto& trace : run.traces) {
+    trace.start -= t0;
+    trace.end -= t0;
+  }
+  return run;
+}
+
+ServiceRun run_service_des() {
+  des::Simulation sim(1);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_constant_delay(kNetDelay),
+                       net::make_no_loss());
+  core::EntityArena arena;
+  std::array<LeaveAfterProbes, kFleet.size()> enders{
+      LeaveAfterProbes(sim), LeaveAfterProbes(sim), LeaveAfterProbes(sim),
+      LeaveAfterProbes(sim)};
+  auto devices = make_fleet<core::SerialServer>(sim, network, arena, enders);
+  telemetry::ProbeCycleTracer tracer;
+  AsyncPresenceService service(sim, network, arena, {.tracer = &tracer});
+  std::vector<PresenceEvent> events;
+  service.subscribe([&events](const PresenceEvent& e) { events.push_back(e); });
+  watch_all(service, devices);
+  sim.run_until(10.0);
+  return collect_service(service, tracer, events, 0.0);
+}
+
+ServiceRun run_service_reactor() {
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
+  std::array<LeaveAfterProbes, kFleet.size()> enders{
+      LeaveAfterProbes(loop), LeaveAfterProbes(loop), LeaveAfterProbes(loop),
+      LeaveAfterProbes(loop)};
+  auto devices = make_fleet<core::InlineServer>(loop, transport,
+                                                transport.arena(), enders);
+  telemetry::ProbeCycleTracer tracer;
+  AsyncPresenceService service(transport, {.tracer = &tracer});
+  std::vector<PresenceEvent> events;  // loop thread; read after stop()
+  std::atomic<int> absent{0};
+  service.subscribe([&](const PresenceEvent& e) {
+    events.push_back(e);
+    if (e.state == Presence::kAbsent) ++absent;
+  });
+  const double t0 = loop.now();
+  watch_all(service, devices);  // the loop is not running: direct path
+  loop.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (absent.load() < static_cast<int>(kFleet.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  loop.stop();  // joins the loop thread: its records are ours to read
+  return collect_service(service, tracer, events, t0);
+}
+
+/// Start of the latest traced cycle of `device` that began by `t`: the
+/// anchor a presence event's time is compared from.
+double anchor(const ServiceRun& run, net::NodeId device, double t) {
+  double start = 0.0;
+  for (const auto& trace : run.traces) {
+    if (trace.device == device && trace.start <= t) {
+      start = std::max(start, trace.start);
+    }
+  }
+  return start;
+}
+
+std::vector<telemetry::ProbeCycleTrace> traces_of(const ServiceRun& run,
+                                                  net::NodeId device) {
+  std::vector<telemetry::ProbeCycleTrace> out;
+  for (const auto& trace : run.traces) {
+    if (trace.device == device) out.push_back(trace);
+  }
+  return out;
+}
+
+TEST(EngineConformance, PresenceServiceMatchesAcrossEngines) {
+  const ServiceRun des = run_service_des();
+  const ServiceRun rt = run_service_reactor();
+
+  // Events: every device present once, then absent once, in one order.
+  ASSERT_EQ(des.events.size(), 2 * kFleet.size());
+  ASSERT_EQ(rt.events.size(), des.events.size());
+  for (std::size_t i = 0; i < des.events.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "event " << i + 1);
+    const PresenceEvent& d = des.events[i];
+    const PresenceEvent& r = rt.events[i];
+    EXPECT_EQ(r.device, d.device);
+    EXPECT_EQ(r.state, d.state);
+    EXPECT_EQ(d.state,
+              i < kFleet.size() ? Presence::kPresent : Presence::kAbsent);
+    EXPECT_NEAR(r.t - anchor(rt, r.device, r.t),
+                d.t - anchor(des, d.device, d.t), kTolerance);
+  }
+
+  // Rows: a bye ends a watch without a failed cycle; silence ends it
+  // with one cycle of 1 + max_retransmissions unanswered probes.
+  ASSERT_EQ(des.rows.size(), kFleet.size());
+  ASSERT_EQ(rt.rows.size(), des.rows.size());
+  const auto exhausted =
+      static_cast<std::uint32_t>(timeouts().max_retransmissions + 1);
+  for (std::size_t i = 0; i < des.rows.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "watch " << i + 1);
+    const auto& d = des.rows[i];
+    const auto& r = rt.rows[i];
+    EXPECT_EQ(r.device, d.device);
+    EXPECT_EQ(r.state, Presence::kAbsent);
+    EXPECT_EQ(d.state, Presence::kAbsent);
+    EXPECT_EQ(r.probes_sent, d.probes_sent);
+    EXPECT_EQ(r.cycles_succeeded, d.cycles_succeeded);
+    EXPECT_EQ(r.cycles_failed, d.cycles_failed);
+    EXPECT_EQ(r.consecutive_failures, d.consecutive_failures);
+    EXPECT_EQ(d.cycles_succeeded, kProbesBeforeLeave);
+    EXPECT_EQ(d.cycles_failed, kFleet[i].graceful ? 0u : 1u);
+    EXPECT_EQ(d.consecutive_failures, kFleet[i].graceful ? 0u : exhausted);
+  }
+
+  // Traced cycles, per device: same outcomes, same spans and gaps.
+  for (const auto& row : des.rows) {
+    SCOPED_TRACE(testing::Message() << "device " << row.device);
+    const auto d = traces_of(des, row.device);
+    const auto r = traces_of(rt, row.device);
+    EXPECT_EQ(d.size(), row.cycles_succeeded + row.cycles_failed);
+    ASSERT_EQ(r.size(), d.size());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "cycle " << i + 1);
+      EXPECT_EQ(r[i].cycle, d[i].cycle);
+      EXPECT_EQ(r[i].attempts, d[i].attempts);
+      EXPECT_EQ(r[i].success, d[i].success);
+      EXPECT_NEAR(r[i].end - r[i].start, d[i].end - d[i].start, kTolerance);
+      if (i > 0) {
+        EXPECT_NEAR(r[i].start - r[i - 1].end, d[i].start - d[i - 1].end,
+                    kTolerance);
+      }
+    }
+  }
+}
+
+TEST(EngineConformance, UnwatchFromSubscriberStopsProbingOnTheTwin) {
+  // AsyncPresence.UnwatchFromSubscriberStopsProbing on the simulator.
+  // The first device's watch is removed from the subscriber that hears
+  // it turn present; the second one keeps probing, and its next
+  // completed cycle frees the stopped control point.
+  des::Simulation sim(1);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_constant_delay(kNetDelay),
+                       net::make_no_loss());
+  core::EntityArena arena;
+  auto dropped = make_device<core::SerialServer>(Protocol::kDcpp, sim,
+                                                 network, arena, nullptr);
+  auto kept = make_device<core::SerialServer>(Protocol::kDcpp, sim, network,
+                                              arena, nullptr);
+  AsyncPresenceService service(sim, network, arena, {});
+  service.subscribe([&](const PresenceEvent& event) {
+    if (event.device == dropped->id() && event.state == Presence::kPresent) {
+      service.unwatch(event.device);
+    }
+  });
+  service.watch_dcpp(dropped->id(), dcpp_config());
+  service.watch_dcpp(kept->id(), dcpp_config(), kCpStagger);
+  sim.run_until(kCpStagger / 2);  // the first cycle only
+  EXPECT_EQ(service.watch_count(), 1u);
+  EXPECT_EQ(arena.cp_in_use(), 2u);  // stopped, not yet freed
+  sim.run_until(5.0);
+  EXPECT_EQ(dropped->probes_received(), 1u) << "probing must stop";
+  EXPECT_GT(kept->probes_received(), 10u);
+  EXPECT_EQ(arena.cp_in_use(), 1u);
+  EXPECT_EQ(service.presence(kept->id()), Presence::kPresent);
+}
+
+TEST(EngineConformance, TwinTeardownAfterInCallbackUnwatch) {
+  // Torn down in the order the simulations in this repo use: the
+  // service, then the device, the Network and the arena, then the
+  // Simulation. A watch removed from a subscriber callback must not be
+  // left on the simulation's event queue, where destroying it would
+  // detach from a freed network (ASan).
+  auto sim = std::make_unique<des::Simulation>(1);
+  auto network = std::make_unique<net::Network>(
+      sim->scheduler(), sim->rng(), net::NetworkConfig{},
+      net::make_constant_delay(kNetDelay), net::make_no_loss());
+  auto arena = std::make_unique<core::EntityArena>();
+  auto device = make_device<core::SerialServer>(Protocol::kSapp, *sim,
+                                                *network, *arena, nullptr);
+  auto service = std::make_unique<AsyncPresenceService>(
+      *sim, *network, *arena, AsyncPresenceService::TelemetryOptions{});
+  service->subscribe([&service](const PresenceEvent& event) {
+    service->unwatch(event.device);
+  });
+  service->watch_sapp(device->id(), sapp_config());
+  sim->run_until(1.0);
+  EXPECT_EQ(service->watch_count(), 0u);
+  EXPECT_EQ(device->probes_received(), 1u);
+  EXPECT_EQ(arena->cp_in_use(), 1u);  // parked in the service
+  service.reset();
+  EXPECT_EQ(arena->cp_in_use(), 0u);
+  device.reset();
+  network.reset();
+  arena.reset();
+  sim.reset();
 }
 
 }  // namespace

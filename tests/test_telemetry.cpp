@@ -24,7 +24,6 @@
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metric.hpp"
-#include "telemetry/observer_adapter.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 #include "util/logging.hpp"

@@ -84,6 +84,16 @@ Rules (suppress a line with ``NOLINT(<rule>)`` plus a reason comment):
                      is growing (a reactor copy once dropped the
                      last-probers piggyback, bye and adaptive Delta).
                      Comparisons against kReply are not covered.
+  one-metric-owner   A probemon_* metric family has one producer. The
+                     same name passed as the first argument of a Registry
+                     registration (counter, gauge, histogram,
+                     counter_callback, gauge_callback; the call may span
+                     lines) from more than one file under src/ means two
+                     producers, and their meanings drift (a simulator
+                     sink once recorded departure-to-declaration under
+                     the service's first-unanswered-probe-to-declaration
+                     name). Names read back by queries, such as the
+                     default alert rules' series, are not registrations.
 
 Usage:
   tools/lint.py                  # lint src/ under the repo root
@@ -183,6 +193,13 @@ PROBE_CYCLE = re.compile(r"\bProbeCycle\b")
 REPLY_BUILT = re.compile(
     r"(?<![=!<>])=(?!=)\s*(?:\w+::)*MessageKind::kReply\b")
 
+# one-metric-owner: a probemon_* family name as the first argument of a
+# Registry registration, matched over a file's code with comments
+# removed and string literals kept, so a call may span lines.
+METRIC_REGISTRATION = re.compile(
+    r"(?:\.|->)\s*(?:counter|gauge|histogram|counter_callback"
+    r"|gauge_callback)\s*\(\s*\"(probemon_[A-Za-z0-9_]*)\"")
+
 NOLINT = re.compile(r"NOLINT\(([^)]*)\)")
 
 RULES = {
@@ -212,6 +229,9 @@ RULES = {
     "one-device":
         "MessageKind::kReply is assigned only under src/core/ (one "
         "device owner: core::BasicDevice)",
+    "one-metric-owner":
+        "each probemon_* family is registered from one file under src/ "
+        "(one producer, one meaning)",
 }
 
 
@@ -235,6 +255,22 @@ def strip_noise(line: str) -> str:
         out.append(c)
         i += 1
     return "".join(out)
+
+
+def strip_comments(line: str) -> str:
+    """Cut a // comment, keeping string literals intact."""
+    i, n = 0, len(line)
+    while i < n:
+        c = line[i]
+        if c == "/" and i + 1 < n and line[i + 1] == "/":
+            return line[:i]
+        if c in "\"'":
+            quote = c
+            i += 1
+            while i < n and line[i] != quote:
+                i += 2 if line[i] == "\\" else 1
+        i += 1
+    return line
 
 
 def suppressed(line: str, rule: str) -> bool:
@@ -385,6 +421,63 @@ def lint_file(path: pathlib.Path, rel: pathlib.Path) -> list[Finding]:
     return findings
 
 
+def metric_registrations(path: pathlib.Path, rel: pathlib.Path
+                         ) -> list[tuple[str, int]]:
+    """(family name, line) of each probemon_* registration in a src/ file."""
+    if "src" not in rel.parts:
+        return []
+    try:
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError:
+        return []
+    code = []
+    in_block_comment = False
+    for raw in lines:
+        line = raw
+        if in_block_comment:
+            end = line.find("*/")
+            if end < 0:
+                code.append("")
+                continue
+            line = line[end + 2:]
+            in_block_comment = False
+        start = line.find("/*")
+        if start >= 0:
+            end = line.find("*/", start + 2)
+            if end < 0:
+                in_block_comment = True
+                line = line[:start]
+            else:
+                line = line[:start] + line[end + 2:]
+        code.append(strip_comments(line))
+    text = "\n".join(code)
+    out = []
+    for m in METRIC_REGISTRATION.finditer(text):
+        lineno = text.count("\n", 0, m.start(1)) + 1
+        if not suppressed(lines[lineno - 1], "one-metric-owner"):
+            out.append((m.group(1), lineno))
+    return out
+
+
+def one_metric_owner(sites: dict[str, list[tuple[pathlib.Path, int]]]
+                     ) -> list[Finding]:
+    """One finding per family registered from more than one file."""
+    findings = []
+    for name, where in sorted(sites.items()):
+        files = sorted({rel for rel, _ in where}, key=str)
+        if len(files) < 2:
+            continue
+        first = min(where, key=lambda site: (str(site[0]), site[1]))
+        listed = ", ".join(
+            f"{rel}:{min(line for r, line in where if r == rel)}"
+            for rel in files)
+        findings.append(Finding(
+            first[0], first[1], "one-metric-owner",
+            f"{name} is registered from {len(files)} files ({listed}) — "
+            "give the family one producer and read it from there"))
+    return findings
+
+
 def collect_files(root: pathlib.Path, paths: list[str]) -> list[pathlib.Path]:
     if paths:
         return [pathlib.Path(p).resolve() for p in paths]
@@ -416,12 +509,16 @@ def main() -> int:
     root = args.root.resolve()
     findings: list[Finding] = []
     files = collect_files(root, args.paths)
+    metric_sites: dict[str, list[tuple[pathlib.Path, int]]] = {}
     for path in files:
         try:
             rel = path.relative_to(root)
         except ValueError:
             rel = path
         findings.extend(lint_file(path, rel))
+        for name, line in metric_registrations(path, rel):
+            metric_sites.setdefault(name, []).append((rel, line))
+    findings.extend(one_metric_owner(metric_sites))
 
     for finding in findings:
         print(finding)
