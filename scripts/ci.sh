@@ -60,6 +60,9 @@
 #     reactor service) plus the metric store's concurrency
 #     tests (Registry, LabelInterner, DeltaExporter, ThreadSafety*),
 #     then the whole suite under it as its own step
+#   * a sampleprof smoke: tools/sampleprof/sampleprof.so preloaded into
+#     a short bench_rt_scale run; report.py must print a non-empty
+#     per-layer table
 # and writes bench_out/analysis_summary.json with machine-readable
 # results (invariant violations, tidy warning count, lint findings,
 # the TSan legs).
@@ -663,6 +666,26 @@ EOF
      "$BUILD/bench/bench_rt_scale" --endpoints=100000 --duration=3 \
        --d-min=0.5)
 
+  # --- profile: the SIGPROF sampler (tools/sampleprof/) preloaded into a
+  # short bench_rt_scale run must write its samples, and report.py must
+  # attribute the loop thread's to layers -- the tool behind the
+  # per-layer splits in docs/performance.md. A smoke, not a measurement.
+  echo "==> sampleprof smoke (bench_rt_scale under the SIGPROF sampler)"
+  mkdir -p "$SCRATCH/sampleprof"
+  (cd "$SCRATCH/sampleprof" &&
+     LD_PRELOAD="$BUILD/tools/sampleprof.so" \
+       "$BUILD/bench/bench_rt_scale" --endpoints=20000 --duration=2 \
+       >/dev/null)
+  SAMPLEPROF_CAPTURE="$(ls "$SCRATCH"/sampleprof/sampleprof.*.txt | head -1)"
+  python3 "$ROOT/tools/sampleprof/report.py" "$SAMPLEPROF_CAPTURE" \
+    > "$SCRATCH/sampleprof.out"
+  cat "$SCRATCH/sampleprof.out"
+  awk -F'|' '$3 ~ /^ *[0-9]+ *$/ {n += $3} END {exit !(n > 0)}' \
+    "$SCRATCH/sampleprof.out" || {
+    echo "    FAILED: sampleprof produced an empty layer table" >&2
+    exit 1
+  }
+
   # --- dynamic: thread,undefined build, two always-on steps. The
   # reactor leg: start/stop churn under a concurrent scrape,
   # cross-thread post(), the async transport/presence stack and its
@@ -677,7 +700,7 @@ EOF
   TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
   TSAN_REACTOR='EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)'
   TSAN_REACTOR+='|HttpRoutes\.WatchesAndHealthzOverLiveService'
-  TSAN_REACTOR+='|InvariantAuditor\.RuntimeWatchAuditsToZero'
+  TSAN_REACTOR+='|InvariantAuditor\.(RuntimeWatchAuditsToZero|RemoteDeviceIdIsCountedSparsely)'
   TSAN_REACTOR+='|PresenceServiceTelemetry\.|TransportTelemetry\.'
   TSAN_REACTOR+='|DefaultRules\.DeviceLoadReadsALiveReactorDevice'
   TSAN_REACTOR+='|EngineConformance\.'
@@ -722,6 +745,7 @@ json.dump({
     "tsa_selftest": tsa_selftest,
     "tsa_ran": tsa_build == "passed",
     "lock_order_smoke": "passed",
+    "sampleprof_smoke": "passed",
 }, open(out, "w"), indent=2)
 print(f"==> wrote {out}")
 EOF

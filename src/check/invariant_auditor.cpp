@@ -107,18 +107,16 @@ void InvariantAuditor::on_probe_received(net::NodeId device, net::NodeId /*cp*/,
     record(Invariant::kCounterConsistency, out.str());
   }
   if (config_.load_l_nom > 0) {
-    state.recent_receives.push_back(t);
+    std::deque<double>& window = load_windows_[device];
+    window.push_back(t);
     const double horizon = t - config_.load_window;
-    while (!state.recent_receives.empty() &&
-           state.recent_receives.front() < horizon) {
-      state.recent_receives.pop_front();
-    }
+    while (!window.empty() && window.front() < horizon) window.pop_front();
     const double limit =
         config_.load_beta * config_.load_l_nom * config_.load_window +
         config_.load_slack_probes;
-    if (static_cast<double>(state.recent_receives.size()) > limit) {
+    if (static_cast<double>(window.size()) > limit) {
       std::ostringstream out;
-      out << "device " << device << " saw " << state.recent_receives.size()
+      out << "device " << device << " saw " << window.size()
           << " probes in the last " << config_.load_window << "s at t=" << t
           << " (limit " << limit << " = beta*L_nom*window + slack)";
       record(Invariant::kDeviceLoad, out.str());
@@ -129,9 +127,9 @@ void InvariantAuditor::on_probe_received(net::NodeId device, net::NodeId /*cp*/,
 void InvariantAuditor::on_cycle_success(net::NodeId cp, net::NodeId /*device*/,
                                         double t, std::uint8_t attempts) {
   util::MutexLock lock(mutex_);
-  auto it = cycles_.find(cp);
-  if (it == cycles_.end()) return;  // attached mid-stream; cannot judge
-  CycleState& cycle = it->second;
+  CycleState* found = cycles_.find(cp);
+  if (!found) return;  // attached mid-stream; cannot judge
+  CycleState& cycle = *found;
   if (!cycle.open) {
     std::ostringstream out;
     out << "cp " << cp << " reported cycle success at t=" << t
@@ -171,9 +169,9 @@ void InvariantAuditor::on_device_declared_absent(net::NodeId cp,
                                                  net::NodeId /*device*/,
                                                  double t) {
   util::MutexLock lock(mutex_);
-  auto it = cycles_.find(cp);
-  if (it == cycles_.end()) return;  // attached mid-stream
-  CycleState& cycle = it->second;
+  CycleState* found = cycles_.find(cp);
+  if (!found) return;  // attached mid-stream
+  CycleState& cycle = *found;
   if (!cycle.open) {
     std::ostringstream out;
     out << "cp " << cp << " declared absence at t=" << t

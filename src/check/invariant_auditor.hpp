@@ -43,6 +43,12 @@
 // itself; in PROBEMON_CHECKED builds scenario::Experiment::finish()
 // turns a non-zero tally into a PROBEMON_INVARIANT failure.
 //
+// Storage: one CycleState per control point and one DeviceState per
+// device, in util::FlatIdMap tables keyed by NodeId, so each hook
+// reaches its records with one hash probe and no node hop. The opt-in
+// load window keeps its receive instants in a side table that only
+// on_probe_received touches, and only when load_l_nom > 0.
+//
 // Thread-safety: the observer hooks serialize on an internal mutex, so
 // feeding them from the DES loop or from event-loop threads is safe.
 // audit_cycle()/audit_tracer() are safe from any thread. The auditor
@@ -63,6 +69,7 @@
 #include "core/observer.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
+#include "util/flat_id_map.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace probemon::check {
@@ -166,15 +173,14 @@ class InvariantAuditor final : public core::ProtocolObserver {
  private:
   struct CycleState {
     bool open = false;
-    int sends = 0;
     std::uint8_t last_attempt = 0;
+    int sends = 0;
   };
   struct DeviceState {
     std::uint64_t probes_sent_to = 0;
     std::uint64_t probes_received = 0;
     double frontier = 0.0;  ///< last granted slot instant
     bool frontier_known = false;
-    std::deque<double> recent_receives;  ///< load window (when enabled)
   };
 
   void record(Invariant invariant, std::string detail)
@@ -189,9 +195,11 @@ class InvariantAuditor final : public core::ProtocolObserver {
 
   /// Lock order: mutex_ -> reports_mutex_ (record() runs under mutex_).
   mutable util::Mutex mutex_{"check.InvariantAuditor"};
-  std::unordered_map<net::NodeId, CycleState> cycles_
-      PROBEMON_GUARDED_BY(mutex_);
-  std::unordered_map<net::NodeId, DeviceState> devices_
+  util::FlatIdMap<CycleState> cycles_ PROBEMON_GUARDED_BY(mutex_);
+  util::FlatIdMap<DeviceState> devices_ PROBEMON_GUARDED_BY(mutex_);
+  /// Receive instants inside the load window, per device (load_l_nom
+  /// > 0 only).
+  std::unordered_map<net::NodeId, std::deque<double>> load_windows_
       PROBEMON_GUARDED_BY(mutex_);
   mutable util::Mutex reports_mutex_{"check.InvariantAuditor.reports"};
   /// bounded diagnostics ring (record() only)

@@ -34,10 +34,11 @@ ControlPointBase::~ControlPointBase() {
 void ControlPointBase::start(double initial_jitter) {
   if (state_.running) return;
   state_.running = true;
+  const double t = clock_.now();
   if (initial_jitter > 0) {
-    arm(initial_jitter);
+    arm(t + initial_jitter);
   } else {
-    begin_cycle();
+    begin_cycle(t);
   }
 }
 
@@ -48,11 +49,11 @@ void ControlPointBase::stop() {
   if (link_.attached(id_)) link_.detach(id_);
 }
 
-void ControlPointBase::arm(double delay) {
+void ControlPointBase::arm(double deadline) {
   disarm();
   auto fire = [this] { on_timer(); };
   static_assert(des::InlineCallback::fits_inline<decltype(fire)>);
-  timer_ = clock_.schedule_after(delay, std::move(fire));
+  timer_ = clock_.schedule_at(deadline, std::move(fire));
 }
 
 void ControlPointBase::disarm() {
@@ -64,25 +65,26 @@ void ControlPointBase::disarm() {
 
 void ControlPointBase::on_timer() {
   timer_ = des::EventId{};
+  const double t = clock_.now();  // the event's one clock read
   if (!cycle_.active()) {
-    begin_cycle();  // the inter-cycle delay (or start jitter) is over
-  } else if (cycle_.expire(clock_.now())) {
-    transmit();
+    begin_cycle(t);  // the inter-cycle delay (or start jitter) is over
+  } else if (cycle_.expire(t)) {
+    transmit(t);
   } else {
-    handle_failure();
+    handle_failure(t);
   }
 }
 
-void ControlPointBase::begin_cycle() {
-  cycle_.start(clock_.now());
-  transmit();
+void ControlPointBase::begin_cycle(double t) {
+  cycle_.start(t);
+  transmit(t);
 }
 
-void ControlPointBase::transmit() {
+void ControlPointBase::transmit(double t) {
   // Arm the timeout BEFORE handing the probe to the network: the send
   // path may deliver synchronously in unit tests with zero delay, and the
   // reply handler must find a consistent (armed) cycle to cancel.
-  arm(cycle_.timeout());
+  arm(t + cycle_.timeout());
   net::Message probe;
   probe.kind = net::MessageKind::kProbe;
   probe.from = id_;
@@ -101,50 +103,48 @@ void ControlPointBase::cancel_cycle() {
   disarm();
 }
 
-void ControlPointBase::schedule_cycle(double delay) {
+void ControlPointBase::schedule_cycle(double t, double delay) {
   PROBEMON_CONTRACT(std::isfinite(delay) && delay >= 0,
                     "inter-cycle delay must be finite and non-negative, got "
                         << delay);
   state_.current_delay = delay;
-  if (observer_) observer_->on_delay_updated(id_, clock_.now(), delay);
+  if (observer_) observer_->on_delay_updated(id_, t, delay);
   // An observer may have stopped this CP; a stopped CP keeps no timer.
-  if (state_.running) arm(delay);
+  if (state_.running) arm(t + delay);
 }
 
-void ControlPointBase::handle_success(const net::Message& reply) {
+void ControlPointBase::handle_success(const net::Message& reply, double t) {
   if (!state_.running) return;
   learn_overlay(reply);
   if (observer_) {
     observer_->on_cycle_success(
-        id_, device_, clock_.now(),
-        static_cast<std::uint8_t>(reply.attempt + 1));
+        id_, device_, t, static_cast<std::uint8_t>(reply.attempt + 1));
   }
   // A successful probe is evidence of presence: clear a stale verdict
   // (e.g. the device came back after a silent period).
   state_.device_present = true;
-  schedule_cycle(std::max(0.0, delay_after_success(reply)));
+  schedule_cycle(t, std::max(0.0, delay_after_success(reply, t)));
 }
 
-void ControlPointBase::handle_failure() {
+void ControlPointBase::handle_failure(double t) {
   if (!state_.running) return;
-  mark_absent(/*learned=*/false);
+  mark_absent(t, /*learned=*/false);
   if (continue_after_absence_) {
-    schedule_cycle(std::max(0.0, delay_after_failure()));
+    schedule_cycle(t, std::max(0.0, delay_after_failure()));
   }
 }
 
-void ControlPointBase::mark_absent(bool learned) {
+void ControlPointBase::mark_absent(double t, bool learned) {
   CpState& st = state_;
   const bool was_present = st.device_present;
   st.device_present = false;
   if (was_present) {
-    const double now = clock_.now();
-    st.absence_time = now;
+    st.absence_time = t;
     if (observer_) {
       if (learned) {
-        observer_->on_absence_learned(id_, device_, now);
+        observer_->on_absence_learned(id_, device_, t);
       } else {
-        observer_->on_device_declared_absent(id_, device_, now);
+        observer_->on_device_declared_absent(id_, device_, t);
       }
     }
     if (st.dissemination_ttl > 0 && !st.notified_peers) {
@@ -189,24 +189,25 @@ void ControlPointBase::on_message(const net::Message& msg) {
   switch (msg.kind) {
     case net::MessageKind::kReply:
       if (msg.from == device_ && state_.running) {
+        const double t = clock_.now();  // the event's one clock read
         if (cycle_.offer_reply(msg)) {
           disarm();
-          handle_success(msg);
+          handle_success(msg, t);
         } else {
-          on_stale_reply(msg);
+          on_stale_reply(msg, t);
         }
       }
       break;
     case net::MessageKind::kBye:
       if (msg.from == device_ || msg.subject == device_) {
         cancel_cycle();
-        mark_absent(/*learned=*/true);
+        mark_absent(clock_.now(), /*learned=*/true);
       }
       break;
     case net::MessageKind::kNotify:
       if (msg.subject == device_ && state_.device_present) {
         cancel_cycle();
-        mark_absent(/*learned=*/true);
+        mark_absent(clock_.now(), /*learned=*/true);
         // mark_absent already gossiped if enabled, but honour the
         // incoming TTL when it is smaller than ours.
         if (state_.dissemination_ttl > 0 && msg.ttl > 0 &&

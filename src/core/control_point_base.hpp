@@ -19,6 +19,11 @@
 // delay until the next cycle starts. The two never overlap, so the CP
 // stores one event id rather than two timers and their callbacks.
 //
+// Each event — the timer firing, or a message arriving — reads the
+// clock once. That instant t starts the cycle, stamps every observer
+// call, is SAPP's load observation and re-arms the timer at t + delay
+// (des/clock.hpp: on the reactor every now() is a steady-clock read).
+//
 // Mutable monitoring state (running flag, presence verdict, absence
 // time, current delay, the overlay) is the object's first member, right
 // after the vptr, followed by what every reply and timer touches — the
@@ -104,8 +109,10 @@ class ControlPointBase : public net::INetworkClient {
   void on_message(const net::Message& msg) final;
 
  protected:
-  /// Inter-cycle delay to apply after a successful cycle.
-  virtual double delay_after_success(const net::Message& reply) = 0;
+  /// Inter-cycle delay to apply after a successful cycle; `t` is the
+  /// reply's arrival instant.
+  virtual double delay_after_success(const net::Message& reply,
+                                     double t) = 0;
   /// Delay before re-probing after a failed cycle when
   /// continue_after_absence is set.
   virtual double delay_after_failure() = 0;
@@ -113,25 +120,26 @@ class ControlPointBase : public net::INetworkClient {
   /// a duplicate (the device answers every probe, so a retransmitted
   /// cycle yields several replies) or a leftover from an abandoned
   /// cycle. SAPP's load estimator consumes these (the paper phrases the
-  /// L_exp rule over successive *replies*); default ignores them.
-  virtual void on_stale_reply(const net::Message& /*reply*/) {}
+  /// L_exp rule over successive *replies*); default ignores them. `t`
+  /// is the reply's arrival instant.
+  virtual void on_stale_reply(const net::Message& /*reply*/, double /*t*/) {}
 
-  double now() const { return clock_.now(); }
   ProtocolObserver* observer() noexcept { return observer_; }
 
  private:
-  void arm(double delay);
+  // `t` below is the current event's one clock read.
+  void arm(double deadline);
   void disarm();
   void on_timer();
-  void begin_cycle();
-  void transmit();
+  void begin_cycle(double t);
+  void transmit(double t);
   void cancel_cycle();
-  void handle_success(const net::Message& reply);
-  void handle_failure();
-  void mark_absent(bool learned);
+  void handle_success(const net::Message& reply, double t);
+  void handle_failure(double t);
+  void mark_absent(double t, bool learned);
   void disseminate(net::NodeId subject, std::uint8_t ttl);
   void learn_overlay(const net::Message& reply);
-  void schedule_cycle(double delay);
+  void schedule_cycle(double t, double delay);
 
   CpState state_;  ///< first: shares the vptr's cache line
   des::Clock& clock_;

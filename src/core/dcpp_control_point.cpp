@@ -16,7 +16,8 @@ DcppControlPoint::DcppControlPoint(des::Clock& clock, net::Link& link,
   config_.validate();
 }
 
-double DcppControlPoint::delay_after_success(const net::Message& reply) {
+double DcppControlPoint::delay_after_success(const net::Message& reply,
+                                             double /*t*/) {
   last_grant_ = reply.grant_delay;
   return reply.grant_delay;
 }

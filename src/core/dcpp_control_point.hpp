@@ -21,7 +21,7 @@ class DcppControlPoint final : public ControlPointBase {
   double last_grant() const noexcept { return last_grant_; }
 
  protected:
-  double delay_after_success(const net::Message& reply) override;
+  double delay_after_success(const net::Message& reply, double t) override;
   double delay_after_failure() override;
 
  private:

@@ -44,9 +44,9 @@ class SappControlPoint final : public ControlPointBase {
   }
 
  protected:
-  double delay_after_success(const net::Message& reply) override;
+  double delay_after_success(const net::Message& reply, double t) override;
   double delay_after_failure() override { return config_.delta_max; }
-  void on_stale_reply(const net::Message& reply) override;
+  void on_stale_reply(const net::Message& reply, double t) override;
 
  private:
   SappCpConfig config_;

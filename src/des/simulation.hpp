@@ -30,12 +30,13 @@ class Simulation final : public Clock {
   /// Fork a named child stream (deterministic in the name).
   util::Rng fork_rng(std::string_view tag) const { return rng_.fork(tag); }
 
-  /// Convenience scheduling.
+  /// Convenience scheduling (schedule_after() is Clock's now() + delay:
+  /// the same deadline as Scheduler::schedule_after).
   EventId at(Time t, Scheduler::Callback fn) {
     return scheduler_.schedule_at(t, std::move(fn));
   }
-  EventId schedule_after(Time delay, Scheduler::Callback fn) override {
-    return scheduler_.schedule_after(delay, std::move(fn));
+  EventId schedule_at(Time t, Scheduler::Callback fn) override {
+    return scheduler_.schedule_at(t, std::move(fn));
   }
   bool cancel(EventId id) override { return scheduler_.cancel(id); }
 

@@ -54,9 +54,10 @@ AsyncPresenceService::AsyncPresenceService(des::Clock& clock,
 }
 
 AsyncPresenceService::~AsyncPresenceService() {
-  std::unordered_map<net::NodeId, Watch> doomed;
+  WatchTable doomed;
   {
     util::MutexLock lock(mutex_);
+    for (auto& [device, watch] : watches_) watch.listed = false;
     doomed = std::move(watches_);
     watches_.clear();
     subscribers_.clear();
@@ -64,8 +65,7 @@ AsyncPresenceService::~AsyncPresenceService() {
   stop_watches(doomed);  // frees retired_ too, on the engine's thread
 }
 
-void AsyncPresenceService::stop_watches(
-    std::unordered_map<net::NodeId, Watch>& watches) {
+void AsyncPresenceService::stop_watches(WatchTable& watches) {
   if (off_loop()) {
     // Stop and destroy on the loop thread and wait, so after return no
     // callback can reference this service. The task co-owns the
@@ -110,11 +110,13 @@ void AsyncPresenceService::unsubscribe(std::uint64_t token) {
 }
 
 AsyncControlPointBase::Callbacks AsyncPresenceService::make_callbacks(
-    net::NodeId device) {
+    Watch& row) {
   AsyncControlPointBase::Callbacks callbacks;
+  // Two pointers: std::function keeps them in its own buffer, so a
+  // watch allocates no callback.
   callbacks.on_cycle =
-      [this, device](const AsyncControlPointBase::CycleInfo& info) {
-        on_cycle(device, info);
+      [this, held = &row](const AsyncControlPointBase::CycleInfo& info) {
+        on_cycle(*held, info);
       };
   if (observers_.size() > 0) callbacks.observer = &observers_;
   return callbacks;
@@ -141,32 +143,45 @@ AsyncPresenceService::WatchMetrics AsyncPresenceService::make_watch_metrics(
 template <class Cp, class Config>
 void AsyncPresenceService::add_watch(net::NodeId device, const Config& config,
                                      double start_jitter_s) {
-  {
-    util::MutexLock lock(mutex_);
-    if (watches_.contains(device)) return;
-  }
   if (off_loop()) {
+    // Drop a duplicate here: posted behind this caller's next unwatch,
+    // it would find the device gone and watch it again.
+    {
+      util::MutexLock lock(mutex_);
+      if (watches_.contains(device)) return;
+    }
     loop_->post([this, device, config, start_jitter_s] {
       add_watch<Cp>(device, config, start_jitter_s);
     });
     return;
   }
-  auto cp = std::make_unique<Cp>(clock_, link_, arena_, device, config,
-                                 make_callbacks(device));
-  Cp& started = *cp;
   // Registered before the lock: a scrape holds the registry's lock while
   // its callbacks may read this service.
   const WatchMetrics metrics = make_watch_metrics(device);
+  AsyncControlPointBase* started = nullptr;
   {
     util::MutexLock lock(mutex_);
-    Watch& watch = watches_[device];
-    watch.cp = std::move(cp);
-    watch.metrics = metrics;
+    auto [it, inserted] = watches_.try_emplace(device);
+    if (!inserted) return;
+    Watch& row = it->second;
+    // The CP is built with the row in place, so its callback can hold
+    // the row (constructing one touches only the port, never mutex_).
+    try {
+      row.cp = std::make_unique<Cp>(clock_, link_, arena_, device, config,
+                                    make_callbacks(row));
+    } catch (...) {
+      watches_.erase(it);
+      throw;
+    }
+    row.device = device;
+    row.metrics = metrics;
+    started = row.cp.get();
     if (watches_gauge_) {
       watches_gauge_->set(static_cast<double>(watches_.size()));
     }
   }
-  started.start(start_jitter_s);
+  // Outside the lock: a first cycle may complete inside start().
+  started->start(start_jitter_s);
 }
 
 void AsyncPresenceService::watch_dcpp(net::NodeId device,
@@ -182,22 +197,23 @@ void AsyncPresenceService::watch_sapp(net::NodeId device,
 }
 
 void AsyncPresenceService::unwatch(net::NodeId device) {
-  std::unordered_map<net::NodeId, Watch> doomed;
+  WatchTable::node_type row;
   {
     util::MutexLock lock(mutex_);
-    auto it = watches_.find(device);
-    if (it == watches_.end()) return;
-    doomed.emplace(device, std::move(it->second));
-    watches_.erase(it);
+    row = watches_.extract(device);
+    if (row.empty()) return;
+    row.mapped().listed = false;
     if (watches_gauge_) {
       watches_gauge_->set(static_cast<double>(watches_.size()));
     }
   }
+  WatchTable doomed;
+  doomed.insert(std::move(row));  // the same node: the row does not move
   stop_watches(doomed);
 }
 
 void AsyncPresenceService::on_cycle(
-    net::NodeId device, const AsyncControlPointBase::CycleInfo& info) {
+    Watch& watch, const AsyncControlPointBase::CycleInfo& info) {
   // With no subscriber running, every retired control point has left
   // its event: an event completes at most one cycle per control point.
   if (notifying_ == 0) retired_.clear();
@@ -212,11 +228,10 @@ void AsyncPresenceService::on_cycle(
   }
   const Presence state = info.success ? Presence::kPresent : Presence::kAbsent;
   std::vector<EventCallback> to_notify;
+  PresenceEvent event;
   {
     util::MutexLock lock(mutex_);
-    auto it = watches_.find(device);
-    if (it == watches_.end()) return;  // unwatched concurrently
-    Watch& watch = it->second;
+    if (!watch.listed) return;  // unwatched concurrently
     watch.probes_sent += info.attempts;
     const WatchMetrics& metrics = watch.metrics;
     if (metrics.probes) metrics.probes->inc(info.attempts);
@@ -247,8 +262,9 @@ void AsyncPresenceService::on_cycle(
     }
     to_notify.reserve(subscribers_.size());
     for (const auto& [token, cb] : subscribers_) to_notify.push_back(cb);
+    event = PresenceEvent{watch.device, state, info.end};
   }
-  const PresenceEvent event{device, state, info.end};
+  // From here on `watch` may be gone: a subscriber can unwatch it.
   ++notifying_;
   for (const auto& cb : to_notify) cb(event);
   --notifying_;

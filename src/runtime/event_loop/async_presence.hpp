@@ -19,9 +19,10 @@
 //     4x10^5 registry series; the aggregate counters plus the
 //     probemon_reply_latency_seconds histogram (the p99 source for
 //     bench_rt_scale) carry the fleet story;
-//   * the hot path runs on the CycleInfo callback (no allocation):
-//     presence transitions and the per-watch counts are derived from
-//     it, under one lock per cycle; the tracer and the invariant
+//   * the hot path runs on the CycleInfo callback (no allocation, no
+//     lookup): each watch's callback holds its own row of the table,
+//     and presence transitions and the per-watch counts are derived
+//     from the cycle under one lock; the tracer and the invariant
 //     auditor see the control points' ProtocolObserver events, as they
 //     do in the simulator (CycleTraceObserver and the auditor's hooks).
 //
@@ -192,40 +193,53 @@ class AsyncPresenceService {
     telemetry::Counter* retransmissions = nullptr;
     telemetry::Histogram* rtt = nullptr;
   };
-  /// One watch's row. The CP is loop-confined; the counts are updated
-  /// once per completed cycle, so scrapes read them under mutex_.
+  /// One watch's row. The CP is engine-confined; everything else is
+  /// read and written under mutex_, the counts once per completed
+  /// cycle. The CP's cycle callback holds the row's address: a table
+  /// node never moves, and unwatch extracts the node, so the row lives
+  /// until its CP has stopped.
   struct Watch {
+    Watch() = default;
+    Watch(const Watch&) = delete;  // nor movable: the callback holds it
+    Watch& operator=(const Watch&) = delete;
+
     std::unique_ptr<AsyncControlPointBase> cp;
+    net::NodeId device = net::kInvalidNode;
     Presence state = Presence::kUnknown;
     double last_change = 0.0;
     double last_rtt = 0.0;
     std::uint32_t consecutive_failures = 0;
+    /// In watches_. Cleared when the row is unwatched: a completing
+    /// cycle then neither updates nor publishes it.
+    bool listed = true;
     double next_probe_due = 0.0;
     std::uint64_t probes_sent = 0;
     std::uint64_t cycles_succeeded = 0;
     std::uint64_t cycles_failed = 0;
     WatchMetrics metrics;
   };
+  using WatchTable = std::unordered_map<net::NodeId, Watch>;
 
   /// True when a call must hop onto the reactor's loop thread: bound
   /// to a running loop and called from another thread.
   bool off_loop() const noexcept {
     return loop_ && loop_->running() && !loop_->on_loop_thread();
   }
-  AsyncControlPointBase::Callbacks make_callbacks(net::NodeId device);
+  AsyncControlPointBase::Callbacks make_callbacks(Watch& row);
   WatchMetrics make_watch_metrics(net::NodeId device);
   /// watch_dcpp/watch_sapp: `Cp` is the adapter, `Config` its config.
   template <class Cp, class Config>
   void add_watch(net::NodeId device, const Config& config,
                  double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
-  /// Cycle bookkeeping and the presence transition it implies, under
-  /// one lock: a reader never sees the new state without its counts.
-  void on_cycle(net::NodeId device,
-                const AsyncControlPointBase::CycleInfo& info)
+  /// Cycle bookkeeping for `watch` and the presence transition it
+  /// implies, under one lock: a reader never sees the new state without
+  /// its counts.
+  void on_cycle(Watch& watch, const AsyncControlPointBase::CycleInfo& info)
       PROBEMON_EXCLUDES(mutex_);
-  /// Stop and destroy `watches` on the engine's thread (waiting for the
-  /// loop when off it) so no callback can touch `this` afterwards.
-  void stop_watches(std::unordered_map<net::NodeId, Watch>& watches);
+  /// Stop and destroy `watches` (unlisted rows) on the engine's thread,
+  /// waiting for the loop when off it, so no callback can touch `this`
+  /// or a row afterwards.
+  void stop_watches(WatchTable& watches);
 
   des::Clock& clock_;
   net::Link& link_;
@@ -256,7 +270,7 @@ class AsyncPresenceService {
   telemetry::Gauge* watches_gauge_ = nullptr;
 
   mutable util::Mutex mutex_{"runtime.AsyncPresenceService"};
-  std::unordered_map<net::NodeId, Watch> watches_ PROBEMON_GUARDED_BY(mutex_);
+  WatchTable watches_ PROBEMON_GUARDED_BY(mutex_);
   std::unordered_map<std::uint64_t, EventCallback> subscribers_
       PROBEMON_GUARDED_BY(mutex_);
   std::uint64_t next_token_ PROBEMON_GUARDED_BY(mutex_) = 1;

@@ -356,9 +356,10 @@ void AsyncUdpTransport::handle_datagram(const std::uint8_t* data,
   // Peer learning: an unknown external sender binds its NodeId to the
   // datagram's source port, so replies route back without pre-config.
   // Our own port teaches nothing: a datagram from it comes from a local
-  // endpoint that detached while the datagram was in flight.
-  if (msg.from != net::kInvalidNode && !attached(msg.from) &&
-      src_port != local_port_) {
+  // endpoint that detached while the datagram was in flight. Checking
+  // the port first spares loopback traffic a second client-table load.
+  if (src_port != local_port_ && msg.from != net::kInvalidNode &&
+      !attached(msg.from)) {
     peers_[msg.from] = src_port;
   }
   if (!attached(msg.to)) {

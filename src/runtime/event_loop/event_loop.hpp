@@ -72,11 +72,12 @@ class EventLoop final : public des::Clock {
   const des::WallClockTimerWheel& timers() const noexcept { return timers_; }
   /// Seconds since loop construction (monotonic). Any thread.
   double now() const override { return timers_.now(); }
-  /// Clock for protocol objects (loop thread only): `delay` counts from
-  /// now(), not from the last poll, so a timer armed in a datagram
-  /// handler after an idle wait does not fire early.
-  des::EventId schedule_after(double delay, des::InlineCallback fn) override {
-    return timers_.schedule_at(now() + delay, std::move(fn));
+  /// Clock for protocol objects (loop thread only). `t` is on the now()
+  /// time base, so Clock::schedule_after counts from now(), not from the
+  /// last poll: a timer armed in a datagram handler after an idle wait
+  /// does not fire early.
+  des::EventId schedule_at(double t, des::InlineCallback fn) override {
+    return timers_.schedule_at(t, std::move(fn));
   }
   bool cancel(des::EventId id) override { return timers_.cancel(id); }
 

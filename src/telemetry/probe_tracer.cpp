@@ -266,4 +266,9 @@ void CycleTraceObserver::on_device_declared_absent(net::NodeId cp,
   tracer_.record(trace);
 }
 
+void CycleTraceObserver::on_absence_learned(net::NodeId cp, net::NodeId,
+                                            double) {
+  open_.erase(cp);
+}
+
 }  // namespace probemon::telemetry

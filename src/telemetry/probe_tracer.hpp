@@ -113,6 +113,10 @@ class CycleTraceObserver final : public core::ProtocolObserver {
                         std::uint8_t attempts) override;
   void on_device_declared_absent(net::NodeId cp, net::NodeId device,
                                  double t) override;
+  /// A bye or notify dropped the CP's open cycle: it neither succeeded
+  /// nor exhausted its probes, so it is forgotten, not recorded.
+  void on_absence_learned(net::NodeId cp, net::NodeId device,
+                          double t) override;
 
   /// Cycles currently in flight (first send seen, no resolution yet).
   std::size_t open_cycles() const { return open_.size(); }

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/probemon.hpp"
@@ -34,6 +36,7 @@
 #include "runtime/event_loop/event_loop.hpp"
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
+#include "util/rng.hpp"
 
 namespace probemon::runtime {
 namespace {
@@ -1224,6 +1227,79 @@ TEST(AsyncPresence, DestructorJoinsCleanly) {
   const auto received = device.probes_received();
   std::this_thread::sleep_for(60ms);
   EXPECT_EQ(device.probes_received(), received) << "probing must stop";
+  loop.stop();
+}
+
+TEST(AsyncPresence, OffLoopUnwatchRacesCompletingCycles) {
+  // Each watch's cycle callback holds its row of the table. A second
+  // thread watches a device and unwatches it 0-1 ms later, while the
+  // watch's first cycle completes and other watches' cycles complete
+  // every few ms: an unwatched row is neither updated nor published,
+  // and it lives until its control point has stopped, so once
+  // unwatch() returns no event for that device may arrive (and
+  // ASan/TSan see no stale row). The subscriber lingers on churned
+  // devices' events, so an unwatch that returned without waiting for
+  // the loop would be seen.
+  constexpr std::size_t kSteady = 4;  // watched throughout
+  constexpr std::size_t kDevices = 8;
+  constexpr int kOperations = 200;
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.0005;
+  device_config.d_min = 0.002;
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  std::vector<std::unique_ptr<AsyncDcppDevice>> devices;
+  std::array<std::atomic<bool>, kDevices> unwatched{};
+  std::unordered_map<net::NodeId, std::size_t> index;
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    devices.push_back(std::make_unique<AsyncDcppDevice>(transport,
+                                                        device_config));
+    index[devices.back()->id()] = i;
+    unwatched[i] = true;
+  }
+  AsyncPresenceService service(transport);
+  std::atomic<int> churn_events{0};
+  std::atomic<int> late_events{0};
+  service.subscribe([&](const PresenceEvent& event) {
+    const std::size_t i = index.at(event.device);
+    if (i < kSteady) return;
+    ++churn_events;
+    std::this_thread::sleep_for(500us);
+    if (unwatched[i]) ++late_events;
+  });
+  loop.start();
+  for (std::size_t i = 0; i < kSteady; ++i) {
+    unwatched[i] = false;
+    service.watch_dcpp(devices[i]->id(), fast_dcpp_cp());
+  }
+  ASSERT_TRUE(eventually([&] { return service.watch_count() == kSteady; }));
+
+  std::thread churn([&] {
+    util::Rng rng(7);
+    for (int op = 0; op < kOperations; ++op) {
+      const std::size_t i = kSteady + op % (kDevices - kSteady);
+      unwatched[i] = false;
+      service.watch_dcpp(devices[i]->id(), fast_dcpp_cp());  // posted
+      // Registered before it is unwatched: an unwatch that ran ahead
+      // of the posted watch would find nothing to remove.
+      const auto deadline = std::chrono::steady_clock::now() + 3s;
+      while (service.watch_count() != kSteady + 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(rng.uniform_u64(0, 1000)));
+      service.unwatch(devices[i]->id());  // waits for the loop
+      unwatched[i] = true;
+    }
+  });
+  churn.join();
+  for (std::size_t i = 0; i < kSteady; ++i) {
+    service.unwatch(devices[i]->id());
+  }
+  EXPECT_EQ(service.watch_count(), 0u);
+  EXPECT_GT(churn_events.load(), 0) << "no churned cycle completed";
+  EXPECT_EQ(late_events.load(), 0) << "an event outlived its unwatch()";
   loop.stop();
 }
 

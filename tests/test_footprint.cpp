@@ -13,6 +13,8 @@
 #include "net/loss_model.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "util/rng.hpp"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -107,6 +109,44 @@ TEST(Footprint, FleetHeapBytesPerEntityStayLean) {
       static_cast<double>(held) / static_cast<double>(kGroups * (1 + kCps));
   // ~438 B per entity today; the bound leaves ~10 % headroom.
   EXPECT_LT(per_entity, 480.0) << held << " heap bytes";
+}
+
+TEST(Footprint, PresenceWatchHeapBytesStayLean) {
+  // 2000 DCPP watches through one AsyncPresenceService on the twin
+  // (des::Simulation + net::Network), run for a second so the timer
+  // and message pools hold their working sets. A watch is its table
+  // node, its control point and its share of the pools; its cycle
+  // callback captures two pointers and must stay inside
+  // std::function's own buffer (a spilled capture adds a heap block
+  // per watch).
+  constexpr std::size_t kWatches = 2000;
+  des::Simulation sim(13);
+  net::Network network(sim.scheduler(), sim.rng(), net::NetworkConfig{},
+                       net::make_three_mode_delay(), net::make_no_loss());
+  EntityArena arena;
+  std::vector<std::unique_ptr<DcppDevice>> devices;
+  for (std::size_t i = 0; i < kWatches; ++i) {
+    devices.push_back(std::make_unique<DcppDevice>(sim, network, arena,
+                                                   DcppDeviceConfig{}));
+  }
+  runtime::AsyncPresenceService service(sim, network, arena, {});
+  util::Rng jitter(13);
+  const std::uint64_t before = heap_bytes_in_use();
+  for (const auto& device : devices) {
+    service.watch_dcpp(device->id(), DcppCpConfig{}, jitter.uniform(0, 0.5));
+  }
+  sim.run_until(1.0);
+  ASSERT_EQ(service.watch_count(), kWatches);
+  ASSERT_GE(service.stats().cycles_succeeded, kWatches);
+
+  const std::uint64_t after = heap_bytes_in_use();
+  if (after <= before) GTEST_SKIP() << "heap accounting unavailable";
+  const double per_watch =
+      static_cast<double>(after - before) / static_cast<double>(kWatches);
+  // ~530 B per watch, with or without the row-holding callback (g++ 12,
+  // glibc 2.36). A capture that spills out of std::function's buffer
+  // adds a 32 B block per watch; the bound leaves half of that.
+  EXPECT_LT(per_watch, 546.0) << after - before << " heap bytes";
 }
 
 }  // namespace

@@ -5,13 +5,23 @@
 // produce such sequences.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "check/invariant_auditor.hpp"
 #include "core/observer_fanout.hpp"
+#include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
 #include "runtime/event_loop/async_udp.hpp"
@@ -317,6 +327,70 @@ TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
   EXPECT_GE(spy.granted.load(), 3);
   EXPECT_EQ(spy.received.load(), spy.granted.load());
   EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
+}
+
+TEST(InvariantAuditor, RemoteDeviceIdIsCountedSparsely) {
+  // A device reached through set_peer keeps its own id, anywhere in the
+  // u32 range. The auditor's tables are keyed sparsely: probing a device
+  // at 0xFFFFFFF0 costs one record, not a dense array up to the id.
+  using namespace std::chrono_literals;
+  constexpr net::NodeId kRemote = 0xFFFFFFF0u;
+  core::DcppCpConfig cp_config;
+  cp_config.timeouts.tof = 0.010;
+  cp_config.timeouts.tos = 0.005;
+  AuditConfig audit;
+  audit.timeouts = cp_config.timeouts;
+  InvariantAuditor auditor(audit);
+
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
+  runtime::AsyncDcppDevice local(transport, core::DcppDeviceConfig{});
+  // The remote device: a socket on its own port that never answers.
+  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+  transport.set_peer(kRemote, ntohs(addr.sin_port));
+
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  const std::size_t heap_before = mallinfo2().uordblks + mallinfo2().hblkhd;
+#endif
+  std::atomic<bool> declared_absent{false};
+  runtime::AsyncControlPointBase::Callbacks callbacks;
+  callbacks.observer = &auditor;
+  callbacks.on_cycle =
+      [&declared_absent](const runtime::AsyncControlPointBase::CycleInfo& info) {
+        if (!info.success) declared_absent = true;
+      };
+  runtime::AsyncDcppControlPoint cp(transport, kRemote, cp_config, callbacks);
+  cp.start();
+  loop.start();
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (!declared_absent && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(2ms);
+  }
+  loop.stop();
+  // Four unanswered probes, then absence: every one audited, none wrong.
+  EXPECT_FALSE(cp.device_considered_present());
+  EXPECT_EQ(cp.probes_sent(), 4u);
+  EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  const std::size_t heap_after = mallinfo2().uordblks + mallinfo2().hblkhd;
+  if (heap_after > heap_before) {
+    EXPECT_LT(heap_after - heap_before, std::size_t{1} << 20)
+        << "heap grew by " << heap_after - heap_before << " bytes";
+  }
+#endif
+  close(fd);
+
+  // The sparse tables still catch a local device that receives a probe
+  // nobody sent it.
+  auditor.on_probe_received(local.id(), cp.id(), loop.now());
+  EXPECT_EQ(auditor.violations(Invariant::kCounterConsistency), 1u);
 }
 
 }  // namespace

@@ -449,6 +449,23 @@ TEST(CycleTraceObserver, ReassemblesCyclesFromObserverEvents) {
   EXPECT_DOUBLE_EQ(traces[2].end, 3.05);
 }
 
+TEST(CycleTraceObserver, LearnedAbsenceDropsTheOpenCycle) {
+  // A bye or notify mid-cycle aborts the cycle: it neither succeeded
+  // nor exhausted its probes, so it is dropped unrecorded (recorded as
+  // a failure it would trip absence_not_exhausted in audit_cycle).
+  ProbeCycleTracer tracer(16);
+  CycleTraceObserver observer(tracer);
+  observer.on_probe_sent(10, 20, 1.00, 0);
+  observer.on_cycle_success(10, 20, 1.01, 1);
+  ASSERT_EQ(tracer.recorded(), 1u);
+
+  observer.on_probe_sent(10, 20, 2.00, 0);
+  ASSERT_EQ(observer.open_cycles(), 1u);
+  observer.on_absence_learned(10, 20, 2.01);
+  EXPECT_EQ(observer.open_cycles(), 0u);
+  EXPECT_EQ(tracer.recorded(), 1u);
+}
+
 TEST(CycleTraceObserver, LateReplyTraceCountsEveryProbeSent) {
   // The DCPP device computes for 25 ms, longer than TOF (22 ms): every
   // cycle retransmits once and is completed by the late reply to its

@@ -1,0 +1,290 @@
+#!/usr/bin/env python3
+"""Per-layer CPU split from a sampleprof capture.
+
+    python3 tools/sampleprof/report.py sampleprof.<pid>.txt [--tid N]
+                                       [--top K]
+
+sampleprof.so (tools/sampleprof/sampleprof.c) writes one backtrace per
+SIGPROF tick plus the process's /proc/self/maps. This script maps each
+frame to its object and ELF virtual address, symbolizes it with `nm`
+(function ranges; `addr2line` for what the symbol tables miss), picks one
+thread -- by default the one with the most samples, which in a reactor
+benchmark is the loop thread -- and attributes every sample to a layer:
+walking the stack from the interrupted frame outwards, the first frame
+whose function matches a layer's pattern names the layer. So a sample in
+pthread_mutex_lock called by the auditor counts as `mutex`, one in the
+auditor's own code as `auditor`, and one in memcpy as whatever called it.
+
+Layers (first match per frame, in this order):
+
+    syscalls      libc syscall wrappers (sendmmsg, recvmmsg, epoll_wait,
+                  ...): time the kernel spent on the thread's behalf
+    mutex         util::Mutex and pthread mutexes
+    clock         steady-clock reads (the vDSO, clock_gettime, now())
+    auditor       check::InvariantAuditor
+    service       runtime::AsyncPresenceService and its watch adapters
+    timer wheel   des::Scheduler / des::WallClockTimerWheel
+    udp           runtime::AsyncUdpTransport, the wire codec
+    device        core devices
+    cp core       core control points, the probe cycle, SAPP adaptation
+    telemetry     telemetry:: counters, histograms, registry
+    loop          runtime::EventLoop's own code
+    other         anything else (libc/libstdc++ reached from no layer)
+
+Samples are CPU ticks of the kernel's HZ (about 250 per CPU-second on a
+typical host): a one-minute run of a busy thread gives ~15k samples, a
+few-second smoke only a few hundred. Objects shipped without a symbol
+table (libc) resolve to their nearest exported symbol, so a function
+name inside them is approximate; its layer is not, as long as the
+exported neighbour belongs to the same family (pthread_mutex_*).
+"""
+
+import argparse
+import bisect
+import collections
+import os
+import re
+import struct
+import subprocess
+import sys
+
+LAYERS = [
+    ("syscalls", re.compile(
+        r"^(__libc_|__GI___|__GI_|__)?(sendmmsg|recvmmsg|epoll_wait|"
+        r"epoll_pwait2?|poll|ppoll|read|write|sendto|recvfrom|sendmsg|"
+        r"recvmsg|syscall|eventfd_write|eventfd_read)(@.*)?$")),
+    ("mutex", re.compile(
+        r"util::Mutex::|util::MutexLock|pthread_mutex_|__lll_lock|"
+        r"__lll_unlock|lock_order::")),
+    ("clock", re.compile(
+        r"^\[vdso\]$|clock_gettime|steady_clock::now|"
+        r"WallClockTimerWheel::now\(|EventLoop::now\(")),
+    ("auditor", re.compile(r"check::InvariantAuditor")),
+    ("service", re.compile(
+        r"runtime::AsyncPresenceService|runtime::AsyncControlPointBase|"
+        r"AsyncSappControlPoint|AsyncDcppControlPoint|FanoutObserver")),
+    ("timer wheel", re.compile(
+        r"des::Scheduler::|des::WallClockTimerWheel::|SlabPool")),
+    ("udp", re.compile(r"runtime::AsyncUdpTransport|runtime::udp_(de|en)code")),
+    ("device", re.compile(
+        r"core::BasicDevice|core::BasicDcppDevice|core::BasicSappDevice|"
+        r"core::DcppDevice::|core::SappDevice::")),
+    ("cp core", re.compile(
+        r"core::ControlPointBase|core::ProbeCycle|core::SappControlPoint|"
+        r"core::DcppControlPoint|core::SappAdaptation|"
+        r"core::FixedRateControlPoint")),
+    ("telemetry", re.compile(r"probemon::telemetry::")),
+    ("loop", re.compile(r"runtime::EventLoop::")),
+]
+LAYER_NAMES = [name for name, _ in LAYERS] + ["other"]
+
+
+def parse_capture(path):
+    maps, samples = [], []
+    with open(path) as f:
+        for line in f:
+            if line.startswith("m "):
+                fields = line[2:].split(None, 5)
+                lo, hi = (int(x, 16) for x in fields[0].split("-"))
+                name = fields[5].strip() if len(fields) > 5 else ""
+                maps.append((lo, hi, int(fields[2], 16), name))
+            elif line.startswith("s "):
+                fields = line.split()
+                samples.append((int(fields[1]),
+                                [int(x, 16) for x in fields[2:]]))
+    maps.sort()
+    return maps, samples
+
+
+def load_segments(path):
+    """PT_LOAD (offset, vaddr, filesz) of an ELF64 file, or None."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(64)
+            if head[:4] != b"\x7fELF" or head[4] != 2:
+                return None
+            phoff = struct.unpack_from("<Q", head, 32)[0]
+            phentsize, phnum = struct.unpack_from("<HH", head, 54)
+            f.seek(phoff)
+            table = f.read(phentsize * phnum)
+    except OSError:
+        return None
+    segments = []
+    for i in range(phnum):
+        p_type, _, p_offset, p_vaddr, _, p_filesz, p_memsz, _ = \
+            struct.unpack_from("<IIQQQQQQ", table, i * phentsize)
+        if p_type == 1:  # PT_LOAD
+            segments.append((p_offset, p_vaddr, max(p_filesz, p_memsz)))
+    return segments
+
+
+def load_symbols(path):
+    """Sorted (start, end, name) function ranges from nm, .symtab first."""
+    def run_nm(extra):
+        try:
+            out = subprocess.run(
+                ["nm", "-C", "-S", "--defined-only", "-n"] + extra + [path],
+                capture_output=True, text=True, check=False).stdout
+        except OSError:
+            return []
+        rows = []
+        for line in out.splitlines():
+            m = re.match(r"^([0-9a-f]+)\s+(?:([0-9a-f]+)\s+)?([tTwWiI])\s+(.*)$",
+                         line)
+            if m:
+                rows.append((int(m.group(1), 16),
+                             int(m.group(2), 16) if m.group(2) else 0,
+                             m.group(4)))
+        return rows
+
+    rows = run_nm([]) or run_nm(["-D"])
+    rows.sort()
+    ranges = []
+    for i, (start, size, name) in enumerate(rows):
+        end = start + size if size else (
+            rows[i + 1][0] if i + 1 < len(rows) else start + 1)
+        ranges.append((start, max(end, start + 1), name))
+    return ranges
+
+
+class Symbolizer:
+    def __init__(self, maps):
+        self.maps = maps
+        self.starts = [m[0] for m in maps]
+        self.segments = {}
+        self.symbols = {}
+        self.cache = {}
+
+    def locate(self, addr):
+        i = bisect.bisect_right(self.starts, addr) - 1
+        if i < 0 or addr >= self.maps[i][1]:
+            return None, None
+        lo, _, offset, name = self.maps[i]
+        if name == "[vdso]":
+            return name, None
+        if not name.startswith("/"):
+            return name or "?", None
+        if name not in self.segments:
+            self.segments[name] = load_segments(name)
+        segments = self.segments[name]
+        if not segments:
+            return name, None
+        file_offset = offset + (addr - lo)
+        for p_offset, p_vaddr, size in segments:
+            if p_offset <= file_offset < p_offset + size:
+                return name, p_vaddr + (file_offset - p_offset)
+        return name, None
+
+    def name(self, addr):
+        if addr in self.cache:
+            return self.cache[addr]
+        obj, vaddr = self.locate(addr)
+        if obj == "[vdso]":
+            result = ("[vdso]", obj)
+        elif vaddr is None:
+            result = ("?", obj or "?")
+        else:
+            if obj not in self.symbols:
+                self.symbols[obj] = load_symbols(obj)
+            ranges = self.symbols[obj]
+            j = bisect.bisect_right(ranges, (vaddr, float("inf"), "")) - 1
+            if j >= 0 and ranges[j][0] <= vaddr < ranges[j][1]:
+                result = (ranges[j][2], obj)
+            else:
+                result = (None, obj, vaddr)
+        self.cache[addr] = result
+        return result
+
+    def resolve_missing(self):
+        """addr2line for addresses no symbol table covers."""
+        missing = collections.defaultdict(list)
+        for addr, result in self.cache.items():
+            if result[0] is None:
+                missing[result[1]].append((addr, result[2]))
+        for obj, items in missing.items():
+            try:
+                out = subprocess.run(
+                    ["addr2line", "-f", "-C", "-e", obj] +
+                    [hex(v) for _, v in items],
+                    capture_output=True, text=True, check=False).stdout
+                names = out.splitlines()[0::2]
+            except OSError:
+                names = []
+            for k, (addr, _) in enumerate(items):
+                fn = names[k] if k < len(names) and names[k] != "??" else "?"
+                self.cache[addr] = (fn, obj)
+
+
+def sample_frames(symbolizer, frames):
+    """(function, object) per frame, innermost first, from the
+    interrupted frame outwards."""
+    # backtrace() ran in the handler: its frames come first, then the
+    # signal trampoline the handler returns through, then the
+    # interrupted frame with its exact pc.
+    first = 0
+    while first < len(frames) and os.path.basename(
+            symbolizer.locate(frames[first])[0] or "").startswith("sampleprof"):
+        first += 1
+    first += 1  # the trampoline
+    # Outer frames hold return addresses: look up the call before each.
+    return [symbolizer.name(addr if depth == first else addr - 1)
+            for depth, addr in enumerate(frames) if depth >= first]
+
+
+def classify(named):
+    for fn, _ in named:
+        for layer, pattern in LAYERS:
+            if fn and pattern.search(fn):
+                return layer
+    return "other"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("capture", help="sampleprof.<pid>.txt")
+    parser.add_argument("--tid", type=int,
+                        help="thread to report (default: most samples)")
+    parser.add_argument("--top", type=int, default=15,
+                        help="innermost functions to list (0 = none)")
+    args = parser.parse_args()
+
+    maps, samples = parse_capture(args.capture)
+    if not samples:
+        print("sampleprof: no samples in " + args.capture, file=sys.stderr)
+        return 1
+    per_thread = collections.Counter(tid for tid, _ in samples)
+    tid = args.tid if args.tid is not None else per_thread.most_common(1)[0][0]
+    chosen = [s for s in samples if s[0] == tid]
+    label = "thread %d" % tid
+    if not chosen:
+        print("sampleprof: no samples for " + label, file=sys.stderr)
+        return 1
+
+    symbolizer = Symbolizer(maps)
+    for _, frames in chosen:  # look every frame up in the symbol tables,
+        sample_frames(symbolizer, frames)
+    symbolizer.resolve_missing()  # then ask addr2line for the misses
+    stacks = [sample_frames(symbolizer, frames) for _, frames in chosen]
+
+    layers = collections.Counter(classify(named) for named in stacks)
+    leaf = collections.Counter(
+        (named[0][0] or "?") if named else "?" for named in stacks)
+    total = len(chosen)
+    print("# %s: %d of %d samples (threads: %s)" % (
+        label, total, len(samples),
+        ", ".join("%d=%d" % kv for kv in per_thread.most_common())))
+    print("| layer | samples | % |")
+    print("|---|---|---|")
+    for layer in LAYER_NAMES:
+        n = layers.get(layer, 0)
+        print("| %s | %d | %.1f |" % (layer, n, 100.0 * n / total))
+    if args.top:
+        print()
+        print("# innermost functions (%s)" % label)
+        for fn, n in leaf.most_common(args.top):
+            print("%6.1f%%  %s" % (100.0 * n / total, fn[:160]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
