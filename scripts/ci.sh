@@ -38,8 +38,9 @@
 #   * clang-tidy over src/ (skipped with a notice when not installed)
 #   * tools/lint.py project rules, plus self-tests that seed violations
 #     (a rand() call, a second ProbeCycle owner, a reply built outside
-#     src/core, a metric family registered from two files, ...) in a
-#     scratch tree and require the linter to catch them
+#     src/core, a metric family registered from two files, a raw
+#     prefetch intrinsic, ...) in a scratch tree and require the linter
+#     to catch them
 #   * a tsan.supp audit (every suppression needs a reason comment)
 #   * a clang -Wthread-safety -Werror=thread-safety build of the whole
 #     tree plus tools/tsa_selftest.py (strip-and-flip proof that the
@@ -551,6 +552,38 @@ EOF
     fi
   done
   echo "    OK (one-metric-owner finding produced for two producers only)"
+
+  # --- static: lint self-test for the one-prefetch rule -- a raw
+  # __builtin_prefetch seeded under src/net must be caught, while the
+  # same line in the helper header (the one sanctioned home) must pass.
+  echo "==> lint self-test (seeded raw prefetch intrinsic must be caught)"
+  mkdir -p "$SCRATCH/lint_selftest/src/net" "$SCRATCH/lint_selftest/src/util"
+  cat > "$SCRATCH/lint_selftest/src/net/seeded_prefetch.hpp" <<'EOF'
+#pragma once
+inline void warm(const void* p) { __builtin_prefetch(p); }
+EOF
+  if python3 "$ROOT/tools/lint.py" --root "$SCRATCH/lint_selftest" \
+       "$SCRATCH/lint_selftest/src/net/seeded_prefetch.hpp" \
+       > "$SCRATCH/lint_selftest12.out" 2>&1; then
+    echo "    FAILED: linter missed the seeded raw prefetch intrinsic" >&2
+    cat "$SCRATCH/lint_selftest12.out" >&2
+    exit 1
+  fi
+  grep -q 'one-prefetch' "$SCRATCH/lint_selftest12.out" || {
+    echo "    FAILED: linter flagged something, but not one-prefetch" >&2
+    cat "$SCRATCH/lint_selftest12.out" >&2
+    exit 1
+  }
+  cp "$SCRATCH/lint_selftest/src/net/seeded_prefetch.hpp" \
+     "$SCRATCH/lint_selftest/src/util/prefetch.hpp"
+  if ! python3 "$ROOT/tools/lint.py" --root "$SCRATCH/lint_selftest" \
+       "$SCRATCH/lint_selftest/src/util/prefetch.hpp" \
+       > "$SCRATCH/lint_selftest13.out" 2>&1; then
+    echo "    FAILED: linter flagged the prefetch helper header" >&2
+    cat "$SCRATCH/lint_selftest13.out" >&2
+    exit 1
+  fi
+  echo "    OK (one-prefetch finding produced outside the helper only)"
 
   # --- static: every tsan.supp suppression must carry a reason comment
   # directly above it (stale or unexplained suppressions hide real

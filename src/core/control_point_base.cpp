@@ -51,9 +51,10 @@ void ControlPointBase::stop() {
 
 void ControlPointBase::arm(double deadline) {
   disarm();
-  auto fire = [this] { on_timer(); };
+  const TimerFire fire{this};
   static_assert(des::InlineCallback::fits_inline<decltype(fire)>);
-  timer_ = clock_.schedule_at(deadline, std::move(fire));
+  static_assert(des::InlineCallback::prefetches<decltype(fire)>);
+  timer_ = clock_.schedule_at(deadline, fire);
 }
 
 void ControlPointBase::disarm() {

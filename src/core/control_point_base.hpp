@@ -27,9 +27,10 @@
 // Mutable monitoring state (running flag, presence verdict, absence
 // time, current delay, the overlay) is the object's first member, right
 // after the vptr, followed by what every reply and timer touches — the
-// timer's event id, the addresses, the cycle FSM. A delivery thus finds
-// the CP's hot state in the two cache lines the network prefetched when
-// the reply was sent.
+// timer's event id, the addresses, the cycle FSM. Each event finds them
+// in lines it prefetched a few events ahead (des/scheduler.hpp): a
+// reply's delivery loads the CP's first four lines, the timer event
+// every line of the base.
 #pragma once
 
 #include <array>
@@ -43,6 +44,7 @@
 #include "core/probe_cycle.hpp"
 #include "des/clock.hpp"
 #include "net/link.hpp"
+#include "util/prefetch.hpp"
 
 namespace probemon::core {
 
@@ -127,6 +129,17 @@ class ControlPointBase : public net::INetworkClient {
   ProtocolObserver* observer() noexcept { return observer_; }
 
  private:
+  /// The one timer's event. It captures the CP alone, and when the
+  /// scheduler's dispatch pipeline asks, it starts loading the cache
+  /// lines the timer's handler reads (des/scheduler.hpp).
+  struct TimerFire {
+    ControlPointBase* cp;
+    void operator()() const { cp->on_timer(); }
+    void prefetch() const noexcept {
+      util::prefetch_range(cp, sizeof(ControlPointBase));
+    }
+  };
+
   // `t` below is the current event's one clock read.
   void arm(double deadline);
   void disarm();

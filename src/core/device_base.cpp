@@ -1,5 +1,7 @@
 #include "core/device_base.hpp"
 
+#include "util/prefetch.hpp"
+
 namespace probemon::core {
 
 template <class Server>
@@ -116,14 +118,26 @@ void BasicDevice<Server>::start_service()
 
   const double compute =
       server_.rng.uniform(server_.compute.min, server_.compute.max);
-  auto complete = [this, epoch = server_.epoch] {
-    if (epoch != server_.epoch) return;  // went silent mid-computation
-    link_.send(*arena_.queue_front(server_.queue));
-    arena_.queue_pop(server_.queue);
-    start_service();
+  // The completion event. When the scheduler's dispatch pipeline asks,
+  // it starts loading the device's cache lines (des/scheduler.hpp).
+  struct Completion {
+    BasicDevice* device;
+    std::uint64_t epoch;
+    void operator()() const {
+      auto& server = device->server_;
+      if (epoch != server.epoch) return;  // went silent mid-computation
+      device->link_.send(*device->arena_.queue_front(server.queue));
+      device->arena_.queue_pop(server.queue);
+      device->start_service();
+    }
+    void prefetch() const noexcept {
+      util::prefetch_range(device, sizeof(BasicDevice));
+    }
   };
+  const Completion complete{this, server_.epoch};
   static_assert(des::InlineCallback::fits_inline<decltype(complete)>);
-  clock_.schedule_after(compute, std::move(complete));
+  static_assert(des::InlineCallback::prefetches<decltype(complete)>);
+  clock_.schedule_after(compute, complete);
 }
 
 template class BasicDevice<SerialServer>;

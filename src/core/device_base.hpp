@@ -20,8 +20,9 @@
 //
 // All mutable protocol state is the object's first member, right after
 // the vptr, followed by the port and the serial server's queue head,
-// epoch and compute stream: a delivery touches one object, whose first
-// two cache lines the network prefetched when the probe was sent. The
+// epoch and compute stream: an event touches one object, whose lines
+// the event prefetched a few events ahead (des/scheduler.hpp: a probe's
+// delivery loads the first four, the completion event the base's). The
 // queued probes sit in the `core::EntityArena`'s shared node pool, so
 // an idle device carries no deque and no heap node.
 //

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "check/contract.hpp"
+#include "util/prefetch.hpp"
 
 namespace probemon::des {
 
@@ -237,6 +238,7 @@ bool Scheduler::fire_next(Time horizon) {
     } else {
       ++bucket_pos_;
     }
+    prefetch_ahead();
   }
   Event& ev = pool_[index];
   PROBEMON_INVARIANT(ev.time >= now_,
@@ -252,6 +254,20 @@ bool Scheduler::fire_next(Time horizon) {
   if (exec_probe_) exec_probe_(t, seq);
   fn();
   return true;
+}
+
+void Scheduler::prefetch_ahead() const noexcept {
+  // bucket_pos_ is the next run entry; every entry from there on, and
+  // the late heap's root, is a pending event (cancel erases run entries
+  // and heap nodes in place).
+  const std::size_t run = bucket_run_.size();
+  if (bucket_pos_ + 2 * kLookahead < run) {
+    util::prefetch(&pool_[bucket_run_[bucket_pos_ + 2 * kLookahead].index]);
+  }
+  if (bucket_pos_ + kLookahead < run) {
+    pool_[bucket_run_[bucket_pos_ + kLookahead].index].fn.prefetch();
+  }
+  if (!bucket_late_.empty()) pool_[bucket_late_.front().index].fn.prefetch();
 }
 
 std::uint64_t Scheduler::run_until(Time horizon) {

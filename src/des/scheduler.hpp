@@ -33,6 +33,18 @@
 // steady-state probe path performs zero heap allocation (see
 // docs/performance.md).
 //
+// Dispatch is a software pipeline. A fleet-sized model is far larger
+// than the caches, so each event's first touch of its slot and of its
+// target object (the device, control point or network client it acts
+// on) would be a dependent miss. The wheel knows the events to come:
+// the rest of the tick's sorted run, and the late heap's root. After
+// taking an event, fire_next() prefetches the slot line of the run
+// entry kLookahead * 2 ahead, then asks the callables of the entry
+// kLookahead ahead (whose slot is in cache by then) and of the late
+// heap's root to prefetch their targets (util::InlineFunction's
+// prefetch(); a callable without a `prefetch() const` member ignores
+// it). Only pending events are asked, and order is untouched.
+//
 // The reference backend (SchedulerBackend::kHeap) bypasses the wheel
 // and runs everything through one indexed heap — the pre-wheel ordering
 // oracle for equivalence tests, and a sanity fallback.
@@ -207,6 +219,11 @@ class Scheduler {
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  /// Dispatch pipeline depth: while one event runs, the run entry this
+  /// many positions ahead prefetches its target and the one twice as
+  /// far ahead its slot line (see the file comment).
+  static constexpr std::size_t kLookahead = 4;
+
   /// One event slot is one 64-byte cache line: a fleet-sized model keeps
   /// one pending event per control point, so the pool is far larger
   /// than the caches and every pop or cancel is a miss per line touched.
@@ -314,6 +331,9 @@ class Scheduler {
     return bucket_pos_ >= bucket_run_.size() && bucket_late_.empty();
   }
   bool refill_bucket();
+  /// Issue the dispatch pipeline's prefetches for the events after the
+  /// one just taken (wheel backend).
+  void prefetch_ahead() const noexcept;
   bool fire_next(Time horizon);
   void free_slot(std::uint32_t index);
 

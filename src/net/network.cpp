@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/logging.hpp"
+#include "util/prefetch.hpp"
 
 namespace probemon::net {
 
@@ -54,6 +55,7 @@ NodeId Network::attach(INetworkClient& client) {
   if (clients_.size() <= id) clients_.resize(id + 1, nullptr);
   clients_[id] = &client;
   ++attached_count_;
+  ++epoch_;
   return id;
 }
 
@@ -61,6 +63,7 @@ void Network::detach(NodeId id) {
   if (!attached(id)) return;
   clients_[id] = nullptr;
   --attached_count_;
+  ++epoch_;
 }
 
 bool Network::send(Message msg) {
@@ -85,11 +88,11 @@ bool Network::send(Message msg) {
   occupancy_.set(scheduler_.now(), static_cast<double>(in_flight_));
   const double delay = delay_->sample(delay_rng_);
   const std::uint32_t slot = pool_.acquire();
-  pool_[slot] = msg;
-  prefetch_client(msg.to);
-  auto fire = [this, slot] { deliver_slot(slot); };
+  pool_[slot] = InFlight{msg, client_at(msg.to), epoch_};
+  const Delivery fire{this, slot};
   static_assert(des::InlineCallback::fits_inline<decltype(fire)>);
-  scheduler_.schedule_after(delay, std::move(fire));
+  static_assert(des::InlineCallback::prefetches<decltype(fire)>);
+  scheduler_.schedule_after(delay, fire);
   return true;
 }
 
@@ -101,31 +104,22 @@ void Network::schedule_outage(double t0, double t1) {
   scheduler_.schedule_at(t1, [this] { down_ = false; });
 }
 
-void Network::prefetch_client(NodeId id) const noexcept {
-#if defined(__GNUC__)
-  const INetworkClient* client = id < clients_.size() ? clients_[id] : nullptr;
-  if (client == nullptr) return;
-  // Clients keep their vptr and hot state there (core::DeviceBase,
-  // core::ControlPointBase).
-  const char* lines = reinterpret_cast<const char*>(client);
-  __builtin_prefetch(lines);
-  __builtin_prefetch(lines + 64);
-#else
-  (void)id;
-#endif
+void Network::Delivery::prefetch() const noexcept {
+  const INetworkClient* client = network->pool_[slot].client;
+  if (client != nullptr) util::prefetch_range(client, 4 * util::kCacheLine);
 }
 
 void Network::deliver_slot(std::uint32_t slot) {
   // Copy out and release first: on_message may send, and the new message
-  // is welcome to reuse this slot. The client is looked up again rather
-  // than remembered from send(): a node that detached in between must
-  // count as dropped_unknown.
-  const Message msg = pool_[slot];
+  // is welcome to reuse this slot. The client kept at send is current
+  // unless the topology changed since (see the file comment).
+  const InFlight flight = pool_[slot];
   pool_.release(slot);
   --in_flight_;
   occupancy_.set(scheduler_.now(), static_cast<double>(in_flight_));
+  const Message& msg = flight.msg;
   INetworkClient* client =
-      msg.to < clients_.size() ? clients_[msg.to] : nullptr;
+      flight.epoch == epoch_ ? flight.client : client_at(msg.to);
   if (client == nullptr) {
     ++counters_.dropped_unknown;
     return;

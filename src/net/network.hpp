@@ -9,6 +9,15 @@
 //
 // Delivery is best-effort datagram semantics: no ordering guarantee
 // beyond what the delay samples induce, no duplication, at-most-once.
+//
+// An in-flight slot keeps the destination's client pointer, read from
+// the client table at send, with the topology epoch of that moment
+// (every attach and detach bumps it). The delivery event's prefetch()
+// loads the destination's first cache lines while the scheduler still
+// runs earlier events (des/scheduler.hpp), and delivery calls the kept
+// pointer while the epoch is unchanged; after a topology change it
+// reads the table again, so a node that attached or detached in
+// flight is counted exactly (delivered or dropped_unknown).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +67,7 @@ class Network final : public Link {
   NodeId attach(INetworkClient& client) override;
   void detach(NodeId id) override;
   bool attached(NodeId id) const noexcept override {
-    return id < clients_.size() && clients_[id] != nullptr;
+    return client_at(id) != nullptr;
   }
   std::size_t node_count() const noexcept { return attached_count_; }
 
@@ -93,11 +102,28 @@ class Network final : public Link {
   std::size_t message_pool_slots() const noexcept { return pool_.capacity(); }
 
  private:
-  /// Start loading the destination's first two cache lines. A message's
-  /// destination is known at send() and touched only at delivery,
-  /// hundreds of events later; in a fleet larger than the last-level
-  /// cache that first touch is otherwise a dependent miss per object.
-  void prefetch_client(NodeId id) const noexcept;
+  /// One in-flight message with the destination resolved at send.
+  struct InFlight {
+    Message msg;
+    INetworkClient* client = nullptr;  ///< clients_[msg.to] at send
+    std::uint64_t epoch = 0;           ///< epoch_ at send
+  };
+  static_assert(sizeof(InFlight) <= 64, "an in-flight slot fits one line");
+
+  /// The delivery event: captures [network, slot] only, so it stays in
+  /// the scheduler callback's inline buffer.
+  struct Delivery {
+    Network* network;
+    std::uint32_t slot;
+    void operator()() const { network->deliver_slot(slot); }
+    /// Start loading the destination's first four cache lines: its vptr
+    /// and the state on_message reads (net/link.hpp).
+    void prefetch() const noexcept;
+  };
+
+  INetworkClient* client_at(NodeId id) const noexcept {
+    return id < clients_.size() ? clients_[id] : nullptr;
+  }
   void deliver_slot(std::uint32_t slot);
 
   des::Scheduler& scheduler_;
@@ -114,7 +140,10 @@ class Network final : public Link {
   /// In-flight messages parked here so the delivery event captures only
   /// [this, slot] — inside the scheduler callback's inline buffer (a
   /// by-value Message capture would spill to the heap on every send).
-  util::SlabPool<Message> pool_;
+  util::SlabPool<InFlight> pool_;
+  /// Bumped by every attach and detach: an in-flight slot's client
+  /// pointer is current while its epoch equals this.
+  std::uint64_t epoch_ = 0;
   NodeId next_id_ = 1;
   std::size_t attached_count_ = 0;
   std::size_t in_flight_ = 0;

@@ -15,6 +15,12 @@
 // Use `fits_inline<F>` with a static_assert at hot call sites to make
 // "this capture is allocation-free" a compile-time guarantee rather
 // than a hope; see des/timer.hpp and core/device_base.cpp.
+//
+// prefetch() asks the stored callable to start loading what it will
+// touch when invoked. A callable opts in with a `void prefetch() const`
+// member; for every other callable the call does nothing. The request
+// travels through the manager function the object already holds, so
+// it costs no bytes (des::Scheduler issues it for upcoming events).
 #pragma once
 
 #include <atomic>
@@ -91,6 +97,19 @@ class InlineFunction<R(Args...), Capacity> {
     return invoke_(this, std::forward<Args>(args)...);
   }
 
+  /// Forward to the stored callable's `prefetch() const`, if it has one;
+  /// otherwise (or when empty) do nothing. Never invokes the callable.
+  void prefetch() const noexcept {
+    if (manage_ != nullptr) {
+      manage_(Op::kPrefetch, const_cast<InlineFunction*>(this), nullptr);
+    }
+  }
+
+  /// True when F has the `prefetch() const` member prefetch() calls.
+  template <class F>
+  static constexpr bool prefetches =
+      requires(const std::decay_t<F>& f) { f.prefetch(); };
+
   /// Destroy the stored callable (and free its heap block, if spilled).
   void reset() noexcept {
     if (manage_ != nullptr) manage_(Op::kDestroy, this, nullptr);
@@ -99,7 +118,7 @@ class InlineFunction<R(Args...), Capacity> {
   }
 
  private:
-  enum class Op : std::uint8_t { kDestroy, kMove };
+  enum class Op : std::uint8_t { kDestroy, kMove, kPrefetch };
 
   using Invoke = R (*)(InlineFunction*, Args&&...);
   using Manage = void (*)(Op, InlineFunction*, InlineFunction*);
@@ -117,12 +136,18 @@ class InlineFunction<R(Args...), Capacity> {
       };
       manage_ = [](Op op, InlineFunction* self, InlineFunction* dst) {
         Fn* fn = self->inline_target<Fn>();
-        if (op == Op::kDestroy) {
-          fn->~Fn();
-          return;
+        switch (op) {
+          case Op::kDestroy:
+            fn->~Fn();
+            return;
+          case Op::kMove:
+            ::new (static_cast<void*>(dst->buffer_)) Fn(std::move(*fn));
+            fn->~Fn();
+            return;
+          case Op::kPrefetch:
+            if constexpr (prefetches<Fn>) std::as_const(*fn).prefetch();
+            return;
         }
-        ::new (static_cast<void*>(dst->buffer_)) Fn(std::move(*fn));
-        fn->~Fn();
       };
     } else {
       detail::inline_function_heap_counter().fetch_add(
@@ -134,11 +159,17 @@ class InlineFunction<R(Args...), Capacity> {
       };
       manage_ = [](Op op, InlineFunction* self, InlineFunction* dst) {
         Fn* fn = static_cast<Fn*>(self->heap_slot());
-        if (op == Op::kDestroy) {
-          delete fn;
-          return;
+        switch (op) {
+          case Op::kDestroy:
+            delete fn;
+            return;
+          case Op::kMove:
+            dst->heap_slot() = fn;
+            return;
+          case Op::kPrefetch:
+            if constexpr (prefetches<Fn>) std::as_const(*fn).prefetch();
+            return;
         }
-        dst->heap_slot() = fn;
       };
     }
   }

@@ -127,6 +127,90 @@ TEST(InlineFunction, EventCallbackCapacityHoldsHotPathCaptures) {
   EXPECT_EQ(inline_function_heap_allocations(), before + 1);
 }
 
+// A callable that opts in to prefetch(): counts its calls and its
+// invocations separately.
+struct Prefetching {
+  int* prefetched;
+  int* invoked;
+  void operator()() const { ++*invoked; }
+  void prefetch() const noexcept { ++*prefetched; }
+};
+
+// The same callable, too large for a 16-byte inline buffer.
+struct BigPrefetching : Prefetching {
+  std::array<char, 32> pad{};
+};
+
+TEST(InlineFunction, PrefetchReachesAnOptedInCallable) {
+  using Fn = InlineFunction<void(), 16>;
+  static_assert(Fn::prefetches<Prefetching>);
+  static_assert(Fn::prefetches<BigPrefetching>);
+  static_assert(Fn::fits_inline<Prefetching>);
+  static_assert(!Fn::fits_inline<BigPrefetching>);
+  int prefetched = 0;
+  int invoked = 0;
+  const std::uint64_t before = inline_function_heap_allocations();
+  Fn inline_fn = Prefetching{&prefetched, &invoked};
+  Fn spilled_fn = BigPrefetching{{&prefetched, &invoked}};
+  EXPECT_EQ(inline_function_heap_allocations(), before + 1);
+
+  inline_fn.prefetch();
+  EXPECT_EQ(prefetched, 1);
+  spilled_fn.prefetch();
+  EXPECT_EQ(prefetched, 2);
+  EXPECT_EQ(invoked, 0);
+
+  // The request follows the callable through moves, inline or spilled.
+  Fn moved_inline = std::move(inline_fn);
+  Fn moved_spilled;
+  moved_spilled = std::move(spilled_fn);
+  moved_inline.prefetch();
+  moved_spilled.prefetch();
+  EXPECT_EQ(prefetched, 4);
+  EXPECT_EQ(invoked, 0);
+  moved_inline();
+  moved_spilled();
+  EXPECT_EQ(invoked, 2);
+  EXPECT_EQ(prefetched, 4);
+
+  // An emptied (moved-from or reset) function ignores the request.
+  inline_fn.prefetch();   // NOLINT(bugprone-use-after-move)
+  spilled_fn.prefetch();  // NOLINT(bugprone-use-after-move)
+  moved_inline.reset();
+  moved_inline.prefetch();
+  EXPECT_EQ(prefetched, 4);
+}
+
+TEST(InlineFunction, PrefetchIsANoOpForCallablesWithoutTheMember) {
+  int invoked = 0;
+  auto plain = [&invoked] { ++invoked; };
+  static_assert(!InlineFunction<void()>::prefetches<decltype(plain)>);
+  InlineFunction<void()> fn = plain;
+  fn.prefetch();
+  fn.prefetch();
+  EXPECT_EQ(invoked, 0);
+  ASSERT_TRUE(static_cast<bool>(fn));
+  fn();
+  EXPECT_EQ(invoked, 1);
+
+  // Its captured state is left as it was: a counting lambda, asked to
+  // prefetch, still starts from zero.
+  InlineFunction<int()> counter = [n = 0]() mutable { return ++n; };
+  counter.prefetch();
+  EXPECT_EQ(counter(), 1);
+
+  // A spilled lambda without the member: the same no-op.
+  std::array<char, 64> blob{};
+  blob[5] = 'p';
+  InlineFunction<char(), 16> spilled = [blob] { return blob[5]; };
+  spilled.prefetch();
+  EXPECT_EQ(spilled(), 'p');
+
+  InlineFunction<void()> empty;
+  empty.prefetch();
+  EXPECT_FALSE(static_cast<bool>(empty));
+}
+
 TEST(InlineFunction, HoldsAStdFunctionForInteropCallers) {
   // Callers migrating from std::function can hand one straight in; a
   // std::function object itself fits the 48-byte buffer.

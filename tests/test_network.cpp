@@ -69,6 +69,26 @@ TEST(Network, DetachedDestinationDropsQuietly) {
   EXPECT_EQ(net.counters().delivered, 0u);
 }
 
+TEST(Network, DestinationAttachedInFlightReceives) {
+  // A message to the next id, sent before that node exists, reaches it
+  // when it attaches before the delivery time: the client resolved at
+  // send (none) is stale once the topology changed.
+  des::Simulation sim(1);
+  Network net(sim.scheduler(), sim.rng(), NetworkConfig{},
+              make_constant_delay(0.1), make_no_loss());
+  Recorder a, b;
+  const NodeId ida = net.attach(a);
+  const NodeId next = ida + 1;
+  EXPECT_TRUE(net.send(probe(ida, next)));
+  sim.run_until(0.05);
+  EXPECT_EQ(net.attach(b), next);
+  sim.run_until(1.0);
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].from, ida);
+  EXPECT_EQ(net.counters().delivered, 1u);
+  EXPECT_EQ(net.counters().dropped_unknown, 0u);
+}
+
 TEST(Network, InvalidEndpointsThrow) {
   des::Simulation sim(1);
   auto net = Network::make_paper_default(sim.scheduler(), sim.rng());

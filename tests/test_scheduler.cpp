@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "des/scheduler.hpp"
@@ -537,6 +539,106 @@ TEST(Scheduler, CoarseConfigValidationThrows) {
   bad = SchedulerConfig{};
   bad.coarse_bits = 25;
   EXPECT_THROW(Scheduler{bad}, std::invalid_argument);
+}
+
+// Dispatch-pipeline harness: events whose prefetch() records which
+// event was asked, checked against the set of events already fired or
+// cancelled at that moment.
+struct LookaheadLog {
+  Scheduler* sched = nullptr;
+  std::map<int, EventId> ids;
+  std::map<int, std::function<void()>> actions;  ///< run when id fires
+  std::vector<int> order;
+  std::set<int> gone;  ///< fired or cancelled
+  std::set<int> prefetched;
+  int stale_prefetches = 0;
+  int cancelled_after_prefetch = 0;
+
+  void schedule(int id, Time t);
+  void fire(int id) {
+    gone.insert(id);
+    order.push_back(id);
+    if (auto it = actions.find(id); it != actions.end()) it->second();
+  }
+  void cancel(int id) {
+    EXPECT_TRUE(sched->cancel(ids.at(id))) << "event " << id;
+    if (prefetched.count(id) != 0) ++cancelled_after_prefetch;
+    gone.insert(id);
+  }
+  void on_prefetch(int id) {
+    if (gone.count(id) != 0) ++stale_prefetches;
+    prefetched.insert(id);
+  }
+};
+
+struct Tracked {
+  LookaheadLog* log;
+  int id;
+  void operator()() const { log->fire(id); }
+  void prefetch() const noexcept { log->on_prefetch(id); }
+};
+
+void LookaheadLog::schedule(int id, Time t) {
+  ids[id] = sched->schedule_at(t, Tracked{this, id});
+}
+
+std::vector<int> run_lookahead_tick(const SchedulerConfig& config,
+                                    LookaheadLog& log) {
+  Scheduler sched(config);
+  log.sched = &sched;
+  // One 2^-8 s wheel tick, [1.0, 1.0039): 24 run entries 100 us apart.
+  const Time t0 = 1.0;
+  for (int i = 0; i < 24; ++i) log.schedule(i, t0 + 1e-4 * i);
+  // Event 0 schedules four events into the tick that is executing (the
+  // late heap): between run entries, on a run entry's instant (FIFO
+  // after it) and near the tick's end.
+  log.actions[0] = [&] {
+    log.schedule(100, t0 + 0.5e-4);
+    log.schedule(101, t0 + 1.5e-4);
+    log.schedule(102, t0 + 30.5e-4);
+    log.schedule(103, t0 + 3e-4);
+  };
+  // Event 2 cancels a run entry a few ahead (already asked to
+  // prefetch), a far run entry (not yet asked) and the late heap's
+  // root (asked after every pop).
+  log.actions[2] = [&] {
+    log.cancel(6);
+    log.cancel(14);
+    log.cancel(103);
+  };
+  // Event 5 adds a zero-delay event and cancels a late event that is
+  // not the root; event 7 cancels the run entry right after it.
+  log.actions[5] = [&] {
+    log.schedule(104, sched.now());
+    log.cancel(102);
+  };
+  log.actions[7] = [&] { log.cancel(8); };
+  sched.run_all();
+  EXPECT_EQ(sched.pending_count(), 0u);
+  log.sched = nullptr;
+  return log.order;
+}
+
+TEST(Scheduler, LookaheadPrefetchesOnlyPendingEvents) {
+  SchedulerConfig wheel_config;  // defaults = wheel backend
+  SchedulerConfig heap_config;
+  heap_config.backend = SchedulerBackend::kHeap;
+  LookaheadLog wheel;
+  LookaheadLog heap;
+  const std::vector<int> wheel_order = run_lookahead_tick(wheel_config, wheel);
+  const std::vector<int> heap_order = run_lookahead_tick(heap_config, heap);
+
+  EXPECT_EQ(wheel_order, heap_order);
+  EXPECT_EQ(wheel_order.size(), 24u);  // 29 scheduled, 5 cancelled
+  EXPECT_EQ(wheel.stale_prefetches, 0);
+  EXPECT_TRUE(heap.prefetched.empty());  // the oracle has no pipeline
+  // The pipeline did run, and cancellation did hit events it had
+  // already asked to prefetch (the case that must not leave a stale
+  // request behind).
+  EXPECT_GT(wheel.prefetched.size(), 10u);
+  EXPECT_GT(wheel.cancelled_after_prefetch, 0);
+  EXPECT_TRUE(wheel.prefetched.count(100) != 0 ||
+              wheel.prefetched.count(101) != 0);
 }
 
 TEST(Scheduler, SteadyStateProbePathDoesNotAllocate) {

@@ -94,6 +94,14 @@ Rules (suppress a line with ``NOLINT(<rule>)`` plus a reason comment):
                      the service's first-unanswered-probe-to-declaration
                      name). Names read back by queries, such as the
                      default alert rules' series, are not registrations.
+  one-prefetch       Every software prefetch under src/ goes through
+                     util::prefetch (src/util/prefetch.hpp), an asm
+                     volatile statement the optimizer must keep. GCC 12
+                     at -O2 has deleted a __builtin_prefetch of an
+                     address loaded through a slab table (tree-DCE), and
+                     a deleted prefetch costs nothing visible but the
+                     speed it was meant to buy. Forbids __builtin_prefetch
+                     and _mm_prefetch under src/ outside that header.
 
 Usage:
   tools/lint.py                  # lint src/ under the repo root
@@ -200,6 +208,11 @@ METRIC_REGISTRATION = re.compile(
     r"(?:\.|->)\s*(?:counter|gauge|histogram|counter_callback"
     r"|gauge_callback)\s*\(\s*\"(probemon_[A-Za-z0-9_]*)\"")
 
+# one-prefetch: prefetch intrinsics anywhere under src/ except the one
+# helper header.
+PREFETCH_INTRINSIC = re.compile(r"\b(?:__builtin_prefetch|_mm_prefetch)\s*\(")
+PREFETCH_HELPER = "src/util/prefetch.hpp"
+
 NOLINT = re.compile(r"NOLINT\(([^)]*)\)")
 
 RULES = {
@@ -232,6 +245,9 @@ RULES = {
     "one-metric-owner":
         "each probemon_* family is registered from one file under src/ "
         "(one producer, one meaning)",
+    "one-prefetch":
+        "no __builtin_prefetch/_mm_prefetch under src/ outside "
+        "src/util/prefetch.hpp (util::prefetch cannot be optimized away)",
 }
 
 
@@ -309,6 +325,8 @@ def lint_file(path: pathlib.Path, rel: pathlib.Path) -> list[Finding]:
     lock_zone = "src" in parts and not rel.as_posix().endswith(
         ANNOTATED_LOCKS_EXEMPT)
     second_copy_zone = "src" in parts and "core" not in parts
+    prefetch_zone = "src" in parts and not rel.as_posix().endswith(
+        PREFETCH_HELPER)
     lines = text.splitlines()
 
     in_block_comment = False
@@ -383,6 +401,15 @@ def lint_file(path: pathlib.Path, rel: pathlib.Path) -> list[Finding]:
                     "a reply built outside src/core — run the core device "
                     "on the engine's des::Clock + net::Link instead of "
                     "answering probes a second time"))
+
+        if prefetch_zone and not suppressed(raw, "one-prefetch"):
+            if PREFETCH_INTRINSIC.search(code):
+                findings.append(Finding(
+                    rel, lineno, "one-prefetch",
+                    "raw prefetch intrinsic — call util::prefetch "
+                    "(src/util/prefetch.hpp); GCC may delete a "
+                    "__builtin_prefetch whose address it loads "
+                    "through two levels"))
 
         if wallclock_zone and not suppressed(raw, "no-wall-clock"):
             for pattern, what in WALL_CLOCK_PATTERNS:
