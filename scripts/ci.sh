@@ -54,6 +54,9 @@
 #     ctest suite -- every Experiment self-audits its protocol
 #     invariants and aborts the test on a violation
 #   * a checked DES smoke (bench under the sanitized+checked build)
+#   * both sanitizer trees configured against the system GTest, with
+#     an ldd guard that fails when probemon_tests would load a
+#     libstdc++ from outside the system library directories
 #   * a thread,undefined build running every test that starts an
 #     event loop (EventLoop, WallClockWheel, AsyncUdpTransport/Runtime/
 #     Presence, the DES-vs-reactor EngineConformance tests, and the
@@ -657,12 +660,35 @@ EOF
     TSA_SELFTEST_STATUS="coverage_only"
   fi
 
+  # The sanitizer trees link the system GTest (CMAKE_PREFIX_PATH=/usr):
+  # one found under another prefix first on PATH, such as a conda
+  # install, gives the test binary that prefix's RUNPATH, and the binary
+  # then loads that prefix's libstdc++ -- under which TSan reported
+  # "races" inside its own IsAccessibleMemoryRange in every threaded
+  # test. This guard fails the leg when the tests resolve libstdc++ from
+  # outside the system library directories (a tree configured before
+  # the flag keeps its cached GTest_DIR: delete it and rebuild).
+  check_system_libstdcxx() {
+    local lib
+    lib="$(ldd "$1" | awk '$1 ~ /^libstdc\+\+\.so/ {print $3}')"
+    case "$lib" in
+      /lib/*|/lib64/*|/usr/lib/*|/usr/lib64/*)
+        echo "    $(basename "$1"): libstdc++ from $lib" ;;
+      *)
+        echo "    FAILED: $1 resolves libstdc++ from '${lib:-nowhere}'," >&2
+        echo "    not from the system library directories" >&2
+        exit 1 ;;
+    esac
+  }
+
   # --- dynamic: ASan+UBSan build with the invariant auditor armed
   ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
   echo "==> sanitizer matrix: address,undefined + PROBEMON_CHECKED (${ASAN_BUILD})"
-  cmake -B "$ASAN_BUILD" -S "$ROOT" \
+  cmake -B "$ASAN_BUILD" -S "$ROOT" -DCMAKE_PREFIX_PATH=/usr \
     -DPROBEMON_SANITIZE=address -DPROBEMON_CHECKED=ON >/dev/null
   cmake --build "$ASAN_BUILD" -j >/dev/null
+  echo "==> ldd guard: the ASan tests load the system libstdc++"
+  check_system_libstdcxx "$ASAN_BUILD/tests/probemon_tests"
   ctest --test-dir "$ASAN_BUILD" --output-on-failure -j
 
   # --- dynamic: lock-order detector smoke. The checked build arms the
@@ -739,9 +765,11 @@ EOF
   TSAN_REACTOR+='|EngineConformance\.'
   TSAN_REACTOR+='|Registry\.|LabelInterner\.|DeltaExporter\.|ThreadSafety'
   echo "==> sanitizer matrix: thread,undefined (${TSAN_BUILD})"
-  cmake -B "$TSAN_BUILD" -S "$ROOT" \
+  cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_PREFIX_PATH=/usr \
     -DPROBEMON_SANITIZE=thread,undefined >/dev/null
   cmake --build "$TSAN_BUILD" -j >/dev/null
+  echo "==> ldd guard: the TSan tests load the system libstdc++"
+  check_system_libstdcxx "$TSAN_BUILD/tests/probemon_tests"
   # scripts/tsan.supp silences one sanitizer-runtime false positive
   # (UBSan's IsAccessibleMemoryRange pipe probe); see the file.
   export TSAN_OPTIONS="suppressions=$ROOT/scripts/tsan.supp ${TSAN_OPTIONS:-}"

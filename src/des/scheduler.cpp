@@ -22,10 +22,11 @@ Scheduler::Scheduler(const SchedulerConfig& config) : config_(config) {
         "Scheduler: coarse_bits must be 0 (disabled) or in [6, 22]");
   }
   tick_scale_ = std::ldexp(1.0, config_.tick_bits);
+  tick_width_ = std::ldexp(1.0, -config_.tick_bits);
   if (config_.backend == SchedulerBackend::kWheel) {
     const std::size_t slots = std::size_t{1} << config_.wheel_bits;
     wheel_mask_ = slots - 1;
-    slot_head_.assign(slots, kNil);
+    slot_chunk_.assign(slots, kNil);
     slot_bits_.assign(slots / 64, 0);
     if (config_.coarse_bits != 0) {
       coarse_shift_ = config_.coarse_tick_bits < 0
@@ -40,7 +41,7 @@ Scheduler::Scheduler(const SchedulerConfig& config) : config_(config) {
       }
       const std::size_t cslots = std::size_t{1} << config_.coarse_bits;
       coarse_mask_ = cslots - 1;
-      coarse_head_.assign(cslots, kNil);
+      coarse_chunk_.assign(cslots, kNil);
       coarse_occ_.assign(cslots / 64, 0);
     }
   }
@@ -58,33 +59,29 @@ EventId Scheduler::schedule_at(Time t, Callback fn) {
   }
   const std::uint32_t index = pool_.acquire();
   Event& ev = pool_[index];
-  ev.time = t;
-  ev.seq = next_seq_++;
   ev.fn = std::move(fn);
-  place(index);
+  place(Key{t, next_seq_++, index, ev.gen});
   ++live_;
   if (live_ > high_water_) high_water_ = live_;
   return EventId(make_raw(index, ev.gen));
 }
 
-void Scheduler::place(std::uint32_t index) {
+void Scheduler::place(const Key& key) {
   if (config_.backend == SchedulerBackend::kHeap) {
-    heap_push(heap_, index, Location::kHeap);
+    heap_push(heap_, key, Where::kHeap);
     return;
   }
-  const std::int64_t tick = tick_of(pool_[index].time);
+  const std::int64_t tick = tick_of(key.time);
   if (tick <= cur_tick_) {
-    // The event lands in the tick currently executing; it joins the
-    // late-arrival heap, merged against the sorted run at pop time.
-    heap_push(bucket_late_, index, Location::kBucketLate);
+    tick_insert(key);
   } else if (tick < cur_tick_ + wheel_span()) {
-    wheel_insert(index);
+    wheel_insert(key);
   } else if (coarse_enabled() &&
              coarse_tick_of(tick) <
                  coarse_tick_of(cur_tick_) + coarse_slot_count()) {
-    coarse_insert(index);
+    coarse_insert(key);
   } else {
-    heap_push(overflow_, index, Location::kOverflow);
+    heap_push(overflow_, key, Where::kOverflow);
   }
 }
 
@@ -92,41 +89,55 @@ bool Scheduler::cancel(EventId id) {
   std::uint32_t index = 0;
   std::uint32_t gen = 0;
   if (!decode(id, index, gen)) return false;
-  Event& ev = pool_[index];
-  if (ev.gen != gen || ev.loc == Location::kFree) return false;
-  switch (ev.loc) {
-    case Location::kWheel:
-      wheel_remove(index);
-      break;
-    case Location::kCoarse:
-      coarse_remove(index);
-      break;
-    case Location::kOverflow:
-      heap_remove_at(overflow_, ev.pos);
-      break;
-    case Location::kBucket: {
-      // O(run length), but cancelling inside the currently-executing
-      // tick is rare; the shift keeps the run free of tombstones.
-      const std::size_t pos = ev.pos;
-      bucket_run_.erase(bucket_run_.begin() +
-                        static_cast<std::ptrdiff_t>(pos));
-      for (std::size_t i = pos; i < bucket_run_.size(); ++i) {
-        pool_[bucket_run_[i].index].pos = static_cast<std::uint32_t>(i);
-      }
-      break;
-    }
-    case Location::kBucketLate:
-      heap_remove_at(bucket_late_, ev.pos);
-      break;
-    case Location::kHeap:
-      heap_remove_at(heap_, ev.pos);
-      break;
-    case Location::kFree:
-      return false;
-  }
+  const Event& ev = pool_[index];
+  const std::uint32_t where = ev.where;
+  if (ev.gen != gen || where_tag(where) == Where::kFree) return false;
+  // Reclaim first: the generation bump is what marks the event's key a
+  // tombstone, and a compaction below must already see it as one.
   free_slot(index);
   --live_;
+  switch (where_tag(where)) {
+    case Where::kFine:
+      cancel_in_fine(where_at(where));
+      break;
+    case Where::kCoarse:
+      cancel_in_coarse(where_at(where));
+      break;
+    case Where::kOverflow:
+      heap_remove_at(overflow_, where_at(where));
+      break;
+    case Where::kHeap:
+      heap_remove_at(heap_, where_at(where));
+      break;
+    case Where::kFree:
+      break;
+  }
   return true;
+}
+
+void Scheduler::cancel_in_fine(std::size_t slot) {
+  if (slot == slot_of(cur_tick_)) {
+    // No fine resident uses the executing tick's slot: the event is in
+    // the tick itself.
+    --tick_live_;
+    if (tick_live_ == 0) {
+      clear_tick();
+    } else if (tick_keys_ > kCompactKeys && tick_keys_ - tick_live_ > tick_live_) {
+      compact_tick();
+    }
+    return;
+  }
+  --wheel_count_;
+  if (chain_cancelled(slot_chunk_[slot])) {
+    slot_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  }
+}
+
+void Scheduler::cancel_in_coarse(std::size_t slot) {
+  --coarse_count_;
+  if (chain_cancelled(coarse_chunk_[slot])) {
+    coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  }
 }
 
 bool Scheduler::pending(EventId id) const noexcept {
@@ -134,64 +145,61 @@ bool Scheduler::pending(EventId id) const noexcept {
   std::uint32_t gen = 0;
   if (!decode(id, index, gen)) return false;
   const Event& ev = pool_[index];
-  return ev.gen == gen && ev.loc != Location::kFree;
+  return ev.gen == gen && where_tag(ev.where) != Where::kFree;
+}
+
+std::size_t Scheduler::key_slots() const noexcept {
+  std::size_t keys = firsts_.capacity() * kFirstKeys +
+                     chunks_.capacity() * kChunkKeys + run_.capacity() +
+                     scratch_.capacity();
+  for (const std::vector<Key>& sub : subs_) keys += sub.capacity();
+  return keys;
 }
 
 Time Scheduler::next_time() const {
   if (config_.backend == SchedulerBackend::kHeap) {
     return heap_.empty() ? kTimeInfinity : heap_.front().time;
   }
-  if (!bucket_empty()) {
-    Time best = kTimeInfinity;
-    if (bucket_pos_ < bucket_run_.size()) best = bucket_run_[bucket_pos_].time;
-    if (!bucket_late_.empty() && bucket_late_.front().time < best) {
-      best = bucket_late_.front().time;
-    }
-    return best;
-  }
+  if (tick_live_ > 0) return tick_min_live();
   // Fine and coarse tick ranges can interleave until a cascade runs, so
   // the earliest pending event is the min over the next occupied fine
-  // slot and the first occupied coarse slot. Overflow ticks lie beyond
-  // both windows, so the heap root only matters when the wheels are
-  // empty.
+  // slot and the first occupied coarse slot. An occupied slot holds at
+  // least one live key (a slot is released with its last live event).
+  // Overflow ticks lie beyond both windows, so the heap root only
+  // matters when the wheels are empty.
   Time best = kTimeInfinity;
   if (wheel_count_ > 0) {
-    for (std::uint32_t i = slot_head_[next_occupied_slot()]; i != kNil;
-         i = pool_[i].next) {
-      if (pool_[i].time < best) best = pool_[i].time;
-    }
+    best = chain_min_live(slot_chunk_[next_occupied_slot()]);
   }
   if (coarse_count_ > 0) {
     // Coarse slots cover disjoint, increasing tick ranges, so the first
-    // occupied slot holds the earliest coarse event (its list is
-    // unsorted within the slot — scan it).
-    for (std::uint32_t i = coarse_head_[next_occupied_coarse_slot()];
-         i != kNil; i = pool_[i].next) {
-      if (pool_[i].time < best) best = pool_[i].time;
-    }
+    // occupied slot holds the earliest coarse event (its keys are
+    // unsorted within the slot — scan them).
+    best = std::min(best,
+                    chain_min_live(coarse_chunk_[next_occupied_coarse_slot()]));
   }
   if (best != kTimeInfinity) return best;
   if (!overflow_.empty()) return overflow_.front().time;
   return kTimeInfinity;
 }
 
-bool Scheduler::refill_bucket() {
-  while (bucket_empty()) {
-    bucket_run_.clear();
-    bucket_pos_ = 0;
+bool Scheduler::refill_tick() {
+  clear_tick();
+  for (;;) {
     if (coarse_count_ > 0) {
       // Cascade-on-advance: when the first occupied coarse slot starts
       // at or before the next occupied fine tick, nothing in the fine
       // wheel precedes it — advance to just before the slot's window
       // and spill its events into the fine wheel (each lands strictly
-      // inside the span because 2^coarse_shift < 2^wheel_bits).
+      // inside the span because 2^coarse_shift < 2^wheel_bits). Every
+      // key of a slot shares its tick, tombstones included.
       const std::size_t cslot = next_occupied_coarse_slot();
       const std::int64_t cstart =
-          coarse_tick_of(tick_of(pool_[coarse_head_[cslot]].time))
+          coarse_tick_of(tick_of(chain_tick_time(coarse_chunk_[cslot])))
           << coarse_shift_;
       const bool fine_first =
           wheel_count_ > 0 &&
-          tick_of(pool_[slot_head_[next_occupied_slot()]].time) < cstart;
+          tick_of(chain_tick_time(slot_chunk_[next_occupied_slot()])) < cstart;
       if (!fine_first) {
         cur_tick_ = cstart - 1;
         cascade_coarse_slot(cslot);
@@ -201,76 +209,85 @@ bool Scheduler::refill_bucket() {
     }
     if (wheel_count_ > 0) {
       const std::size_t slot = next_occupied_slot();
-      cur_tick_ = tick_of(pool_[slot_head_[slot]].time);
-      drain_slot_into_bucket(slot);
+      cur_tick_ = tick_of(chain_tick_time(slot_chunk_[slot]));
+      drain_slot_into_tick(slot);
       promote_overflow();
-    } else if (!overflow_.empty()) {
-      // Window jump: fast-forward straight to the next far-future event.
-      cur_tick_ = tick_of(overflow_.front().time);
-      promote_overflow();
-    } else {
-      return false;
+      return true;
     }
+    if (overflow_.empty()) return false;
+    // Window jump: fast-forward straight to the next far-future event,
+    // which promote_overflow() puts into the tick.
+    cur_tick_ = tick_of(overflow_.front().time);
+    promote_overflow();
+    return true;
   }
-  return true;
 }
 
 bool Scheduler::fire_next(Time horizon) {
-  std::uint32_t index = kNil;
+  Key key;
   if (config_.backend == SchedulerBackend::kHeap) {
     if (heap_.empty()) return false;
     if (heap_.front().time > horizon) return false;
-    index = heap_.front().index;
+    key = heap_.front();
     heap_remove_at(heap_, 0);
   } else {
-    if (!refill_bucket()) return false;
-    bool from_late = bucket_pos_ >= bucket_run_.size();
-    if (!from_late && !bucket_late_.empty() &&
-        before(bucket_late_.front(), bucket_run_[bucket_pos_])) {
-      from_late = true;
+    for (;;) {
+      if (tick_live_ == 0 && !refill_tick()) return false;
+      // A live event remains, so the run or a sub-bucket holds a key.
+      if (run_pos_ == run_.size()) top_up(1);
+      PROBEMON_CONTRACT(run_pos_ < run_.size(),
+                        "tick holds " << tick_live_ << " live events but no key");
+      key = run_[run_pos_];
+      if (!live(key)) {  // a tombstone: skip it
+        ++run_pos_;
+        --tick_keys_;
+        continue;
+      }
+      if (key.time > horizon) return false;
+      ++run_pos_;
+      --tick_keys_;
+      --tick_live_;
+      if (pipeline_) {
+        top_up(2 * kLookahead + 1);
+        prefetch_ahead();
+      }
+      break;
     }
-    const HeapEntry& top =
-        from_late ? bucket_late_.front() : bucket_run_[bucket_pos_];
-    if (top.time > horizon) return false;
-    index = top.index;
-    if (from_late) {
-      heap_remove_at(bucket_late_, 0);
-    } else {
-      ++bucket_pos_;
-    }
-    prefetch_ahead();
   }
-  Event& ev = pool_[index];
-  PROBEMON_INVARIANT(ev.time >= now_,
-                     "virtual time regressed: event at " << ev.time
+  Event& ev = pool_[key.index];
+  PROBEMON_INVARIANT(key.time >= now_,
+                     "virtual time regressed: event at " << key.time
                          << " popped while now() = " << now_);
-  const Time t = ev.time;
-  const std::uint64_t seq = ev.seq;
   Callback fn = std::move(ev.fn);
-  free_slot(index);  // reclaim before running: the callback may reschedule
+  free_slot(key.index);  // reclaim before running: the callback may reschedule
   --live_;
-  now_ = t;
+  now_ = key.time;
   ++executed_;
-  if (exec_probe_) exec_probe_(t, seq);
+  if (exec_probe_) exec_probe_(key.time, key.seq);
   fn();
   return true;
 }
 
 void Scheduler::prefetch_ahead() const noexcept {
-  // bucket_pos_ is the next run entry; every entry from there on, and
-  // the late heap's root, is a pending event (cancel erases run entries
-  // and heap nodes in place).
-  const std::size_t run = bucket_run_.size();
-  if (bucket_pos_ + 2 * kLookahead < run) {
-    util::prefetch(&pool_[bucket_run_[bucket_pos_ + 2 * kLookahead].index]);
+  // The pop's generation check will read the slot 2 * kLookahead ahead
+  // whatever its state; only a live entry's callable is asked.
+  const std::size_t rest = run_.size() - run_pos_;
+  if (rest > 2 * kLookahead) {
+    util::prefetch(&pool_[run_[run_pos_ + 2 * kLookahead].index]);
   }
-  if (bucket_pos_ + kLookahead < run) {
-    pool_[bucket_run_[bucket_pos_ + kLookahead].index].fn.prefetch();
+  if (rest > kLookahead) {
+    const Key& ahead = run_[run_pos_ + kLookahead];
+    const Event& ev = pool_[ahead.index];
+    if (ev.gen == ahead.gen) ev.fn.prefetch();
   }
-  if (!bucket_late_.empty()) pool_[bucket_late_.front().index].fn.prefetch();
 }
 
 std::uint64_t Scheduler::run_until(Time horizon) {
+  if (std::isnan(horizon)) {
+    // Every comparison with NaN is false, so no event would ever be
+    // "past the horizon": the run would drain the model.
+    throw std::logic_error("run_until: NaN horizon");
+  }
   std::uint64_t n = 0;
   while (fire_next(horizon)) ++n;
   if (now_ < horizon && horizon != kTimeInfinity) now_ = horizon;
@@ -290,32 +307,29 @@ std::uint64_t Scheduler::run_all(std::uint64_t max_events) {
 void Scheduler::free_slot(std::uint32_t index) {
   Event& ev = pool_[index];
   ev.fn.reset();
-  ++ev.gen;  // invalidates every outstanding EventId for this slot
-  ev.loc = Location::kFree;
-  ev.prev = kNil;
-  ev.next = kNil;
+  ++ev.gen;  // invalidates every outstanding EventId and key for this slot
+  ev.where = make_where(Where::kFree, 0);
   pool_.release(index);
 }
 
 // --- indexed-heap primitives -------------------------------------------------
 
-void Scheduler::heap_push(Heap& heap, std::uint32_t index, Location loc) {
-  Event& ev = pool_[index];
-  ev.loc = loc;
-  ev.next = kNil;
-  ev.pos = static_cast<std::uint32_t>(heap.size());
-  heap.push_back(HeapEntry{ev.time, ev.seq, index});
+void Scheduler::heap_push(Heap& heap, const Key& key, Where tag) {
+  PROBEMON_CONTRACT(heap.size() < kWhereMask,
+                    "heap_push: " << heap.size() << " entries overflow Where");
+  pool_[key.index].where = make_where(tag, heap.size());
+  heap.push_back(key);
   sift_up(heap, heap.size() - 1);
 }
 
 void Scheduler::heap_remove_at(Heap& heap, std::size_t pos) {
   PROBEMON_CONTRACT(pos < heap.size(),
                     "heap_remove_at: position " << pos << " out of range");
-  const HeapEntry last = heap.back();
+  const Key last = heap.back();
   heap.pop_back();
   if (pos < heap.size()) {
     heap[pos] = last;
-    pool_[last.index].pos = static_cast<std::uint32_t>(pos);
+    set_heap_pos(last.index, pos);
     sift_down(heap, pos);
     sift_up(heap, pos);
   }
@@ -326,8 +340,8 @@ void Scheduler::sift_up(Heap& heap, std::size_t pos) {
     const std::size_t parent = (pos - 1) / 2;
     if (!before(heap[pos], heap[parent])) break;
     std::swap(heap[pos], heap[parent]);
-    pool_[heap[pos].index].pos = static_cast<std::uint32_t>(pos);
-    pool_[heap[parent].index].pos = static_cast<std::uint32_t>(parent);
+    set_heap_pos(heap[pos].index, pos);
+    set_heap_pos(heap[parent].index, parent);
     pos = parent;
   }
 }
@@ -342,66 +356,184 @@ void Scheduler::sift_down(Heap& heap, std::size_t pos) {
     if (right < n && before(heap[right], heap[best])) best = right;
     if (best == pos) break;
     std::swap(heap[pos], heap[best]);
-    pool_[heap[pos].index].pos = static_cast<std::uint32_t>(pos);
-    pool_[heap[best].index].pos = static_cast<std::uint32_t>(best);
+    set_heap_pos(heap[pos].index, pos);
+    set_heap_pos(heap[best].index, best);
     pos = best;
   }
 }
 
+// --- slot key chains ---------------------------------------------------------
+
+void Scheduler::chain_append(std::uint32_t& chain, const Key& key) {
+  if (chain == kNil) {
+    chain = firsts_.acquire();
+    ChunkHeader& first = firsts_[chain].head;
+    first.prev = kNil;
+    first.size = 0;
+    first.live = 0;
+  }
+  ChunkHeader* newest = &header(chain);
+  std::uint32_t at = newest->size;
+  if (at >= kFirstKeys) {
+    at = (at - kFirstKeys) % kChunkKeys;
+    if (at == 0) {
+      // Full: a fresh chunk becomes the newest and takes over the counts.
+      const std::uint32_t fresh = chunks_.acquire() | kBigChunk;
+      ChunkHeader& next = header(fresh);  // slabs never move
+      next.prev = chain;
+      next.size = newest->size;
+      next.live = newest->live;
+      chain = fresh;
+      newest = &next;
+    }
+  }
+  chunk_keys(chain)[at] = key;
+  ++newest->size;
+  ++newest->live;
+}
+
+void Scheduler::release_chunk(std::uint32_t ref) {
+  if ((ref & kBigChunk) != 0) {
+    chunks_.release(ref & ~kBigChunk);
+  } else {
+    firsts_.release(ref);
+  }
+}
+
+void Scheduler::chain_release(std::uint32_t chain) {
+  while (chain != kNil) {
+    const std::uint32_t prev = header(chain).prev;
+    release_chunk(chain);
+    chain = prev;
+  }
+}
+
+template <class F>
+void Scheduler::for_each_chunk(std::uint32_t chain, F&& f) const {
+  if (chain == kNil) return;
+  std::uint32_t n = newest_keys(header(chain).size);
+  for (std::uint32_t c = chain; c != kNil; c = header(c).prev) {
+    f(chunk_keys(c), n);
+    if (header(c).prev != kNil) n = full_keys(header(c).prev);
+  }
+}
+
+template <class F>
+void Scheduler::consume_chain(std::uint32_t chain, F&& f) {
+  if (chain == kNil) return;
+  std::uint32_t n = newest_keys(header(chain).size);
+  while (chain != kNil) {
+    const std::uint32_t prev = header(chain).prev;
+    if (prev != kNil) util::prefetch(&header(prev));
+    const Key* keys = chunk_keys(chain);
+    for (std::uint32_t i = 0; i < n; ++i) f(keys[i]);
+    release_chunk(chain);
+    if (prev != kNil) n = full_keys(prev);
+    chain = prev;
+  }
+}
+
+void Scheduler::chain_rebuild(std::uint32_t& chain) {
+  // Key order inside a chain does not matter: whoever reads it sorts.
+  // Each chunk's event slots are prefetched before their generations
+  // are read, so a fleet-sized slot pays its misses ten at a time.
+  scratch_.clear();
+  for_each_chunk(chain, [this](const Key* keys, std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i) util::prefetch(&pool_[keys[i].index]);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (live(keys[i])) scratch_.push_back(keys[i]);
+    }
+  });
+  chain_release(chain);  // LIFO: the appends below reuse these chunks
+  chain = kNil;
+  for (const Key& key : scratch_) chain_append(chain, key);
+  scratch_.clear();
+}
+
+bool Scheduler::chain_cancelled(std::uint32_t& chain) {
+  ChunkHeader& newest = header(chain);
+  --newest.live;
+  if (newest.live == 0) {
+    chain_release(chain);
+    chain = kNil;
+    return true;
+  }
+  // A slot that is mostly tombstones is rebuilt from its live keys once
+  // it is past its first two chunks (below that a rebuild frees little).
+  // The scan costs the slot's size, at most twice the cancels since the
+  // last rebuild.
+  if (newest.size > kCompactKeys && newest.size - newest.live > newest.live) {
+    [[maybe_unused]] const std::uint32_t live_keys = newest.live;
+    chain_rebuild(chain);
+    PROBEMON_CONTRACT(chain != kNil && header(chain).live == live_keys,
+                      "slot rebuild kept " << header(chain).live << " of "
+                                           << live_keys << " live keys");
+  }
+  return false;
+}
+
+Time Scheduler::chain_min_live(std::uint32_t chain) const {
+  Time best = kTimeInfinity;
+  for_each_chunk(chain, [&](const Key* keys, std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (keys[i].time < best && live(keys[i])) best = keys[i].time;
+    }
+  });
+  return best;
+}
+
 // --- wheel primitives --------------------------------------------------------
 
-void Scheduler::wheel_insert(std::uint32_t index) {
-  Event& ev = pool_[index];
-  const std::int64_t tick = tick_of(ev.time);
+void Scheduler::wheel_insert(const Key& key) {
+  const std::int64_t tick = tick_of(key.time);
   const std::size_t slot = slot_of(tick);
-  const std::uint32_t head = slot_head_[slot];
-  PROBEMON_CONTRACT(head == kNil || tick_of(pool_[head].time) == tick,
-                    "wheel slot " << slot << " mixes ticks " << tick
-                                  << " and " << tick_of(pool_[head].time));
-  ev.loc = Location::kWheel;
-  ev.prev = kNil;
-  ev.next = head;
-  if (head != kNil) pool_[head].prev = index;
-  slot_head_[slot] = index;
-  slot_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  std::uint32_t& chain = slot_chunk_[slot];
+  PROBEMON_CONTRACT(chain == kNil || tick_of(chain_tick_time(chain)) == tick,
+                    "wheel slot " << slot << " mixes ticks " << tick << " and "
+                                  << tick_of(chain_tick_time(chain)));
+  if (chain == kNil) slot_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  chain_append(chain, key);
+  pool_[key.index].where = make_where(Where::kFine, slot);
   ++wheel_count_;
 }
 
-void Scheduler::wheel_remove(std::uint32_t index) {
-  Event& ev = pool_[index];
-  const std::size_t slot = slot_of(tick_of(ev.time));
-  if (ev.prev != kNil) {
-    pool_[ev.prev].next = ev.next;
-  } else {
-    slot_head_[slot] = ev.next;
-  }
-  if (ev.next != kNil) pool_[ev.next].prev = ev.prev;
-  if (slot_head_[slot] == kNil) {
-    slot_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
-  --wheel_count_;
-}
-
-void Scheduler::drain_slot_into_bucket(std::size_t slot) {
-  std::uint32_t i = slot_head_[slot];
-  slot_head_[slot] = kNil;
+void Scheduler::drain_slot_into_tick(std::size_t slot) {
+  const std::uint32_t chain = slot_chunk_[slot];
+  slot_chunk_[slot] = kNil;
   slot_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  for (; i != kNil; i = pool_[i].next) {
-    --wheel_count_;
-    bucket_run_.push_back(HeapEntry{pool_[i].time, pool_[i].seq, i});
-  }
-  // The slot list is LIFO by schedule order, so the reverse is already
-  // sorted by seq; a real sort is needed only when distinct times inside
-  // the one tick arrived out of time order.
-  std::reverse(bucket_run_.begin(), bucket_run_.end());
-  if (!std::is_sorted(bucket_run_.begin(), bucket_run_.end(), before)) {
-    std::sort(bucket_run_.begin(), bucket_run_.end(), before);
-  }
-  for (std::size_t pos = 0; pos < bucket_run_.size(); ++pos) {
-    Event& ev = pool_[bucket_run_[pos].index];
-    ev.loc = Location::kBucket;
-    ev.next = kNil;
-    ev.pos = static_cast<std::uint32_t>(pos);
+  const std::uint32_t size = header(chain).size;
+  const std::uint32_t live_keys = header(chain).live;
+  wheel_count_ -= live_keys;
+
+  // Size the calendar from the tick's population: one sorted run for up
+  // to kSubKeys events, else about kSubKeys per sub-bucket.
+  unsigned bits = 0;
+  while (bits < kMaxSubBits && (kSubKeys << bits) < live_keys) ++bits;
+  // Over the tick's own span the sub-bucket scale is a power of two.
+  set_tick_geometry(bits, static_cast<Time>(cur_tick_) * tick_width_,
+                    tick_scale_ * static_cast<double>(std::size_t{1} << bits));
+  pipeline_ = live_keys >= kPipelineMinTick;
+  tick_keys_ = size;
+  tick_live_ = live_keys;
+
+  // The drained events keep Where::kFine with this slot, which now names
+  // the executing tick (see Where). Sub-bucket appends may reuse the
+  // chunks already read.
+  if (bits == 0) {
+    consume_chain(chain, [this](const Key& key) { run_.push_back(key); });
+    // A chunk holds its keys in schedule order, so a slot of one chunk
+    // is usually sorted already; a real sort is needed only when times
+    // inside the tick arrived out of order.
+    if (!std::is_sorted(run_.begin(), run_.end(), KeyOrder{})) {
+      std::sort(run_.begin(), run_.end(), KeyOrder{});
+    }
+  } else {
+    consume_chain(chain, [this](const Key& key) {
+      const std::size_t sub = sub_of(key.time);
+      subs_[sub].push_back(key);
+      sub_occ_[sub >> 6] |= std::uint64_t{1} << (sub & 63);
+    });
+    top_up(pipeline_ ? 2 * kLookahead + 1 : 1);
   }
 }
 
@@ -413,22 +545,18 @@ void Scheduler::promote_overflow() {
   const std::int64_t window_end =
       coarse_enabled() ? coarse_window_end() : fine_end;
   while (!overflow_.empty()) {
-    const std::uint32_t index = overflow_.front().index;
-    const std::int64_t tick = tick_of(overflow_.front().time);
+    const Key key = overflow_.front();
+    const std::int64_t tick = tick_of(key.time);
     if (tick >= window_end) break;
     heap_remove_at(overflow_, 0);
     if (tick <= cur_tick_) {
-      // Only reachable on a window jump, with the run empty: successive
-      // overflow-root pops arrive in ascending (time, seq) order, so
-      // appending keeps the run sorted.
-      Event& ev = pool_[index];
-      ev.loc = Location::kBucket;
-      ev.pos = static_cast<std::uint32_t>(bucket_run_.size());
-      bucket_run_.push_back(HeapEntry{ev.time, ev.seq, index});
+      // Only reachable on a window jump, into an empty tick: successive
+      // overflow-root pops arrive in ascending (time, seq) order.
+      tick_insert(key);
     } else if (tick < fine_end) {
-      wheel_insert(index);
+      wheel_insert(key);
     } else {
-      coarse_insert(index);
+      coarse_insert(key);
     }
   }
 }
@@ -458,52 +586,31 @@ std::size_t Scheduler::next_occupied_slot() const {
 
 // --- coarse (upper-level) wheel primitives -----------------------------------
 
-void Scheduler::coarse_insert(std::uint32_t index) {
-  Event& ev = pool_[index];
-  const std::int64_t ctick = coarse_tick_of(tick_of(ev.time));
+void Scheduler::coarse_insert(const Key& key) {
+  const std::int64_t ctick = coarse_tick_of(tick_of(key.time));
   const std::size_t slot = coarse_slot_of(ctick);
-  const std::uint32_t head = coarse_head_[slot];
+  std::uint32_t& chain = coarse_chunk_[slot];
   // Residents satisfy coarse_tick_of(cur_tick_) < ctick <
   // coarse_tick_of(cur_tick_) + slot count, so — exactly like the fine
   // wheel — one slot never mixes two coarse ticks.
   PROBEMON_CONTRACT(
-      head == kNil || coarse_tick_of(tick_of(pool_[head].time)) == ctick,
+      chain == kNil || coarse_tick_of(tick_of(chain_tick_time(chain))) == ctick,
       "coarse slot " << slot << " mixes coarse ticks " << ctick << " and "
-                     << coarse_tick_of(tick_of(pool_[head].time)));
-  ev.loc = Location::kCoarse;
-  ev.prev = kNil;
-  ev.next = head;
-  if (head != kNil) pool_[head].prev = index;
-  coarse_head_[slot] = index;
-  coarse_occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+                     << coarse_tick_of(tick_of(chain_tick_time(chain))));
+  if (chain == kNil) coarse_occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  chain_append(chain, key);
+  pool_[key.index].where = make_where(Where::kCoarse, slot);
   ++coarse_count_;
 }
 
-void Scheduler::coarse_remove(std::uint32_t index) {
-  Event& ev = pool_[index];
-  const std::size_t slot = coarse_slot_of(coarse_tick_of(tick_of(ev.time)));
-  if (ev.prev != kNil) {
-    pool_[ev.prev].next = ev.next;
-  } else {
-    coarse_head_[slot] = ev.next;
-  }
-  if (ev.next != kNil) pool_[ev.next].prev = ev.prev;
-  if (coarse_head_[slot] == kNil) {
-    coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
-  --coarse_count_;
-}
-
 void Scheduler::cascade_coarse_slot(std::size_t slot) {
-  std::uint32_t i = coarse_head_[slot];
-  coarse_head_[slot] = kNil;
+  const std::uint32_t chain = coarse_chunk_[slot];
+  coarse_chunk_[slot] = kNil;
   coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  while (i != kNil) {
-    const std::uint32_t next = pool_[i].next;  // wheel_insert rewrites links
-    --coarse_count_;
-    wheel_insert(i);
-    i = next;
-  }
+  coarse_count_ -= header(chain).live;
+  consume_chain(chain, [this](const Key& key) {
+    if (live(key)) wheel_insert(key);  // tombstones stay behind
+  });
 }
 
 std::size_t Scheduler::next_occupied_coarse_slot() const {
@@ -527,6 +634,159 @@ std::size_t Scheduler::next_occupied_coarse_slot() const {
   }
   PROBEMON_CONTRACT(false, "occupancy bitmap inconsistent with coarse_count_");
   return 0;
+}
+
+// --- the executing tick (calendar queue) -------------------------------------
+
+void Scheduler::set_tick_geometry(unsigned bits, Time base, double scale) {
+  sub_bits_ = bits;
+  sub_count_ = std::size_t{1} << bits;
+  // With one sub-bucket the whole tick is the run (sub_of() is 0 for
+  // any time, whatever the base and scale); otherwise no sub-bucket has
+  // been merged into it yet.
+  next_sub_ = bits == 0 ? 1 : 0;
+  sub_base_ = base;
+  sub_scale_ = scale;
+  if (subs_.size() < sub_count_) subs_.resize(sub_count_);
+}
+
+void Scheduler::tick_insert(const Key& key) {
+  pool_[key.index].where = make_where(Where::kFine, slot_of(cur_tick_));
+  if (tick_live_ == 0) {
+    // An empty (or all-tombstone) tick starts over as one sorted run.
+    clear_tick();
+    set_tick_geometry(0, 0.0, 0.0);
+    pipeline_ = false;
+  }
+  const std::size_t at = tick_place(key);
+  ++tick_keys_;
+  ++tick_live_;
+  if (at == kNotInRun) return;
+  // The pipeline asks the entry kLookahead past the cursor; an event
+  // that lands closer than that is asked now (its slot was just written).
+  if (pipeline_ && at < run_pos_ + kLookahead) pool_[key.index].fn.prefetch();
+  if (at + 1 < run_.size() && run_.size() - run_pos_ > kSplitRun &&
+      sub_bits_ < kMaxSubBits) {
+    resplit_tick();
+  }
+}
+
+std::size_t Scheduler::tick_place(const Key& key) {
+  const std::size_t sub = sub_of(key.time);
+  if (sub >= next_sub_) {
+    subs_[sub].push_back(key);
+    sub_occ_[sub >> 6] |= std::uint64_t{1} << (sub & 63);
+    return kNotInRun;
+  }
+  if (run_pos_ == run_.size() || !before(key, run_.back())) {
+    run_.push_back(key);
+    return run_.size() - 1;
+  }
+  // Its seq is the largest yet, so it goes after every entry at or
+  // before its time.
+  const auto at =
+      std::upper_bound(run_.begin() + static_cast<std::ptrdiff_t>(run_pos_),
+                       run_.end(), key, KeyOrder{});
+  return static_cast<std::size_t>(run_.insert(at, key) - run_.begin());
+}
+
+void Scheduler::top_up(std::size_t window) {
+  while (run_.size() - run_pos_ < window) {
+    std::size_t sub = next_sub_;
+    while (sub < sub_count_) {
+      const std::uint64_t bits = sub_occ_[sub >> 6] >> (sub & 63);
+      if (bits != 0) {
+        sub += static_cast<std::size_t>(std::countr_zero(bits));
+        break;
+      }
+      sub = (sub | 63) + 1;
+    }
+    if (sub >= sub_count_) {
+      next_sub_ = sub_count_;
+      return;
+    }
+    // Everything in the run precedes the sub-bucket, so its sorted keys
+    // append. The consumed prefix goes first (fewer than `window` keys
+    // remain to move).
+    run_.erase(run_.begin(), run_.begin() + static_cast<std::ptrdiff_t>(run_pos_));
+    run_pos_ = 0;
+    std::vector<Key>& keys = subs_[sub];
+    const std::size_t from = run_.size();
+    run_.insert(run_.end(), keys.begin(), keys.end());
+    keys.clear();
+    sub_occ_[sub >> 6] &= ~(std::uint64_t{1} << (sub & 63));
+    next_sub_ = sub + 1;
+    const auto first = run_.begin() + static_cast<std::ptrdiff_t>(from);
+    if (!std::is_sorted(first, run_.end(), KeyOrder{})) {
+      std::sort(first, run_.end(), KeyOrder{});
+    }
+  }
+}
+
+void Scheduler::resplit_tick() {
+  // Inserts into the middle of a long run under the cursor: lay what is
+  // left of the tick out again, from its earliest key to the tick's
+  // end, with more sub-buckets. The count only grows, so a tick
+  // re-splits at most kMaxSubBits times.
+  scratch_.assign(run_.begin() + static_cast<std::ptrdiff_t>(run_pos_),
+                  run_.end());
+  for (std::size_t sub = next_sub_; sub < sub_count_; ++sub) {
+    scratch_.insert(scratch_.end(), subs_[sub].begin(), subs_[sub].end());
+    subs_[sub].clear();
+  }
+  std::fill(std::begin(sub_occ_), std::end(sub_occ_), 0);
+  run_.clear();
+  run_pos_ = 0;
+  unsigned bits = sub_bits_ + 1;
+  while (bits < kMaxSubBits && (kSubKeys << bits) < scratch_.size()) ++bits;
+  Time base = kTimeInfinity;
+  for (const Key& key : scratch_) base = std::min(base, key.time);
+  const Time end = static_cast<Time>(cur_tick_ + 1) * tick_width_;
+  set_tick_geometry(bits, base,
+                    static_cast<double>(std::size_t{1} << bits) / (end - base));
+  pipeline_ = tick_live_ >= kPipelineMinTick;
+  for (const Key& key : scratch_) tick_place(key);
+  scratch_.clear();
+  top_up(pipeline_ ? 2 * kLookahead + 1 : 1);
+}
+
+void Scheduler::compact_tick() {
+  const auto dead = [this](const Key& key) { return !live(key); };
+  run_.erase(std::remove_if(run_.begin() + static_cast<std::ptrdiff_t>(run_pos_),
+                            run_.end(), dead),
+             run_.end());
+  for (std::size_t sub = next_sub_; sub < sub_count_; ++sub) {
+    std::vector<Key>& keys = subs_[sub];
+    keys.erase(std::remove_if(keys.begin(), keys.end(), dead), keys.end());
+    if (keys.empty()) sub_occ_[sub >> 6] &= ~(std::uint64_t{1} << (sub & 63));
+  }
+  tick_keys_ = tick_live_;
+}
+
+void Scheduler::clear_tick() {
+  run_.clear();
+  run_pos_ = 0;
+  for (std::size_t sub = next_sub_; sub < sub_count_; ++sub) subs_[sub].clear();
+  std::fill(std::begin(sub_occ_), std::end(sub_occ_), 0);
+  next_sub_ = sub_count_;
+  tick_keys_ = 0;
+  tick_live_ = 0;
+}
+
+Time Scheduler::tick_min_live() const {
+  // The run is sorted, and every sub-bucket after it is later in time
+  // than the one before: the first live key found, in that order, wins.
+  for (std::size_t i = run_pos_; i < run_.size(); ++i) {
+    if (live(run_[i])) return run_[i].time;
+  }
+  for (std::size_t sub = next_sub_; sub < sub_count_; ++sub) {
+    Time best = kTimeInfinity;
+    for (const Key& key : subs_[sub]) {
+      if (key.time < best && live(key)) best = key.time;
+    }
+    if (best != kTimeInfinity) return best;
+  }
+  return kTimeInfinity;
 }
 
 }  // namespace probemon::des

@@ -16,16 +16,26 @@
 // "this capture is allocation-free" a compile-time guarantee rather
 // than a hope; see des/timer.hpp and core/device_base.cpp.
 //
+// Type erasure costs one pointer: the object holds the address of a
+// static {invoke, manage, trivial} table, one per stored callable type
+// and storage mode, instead of the two function pointers themselves.
+// With the buffer aligned like a pointer, an InlineFunction is
+// Capacity + 8 bytes, so des::Scheduler's 16-byte event callback is 24
+// bytes and two event slots share a cache line. A trivially copyable
+// callable stored inline moves by copying the buffer and needs no
+// destruction, so neither goes through the table's manager.
+//
 // prefetch() asks the stored callable to start loading what it will
 // touch when invoked. A callable opts in with a `void prefetch() const`
 // member; for every other callable the call does nothing. The request
-// travels through the manager function the object already holds, so
+// travels through the manager function the table already holds, so
 // it costs no bytes (des::Scheduler issues it for upcoming events).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -58,7 +68,7 @@ class InlineFunction<R(Args...), Capacity> {
   template <class F>
   static constexpr bool fits_inline =
       sizeof(std::decay_t<F>) <= Capacity &&
-      alignof(std::decay_t<F>) <= alignof(std::max_align_t);
+      alignof(std::decay_t<F>) <= alignof(void*);
 
   InlineFunction() noexcept = default;
   InlineFunction(std::nullptr_t) noexcept {}  // NOLINT: mirrors std::function
@@ -91,17 +101,17 @@ class InlineFunction<R(Args...), Capacity> {
 
   ~InlineFunction() { reset(); }
 
-  explicit operator bool() const noexcept { return invoke_ != nullptr; }
+  explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   R operator()(Args... args) {
-    return invoke_(this, std::forward<Args>(args)...);
+    return ops_->invoke(this, std::forward<Args>(args)...);
   }
 
   /// Forward to the stored callable's `prefetch() const`, if it has one;
   /// otherwise (or when empty) do nothing. Never invokes the callable.
   void prefetch() const noexcept {
-    if (manage_ != nullptr) {
-      manage_(Op::kPrefetch, const_cast<InlineFunction*>(this), nullptr);
+    if (ops_ != nullptr) {
+      ops_->manage(Op::kPrefetch, const_cast<InlineFunction*>(this), nullptr);
     }
   }
 
@@ -112,9 +122,10 @@ class InlineFunction<R(Args...), Capacity> {
 
   /// Destroy the stored callable (and free its heap block, if spilled).
   void reset() noexcept {
-    if (manage_ != nullptr) manage_(Op::kDestroy, this, nullptr);
-    invoke_ = nullptr;
-    manage_ = nullptr;
+    if (ops_ != nullptr && !ops_->trivial) {
+      ops_->manage(Op::kDestroy, this, nullptr);
+    }
+    ops_ = nullptr;
   }
 
  private:
@@ -123,63 +134,92 @@ class InlineFunction<R(Args...), Capacity> {
   using Invoke = R (*)(InlineFunction*, Args&&...);
   using Manage = void (*)(Op, InlineFunction*, InlineFunction*);
 
+  /// What a stored callable type needs: how to call it, and how to
+  /// destroy, move or ask it to prefetch.
+  struct Ops {
+    Invoke invoke;
+    Manage manage;
+    /// Stored inline and trivially copyable (every hot event callable
+    /// is: a pointer or two and a scalar): a move copies the buffer and
+    /// destruction is a no-op, with no call through `manage`.
+    bool trivial;
+  };
+
+  /// The table for a callable stored in the inline buffer.
+  template <class Fn>
+  struct InlineOps {
+    static R invoke(InlineFunction* self, Args&&... args) {
+      return (*self->inline_target<Fn>())(std::forward<Args>(args)...);
+    }
+    static void manage(Op op, InlineFunction* self, InlineFunction* dst) {
+      Fn* fn = self->inline_target<Fn>();
+      switch (op) {
+        case Op::kDestroy:
+          fn->~Fn();
+          return;
+        case Op::kMove:
+          ::new (static_cast<void*>(dst->buffer_)) Fn(std::move(*fn));
+          fn->~Fn();
+          return;
+        case Op::kPrefetch:
+          if constexpr (prefetches<Fn>) std::as_const(*fn).prefetch();
+          return;
+      }
+    }
+    static constexpr Ops table{&invoke, &manage,
+                               std::is_trivially_copyable_v<Fn>};
+  };
+
+  /// The table for a callable spilled to a heap block.
+  template <class Fn>
+  struct HeapOps {
+    static R invoke(InlineFunction* self, Args&&... args) {
+      return (*static_cast<Fn*>(self->heap_slot()))(
+          std::forward<Args>(args)...);
+    }
+    static void manage(Op op, InlineFunction* self, InlineFunction* dst) {
+      Fn* fn = static_cast<Fn*>(self->heap_slot());
+      switch (op) {
+        case Op::kDestroy:
+          delete fn;
+          return;
+        case Op::kMove:
+          dst->heap_slot() = fn;
+          return;
+        case Op::kPrefetch:
+          if constexpr (prefetches<Fn>) std::as_const(*fn).prefetch();
+          return;
+      }
+    }
+    static constexpr Ops table{&invoke, &manage, false};
+  };
+
   template <class F>
   void emplace(F&& f) {
     using Fn = std::decay_t<F>;
-    // The invoke/manage function pointers each close over where the
-    // callable lives (inline buffer vs heap block), so there is no
-    // discriminator flag to keep in sync on moves.
+    // Each table closes over where the callable lives (inline buffer vs
+    // heap block), so there is no discriminator flag to keep in sync on
+    // moves.
     if constexpr (fits_inline<F>) {
       ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
-      invoke_ = [](InlineFunction* self, Args&&... args) -> R {
-        return (*self->inline_target<Fn>())(std::forward<Args>(args)...);
-      };
-      manage_ = [](Op op, InlineFunction* self, InlineFunction* dst) {
-        Fn* fn = self->inline_target<Fn>();
-        switch (op) {
-          case Op::kDestroy:
-            fn->~Fn();
-            return;
-          case Op::kMove:
-            ::new (static_cast<void*>(dst->buffer_)) Fn(std::move(*fn));
-            fn->~Fn();
-            return;
-          case Op::kPrefetch:
-            if constexpr (prefetches<Fn>) std::as_const(*fn).prefetch();
-            return;
-        }
-      };
+      ops_ = &InlineOps<Fn>::table;
     } else {
       detail::inline_function_heap_counter().fetch_add(
           1, std::memory_order_relaxed);
       heap_slot() = new Fn(std::forward<F>(f));  // NOLINT(no-naked-new): type-erased SBO spill, deleted by the manager
-      invoke_ = [](InlineFunction* self, Args&&... args) -> R {
-        return (*static_cast<Fn*>(self->heap_slot()))(
-            std::forward<Args>(args)...);
-      };
-      manage_ = [](Op op, InlineFunction* self, InlineFunction* dst) {
-        Fn* fn = static_cast<Fn*>(self->heap_slot());
-        switch (op) {
-          case Op::kDestroy:
-            delete fn;
-            return;
-          case Op::kMove:
-            dst->heap_slot() = fn;
-            return;
-          case Op::kPrefetch:
-            if constexpr (prefetches<Fn>) std::as_const(*fn).prefetch();
-            return;
-        }
-      };
+      ops_ = &HeapOps<Fn>::table;
     }
   }
 
   void move_from(InlineFunction& other) noexcept {
-    invoke_ = other.invoke_;
-    manage_ = other.manage_;
-    if (manage_ != nullptr) manage_(Op::kMove, &other, this);
-    other.invoke_ = nullptr;
-    other.manage_ = nullptr;
+    ops_ = other.ops_;
+    if (ops_ == nullptr) return;
+    if (ops_->trivial) {
+      std::memcpy(buffer_, other.buffer_, Capacity);
+    } else {
+      ops_->manage(Op::kMove, &other, this);
+    }
+    other.ops_ = nullptr;
   }
 
   template <class Fn>
@@ -192,9 +232,8 @@ class InlineFunction<R(Args...), Capacity> {
     return *reinterpret_cast<void**>(static_cast<void*>(buffer_));
   }
 
-  alignas(std::max_align_t) unsigned char buffer_[Capacity];
-  Invoke invoke_ = nullptr;
-  Manage manage_ = nullptr;
+  alignas(void*) unsigned char buffer_[Capacity];
+  const Ops* ops_ = nullptr;
 };
 
 }  // namespace probemon::util

@@ -202,6 +202,29 @@ TEST(Scheduler, RunUntilAdvancesClockPastEmptyQueue) {
   EXPECT_EQ(sched.now(), 7.0);
 }
 
+TEST(Scheduler, RunUntilRejectsNaNHorizon) {
+  // No event time compares greater than NaN, so a NaN horizon would
+  // fire every pending event (and never return from a model that keeps
+  // rescheduling). It is rejected like a non-finite schedule_at.
+  for (SchedulerBackend backend :
+       {SchedulerBackend::kWheel, SchedulerBackend::kHeap}) {
+    SchedulerConfig config;
+    config.backend = backend;
+    Scheduler sched(config);
+    for (int i = 0; i < 10; ++i) {
+      sched.schedule_at(0.1 * (i + 1), [] {});
+    }
+    EXPECT_THROW(sched.run_until(std::nan("")), std::logic_error);
+    EXPECT_EQ(sched.executed_count(), 0u);
+    EXPECT_EQ(sched.pending_count(), 10u);
+    EXPECT_EQ(sched.now(), 0.0);
+    // +inf keeps its meaning, and a past horizon stays a no-op.
+    EXPECT_EQ(sched.run_until(kTimeInfinity), 10u);
+    EXPECT_EQ(sched.run_until(0.5), 0u);
+    EXPECT_EQ(sched.now(), 1.0);
+  }
+}
+
 TEST(Scheduler, QueueHighWaterUnderHeavyCancelChurn) {
   // Regression: the high-water mark counts *live* events. A cancel-heavy
   // workload (arm/disarm timeouts, the protocol's steady state) must not
@@ -367,6 +390,108 @@ TEST(Scheduler, WheelTraceBitIdenticalToHeapReference) {
     const auto wheel = run_trace_workload(wheel_config, seed);
     const auto heap = run_trace_workload(heap_config, seed);
     ASSERT_GT(wheel.size(), 1000u);
+    ASSERT_EQ(wheel.size(), heap.size()) << "seed=" << seed;
+    EXPECT_TRUE(wheel == heap) << "seed=" << seed;
+  }
+}
+
+// A workload shaped like perfbench's des_fleet: thousands of control
+// points whose cycles put hundreds of events into each 3.9 ms tick. A
+// cycle start schedules a probe delivery 50-500 us out (into the tick
+// being executed, mostly) and a timeout; the delivery schedules a reply,
+// sometimes through a zero-delay hop; the reply cancels the timeout —
+// for short timeouts, from inside the tick that holds it — and
+// schedules the next cycle. Lost probes let timeouts fire and retry.
+std::vector<TraceEntry> run_fleet_trace_workload(const SchedulerConfig& config,
+                                                 std::uint64_t seed) {
+  Scheduler sched(config);
+  std::vector<TraceEntry> trace;
+  sched.set_execution_probe(
+      [&trace](Time t, std::uint64_t seq) { trace.push_back({t, seq}); });
+  util::Rng rng(seed);
+  constexpr int kCps = 6000;
+  std::vector<EventId> timeout(kCps);
+  std::function<void(int)> start_cycle;
+  std::function<void(int)> reply = [&](int cp) {
+    if (sched.pending(timeout[cp])) {
+      EXPECT_TRUE(sched.cancel(timeout[cp]));
+      sched.schedule_after(rng.uniform(0.02, 0.3),
+                           [&start_cycle, cp] { start_cycle(cp); });
+    }
+  };
+  start_cycle = [&](int cp) {
+    // One in eight timeouts is short enough to land in the same tick as
+    // its reply, so its cancel hits the executing tick.
+    const double tof = rng.bernoulli(0.125) ? rng.uniform(0.0006, 0.003)
+                                            : 0.022;
+    timeout[cp] = sched.schedule_after(tof, [&start_cycle, cp] {
+      start_cycle(cp);  // no reply in time: retry at once
+    });
+    if (rng.bernoulli(0.02)) return;  // probe lost
+    sched.schedule_after(rng.uniform(50e-6, 500e-6), [&, cp] {
+      if (rng.bernoulli(0.2)) {
+        sched.schedule_after(0.0, [&reply, cp] { reply(cp); });
+      } else {
+        sched.schedule_after(rng.uniform(50e-6, 500e-6),
+                             [&reply, cp] { reply(cp); });
+      }
+    });
+  };
+  for (int cp = 0; cp < kCps; ++cp) {
+    sched.schedule_at(rng.uniform(0.0, 0.2), [&start_cycle, cp] { start_cycle(cp); });
+  }
+  sched.run_until(1.5);
+  return trace;
+}
+
+TEST(Scheduler, FleetShapedTraceBitIdenticalToHeapReference) {
+  for (std::uint64_t seed : {11u, 4242u}) {
+    SchedulerConfig wheel_config;
+    SchedulerConfig heap_config;
+    heap_config.backend = SchedulerBackend::kHeap;
+    const auto wheel = run_fleet_trace_workload(wheel_config, seed);
+    const auto heap = run_fleet_trace_workload(heap_config, seed);
+    // ~40k cycles of four or five events each: several hundred per tick.
+    ASSERT_GT(wheel.size(), 150000u);
+    ASSERT_EQ(wheel.size(), heap.size()) << "seed=" << seed;
+    EXPECT_TRUE(wheel == heap) << "seed=" << seed;
+  }
+}
+
+// Thousands of events scheduled at random times into the tick being
+// executed, most of them landing in the middle of the sorted run under
+// the cursor (the pattern that makes the tick re-split its run), plus
+// cancels among them: the order must still match the reference heap.
+std::vector<TraceEntry> run_crowded_tick_workload(const SchedulerConfig& config,
+                                                  std::uint64_t seed) {
+  Scheduler sched(config);
+  std::vector<TraceEntry> trace;
+  sched.set_execution_probe(
+      [&trace](Time t, std::uint64_t seq) { trace.push_back({t, seq}); });
+  util::Rng rng(seed);
+  std::vector<EventId> ids;
+  const Time tick_start = 2.0;  // a tick boundary at the default 2^-8 s
+  sched.schedule_at(tick_start, [&] {
+    for (int i = 0; i < 3000; ++i) {
+      ids.push_back(sched.schedule_at(
+          tick_start + rng.uniform(0.0, 0.0039), [] {}));
+    }
+    for (int i = 0; i < 1000; ++i) {
+      sched.cancel(ids[rng.uniform_u64(0, ids.size() - 1)]);
+    }
+  });
+  sched.run_all();
+  return trace;
+}
+
+TEST(Scheduler, CrowdedTickInsertsMatchHeapReference) {
+  for (std::uint64_t seed : {3u, 77u}) {
+    SchedulerConfig wheel_config;
+    SchedulerConfig heap_config;
+    heap_config.backend = SchedulerBackend::kHeap;
+    const auto wheel = run_crowded_tick_workload(wheel_config, seed);
+    const auto heap = run_crowded_tick_workload(heap_config, seed);
+    ASSERT_GT(wheel.size(), 2000u);
     ASSERT_EQ(wheel.size(), heap.size()) << "seed=" << seed;
     EXPECT_TRUE(wheel == heap) << "seed=" << seed;
   }
@@ -663,6 +788,76 @@ TEST(Scheduler, SteadyStateProbePathDoesNotAllocate) {
   EXPECT_GT(fired, warm_fired + 100000u);
   EXPECT_EQ(sched.pool_slots(), slots);
   EXPECT_EQ(util::inline_function_heap_allocations(), spills);
+}
+
+TEST(Scheduler, TombstonesStayBoundedUnderRearmIntoOneTick) {
+  // Cancel leaves a tombstone key behind; a timer re-armed forever into
+  // one tick must not grow the wheel's storage. Far tick first: one live
+  // event plus the timer, re-armed a million times.
+  Scheduler sched;
+  sched.schedule_at(50.0, [] {});
+  EventId timer = sched.schedule_at(50.001, [] {});
+  const auto rearm = [&](Time t) {
+    EXPECT_TRUE(sched.cancel(timer));
+    timer = sched.schedule_at(t, [] {});
+  };
+  for (int i = 0; i < 1000; ++i) rearm(50.001);
+  const std::size_t slots = sched.pool_slots();
+  const std::size_t keys = sched.key_slots();
+  for (int i = 0; i < 1'000'000; ++i) rearm(50.001);
+  EXPECT_EQ(sched.pool_slots(), slots);
+  EXPECT_EQ(sched.key_slots(), keys);
+  EXPECT_EQ(sched.pending_count(), 2u);
+  EXPECT_EQ(sched.fine_resident(), 2u);
+  EXPECT_EQ(sched.next_time(), 50.0);
+
+  // The same inside the tick being executed: 50.0 fires, and the timer
+  // is re-armed into the rest of that tick beside one more live event.
+  sched.schedule_at(50.003, [] {});
+  EXPECT_EQ(sched.run_until(50.0), 1u);
+  for (int i = 0; i < 1000; ++i) rearm(50.002);
+  const std::size_t tick_keys = sched.key_slots();
+  for (int i = 0; i < 1'000'000; ++i) rearm(50.002);
+  EXPECT_EQ(sched.pool_slots(), slots);
+  EXPECT_EQ(sched.key_slots(), tick_keys);
+  EXPECT_EQ(sched.pending_count(), 2u);
+  EXPECT_EQ(sched.next_time(), 50.002);
+  std::vector<Time> fired;
+  sched.set_execution_probe([&](Time t, std::uint64_t) { fired.push_back(t); });
+  EXPECT_EQ(sched.run_all(), 2u);
+  EXPECT_EQ(fired, (std::vector<Time>{50.002, 50.003}));
+}
+
+TEST(Scheduler, NextTimeSkipsCancelsInsideTheExecutingTick) {
+  // A sparse tick (one sorted run) and a dense one (sub-buckets): after
+  // a partial run_until inside the tick, cancelling the head of the rest
+  // of the tick, and then the only live key of the next occupied slot,
+  // must move next_time() past both.
+  for (int dense : {0, 1}) {
+    Scheduler sched;
+    const int per_tick = dense != 0 ? 200 : 3;
+    std::vector<EventId> tick;
+    for (int i = 0; i < per_tick; ++i) {
+      tick.push_back(sched.schedule_at(1.0 + 1e-5 * i, [] {}));
+    }
+    const EventId dead = sched.schedule_at(1.5, [] {});
+    const EventId only = sched.schedule_at(1.5001, [] {});
+    sched.schedule_at(2.0, [] {});
+    EXPECT_TRUE(sched.cancel(dead));  // the next slot keeps a tombstone
+
+    EXPECT_EQ(sched.run_until(1.0 + 1e-5 * 0.5), 1u);
+    EXPECT_EQ(sched.next_time(), 1.0 + 1e-5);
+    EXPECT_TRUE(sched.cancel(tick[1]));  // head of the rest of the tick
+    EXPECT_EQ(sched.next_time(), 1.0 + 2e-5);
+    for (int i = 2; i < per_tick; ++i) EXPECT_TRUE(sched.cancel(tick[i]));
+    EXPECT_EQ(sched.next_time(), 1.5001);
+    EXPECT_TRUE(sched.cancel(only));  // only live key of the next slot
+    EXPECT_EQ(sched.next_time(), 2.0);
+    EXPECT_EQ(sched.pending_count(), 1u);
+    EXPECT_EQ(sched.fine_resident(), 1u);
+    EXPECT_EQ(sched.run_all(), 1u);
+    EXPECT_EQ(sched.now(), 2.0);
+  }
 }
 
 TEST(Timer, FiresOnceAfterDelay) {

@@ -154,6 +154,38 @@ TEST(WallClockWheel, TimeoutMsShapes) {
   EXPECT_EQ(wheel.timeout_ms(0.0, 250), 250);  // custom cap
 }
 
+TEST(WallClockWheel, TimeoutMsIgnoresCancelledTimers) {
+  // Every reply cancels a timeout, so a cancelled timer must never set
+  // the loop's epoll deadline: not in a future wheel slot, and not in
+  // the tick the wheel has already started executing.
+  WallClockTimerWheel wheel;
+  const EventId soon = wheel.schedule_at(0.010, [] {});
+  const EventId later = wheel.schedule_at(0.011, [] {});  // same tick
+  wheel.schedule_at(0.500, [] {});
+  EXPECT_EQ(wheel.timeout_ms(0.0), 10);
+  EXPECT_TRUE(wheel.cancel(soon));
+  EXPECT_EQ(wheel.timeout_ms(0.0), 11);
+  EXPECT_TRUE(wheel.cancel(later));
+  EXPECT_EQ(wheel.timeout_ms(0.0), 500);
+
+  // Three timers inside one tick; advancing past the first leaves the
+  // tick half executed.
+  int fired = 0;
+  wheel.schedule_at(1.0000, [&fired] { ++fired; });
+  const EventId head = wheel.schedule_at(1.0010, [&fired] { ++fired; });
+  const EventId last = wheel.schedule_at(1.0020, [&fired] { ++fired; });
+  EXPECT_EQ(wheel.advance_to(1.0005), 2u);  // 0.500 and 1.0000
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(wheel.next_deadline(), 1.0010);
+  EXPECT_TRUE(wheel.cancel(head));
+  EXPECT_EQ(wheel.next_deadline(), 1.0020);
+  EXPECT_EQ(wheel.timeout_ms(1.0005), 2);
+  EXPECT_TRUE(wheel.cancel(last));
+  EXPECT_EQ(wheel.timeout_ms(1.0005), -1);
+  EXPECT_EQ(wheel.advance_to(2.0), 0u);
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(WallClockWheel, RealClockSmoke) {
   // The one wall-clock-touching test: now() is monotone and poll()
   // fires a short timer within a generous real-time bound.
