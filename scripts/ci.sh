@@ -66,7 +66,8 @@
 #     then the whole suite under it as its own step
 #   * a sampleprof smoke: tools/sampleprof/sampleprof.so preloaded into
 #     a short bench_rt_scale run; report.py must print a non-empty
-#     per-layer table
+#     per-layer table, and its --hot view of the hottest innermost
+#     function with an object file at least one instruction row
 # and writes bench_out/analysis_summary.json with machine-readable
 # results (invariant violations, tidy warning count, lint findings,
 # the TSan legs).
@@ -742,6 +743,21 @@ EOF
   awk -F'|' '$3 ~ /^ *[0-9]+ *$/ {n += $3} END {exit !(n > 0)}' \
     "$SCRATCH/sampleprof.out" || {
     echo "    FAILED: sampleprof produced an empty layer table" >&2
+    exit 1
+  }
+  # The per-instruction view (--hot) of the hottest innermost function
+  # that lives in an object file ([vdso] and unresolved frames have
+  # none to disassemble) must attribute its samples to instructions.
+  HOT_FN="$(awk '/^# innermost functions/ {on = 1; next}
+    on && sub(/^ *[0-9.]+%  /, "") && $0 != "[vdso]" && $0 != "?" {
+      print; exit
+    }' "$SCRATCH/sampleprof.out")"
+  echo "==> sampleprof --hot '${HOT_FN}'"
+  python3 "$ROOT/tools/sampleprof/report.py" "$SAMPLEPROF_CAPTURE" \
+    --top 10 --hot "$HOT_FN" > "$SCRATCH/sampleprof_hot.out" || true
+  sed -n '/^# hot instructions/,$p' "$SCRATCH/sampleprof_hot.out"
+  grep -q '^| 0x[0-9a-f]* | [0-9]* |' "$SCRATCH/sampleprof_hot.out" || {
+    echo "    FAILED: sampleprof --hot printed no instruction rows" >&2
     exit 1
   }
 

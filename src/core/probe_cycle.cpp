@@ -33,6 +33,9 @@ bool ProbeCycle::expire(double now) {
 bool ProbeCycle::offer_reply(const net::Message& reply) {
   if (!active_) return false;
   if (reply.cycle != cycle_) return false;  // stale: an abandoned cycle
+  // A device echoes the attempt it answers, so a reply naming one this
+  // cycle has not sent is forged or corrupt: it proves nothing.
+  if (reply.attempt > attempt_) return false;
   active_ = false;
   ++cycles_succeeded_;
   return true;

@@ -42,7 +42,8 @@ class ProbeCycle {
 
   /// Feed an incoming reply. True if it ends the current cycle
   /// successfully (the owner disarms its timer); stale replies — an
-  /// abandoned cycle's, or any while no cycle is active — return false.
+  /// abandoned cycle's, one naming an attempt this cycle has not sent,
+  /// or any while no cycle is active — return false.
   bool offer_reply(const net::Message& reply);
 
   /// Abandon the current cycle, if any; the owner disarms its timer.

@@ -7,12 +7,15 @@
 //
 // The timer is armed at an absolute instant: schedule_at() is the
 // virtual, and schedule_after() is now() + delay on top of it. On the
-// reactor now() is a steady-clock read, so a control point reads it
-// once per event (a timer firing or a reply arriving) and derives
-// everything that event does from that one instant: the cycle start,
-// the observer timestamps, SAPP's load observation and the re-arm at
-// t + delay. In the simulator now() is the event's virtual time, so
-// the deadlines are the same bits either way.
+// reactor now() is a steady-clock read for a timer firing, and for a
+// reply or probe the instant its receive batch was read off the socket:
+// one clock read per recvmmsg() batch, shared by every handler of the
+// batch (runtime::EventLoop::BatchInstant). A control point reads it
+// once per event and derives everything that event does from that one
+// instant: the cycle start, the observer timestamps, SAPP's load
+// observation and the re-arm at t + delay. In the simulator now() is
+// the event's virtual time, so the deadlines are the same bits either
+// way.
 #pragma once
 
 #include "des/scheduler.hpp"

@@ -10,11 +10,12 @@
 namespace probemon::net {
 
 /// Anything attached to a link. on_message is invoked at delivery time
-/// with the clock already at that instant. In the simulator, a delivery
-/// a few events ahead prefetches the destination's first four cache
-/// lines (net::Network's delivery event, through the scheduler's
-/// dispatch pipeline), so a client keeps the state on_message reads
-/// first in the object.
+/// with the clock already at that instant. Both engines prefetch the
+/// destination's first four cache lines a few deliveries ahead: in the
+/// simulator net::Network's delivery event, through the scheduler's
+/// dispatch pipeline; on the reactor runtime::AsyncUdpTransport's
+/// receive pipeline, a few datagrams ahead within a recvmmsg() batch.
+/// So a client keeps the state on_message reads first in the object.
 class INetworkClient {
  public:
   virtual ~INetworkClient() = default;

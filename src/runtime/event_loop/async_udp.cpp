@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -18,6 +19,8 @@
 #include <cstdio>
 #include <cstdlib>
 #endif
+
+#include "util/prefetch.hpp"
 
 namespace probemon::runtime {
 
@@ -42,6 +45,14 @@ constexpr int kSocketBufBytes = 1 << 22;
 // A receive slot holds one coalesced run, plus room to notice a
 // datagram that is larger than the wire format.
 constexpr std::size_t kRecvBufSize = kSendBatch * kUdpWireSize + 16;
+// Receive pipeline depth, as des::Scheduler's dispatch pipeline: while
+// datagram i of a batch is dispatched, datagram i + kLookahead
+// prefetches its destination and datagram i + 2 * kLookahead its
+// client-table entries.
+constexpr std::size_t kLookahead = 4;
+// Decoded datagrams held ahead of dispatch: i .. i + 2 * kLookahead,
+// rounded up to a power of two so a position maps to a slot by a mask.
+constexpr std::size_t kRing = std::bit_ceil(2 * kLookahead + 1);
 
 sockaddr_in loopback_addr(std::uint16_t port) {
   sockaddr_in addr{};
@@ -69,6 +80,14 @@ std::size_t segment_size(msghdr& hdr, std::size_t len) {
 
 }  // namespace
 
+/// One datagram of a receive batch, decoded ahead of its dispatch.
+struct AsyncUdpTransport::Received {
+  net::Message msg;
+  std::uint16_t src_port;
+  /// A wire datagram that decoded; false counts as a receive error.
+  bool ok;
+};
+
 struct AsyncUdpTransport::IoBatches {
 #ifdef __linux__
   // recvmmsg scratch: one slot/iovec/source-addr/control/header per
@@ -86,6 +105,13 @@ struct AsyncUdpTransport::IoBatches {
   std::array<sockaddr_in, kRecvBatch> raddr{};
   std::array<Control, kRecvBatch> rctl{};
   std::array<mmsghdr, kRecvBatch> rmsgs{};
+  // The receive batch split into datagrams: each message's segment size
+  // (split()), a cursor at the next datagram to decode, and the ring of
+  // decoded datagrams the dispatch pipeline runs over.
+  std::array<std::size_t, kRecvBatch> rseg;
+  std::size_t next_msg = 0;
+  std::size_t next_off = 0;
+  std::array<Received, kRing> ring;
   // sendmmsg batch, filled by send() and drained by flush(). Datagrams
   // sit in consecutive slots of `sbuf`; smsgs[0, runs) are the pending
   // messages, each one run whose iovec spans its datagrams' slots.
@@ -111,6 +137,44 @@ struct AsyncUdpTransport::IoBatches {
       smsgs[i].msg_hdr.msg_iovlen = 1;
       smsgs[i].msg_hdr.msg_name = &saddr[i];
       smsgs[i].msg_hdr.msg_namelen = sizeof(saddr[i]);
+    }
+  }
+
+  /// Record the segment size of each of the `messages` received and
+  /// rewind the cursor; returns the batch's datagram count. A truncated
+  /// message is one bad datagram, and so is an empty one.
+  std::size_t split(int messages) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(messages); ++i) {
+      msghdr& hdr = rmsgs[i].msg_hdr;
+      const std::size_t len = rmsgs[i].msg_len;
+      if ((hdr.msg_flags & MSG_TRUNC) != 0 || len == 0) {
+        rseg[i] = len;  // read as one datagram of len bytes (see next())
+        ++count;
+        continue;
+      }
+      rseg[i] = segment_size(hdr, len);
+      count += (len + rseg[i] - 1) / rseg[i];
+    }
+    next_msg = 0;
+    next_off = 0;
+    return count;
+  }
+
+  /// Decode the cursor's datagram into `out` and step past it.
+  void next(Received& out) {
+    const std::size_t m = next_msg;
+    const std::size_t len = rmsgs[m].msg_len;
+    const std::size_t piece = std::min(rseg[m], len - next_off);
+    out.src_port = ntohs(raddr[m].sin_port);
+    // Larger than a slot: one bad datagram, none of it delivered.
+    out.ok = (rmsgs[m].msg_hdr.msg_flags & MSG_TRUNC) == 0 &&
+             udp_decode(rbuf.get() + m * kRecvBufSize + next_off, piece,
+                        out.msg);
+    next_off += rseg[m];
+    if (next_off >= len) {
+      ++next_msg;
+      next_off = 0;
     }
   }
 
@@ -297,30 +361,31 @@ void AsyncUdpTransport::on_readable() {
       break;
     }
     if (n == 0) break;
-    int datagrams = 0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-      msghdr& hdr = io.rmsgs[i].msg_hdr;
-      const std::uint16_t src_port = ntohs(io.raddr[i].sin_port);
-      if ((hdr.msg_flags & MSG_TRUNC) != 0) {
-        // Larger than a slot: one bad datagram, none of it delivered.
-        recv_errors_.fetch_add(1, std::memory_order_relaxed);
-        ++datagrams;
-        continue;
+    // The batch's one clock read: every handler below sees it as now().
+    const EventLoop::BatchInstant instant(loop_);
+    const std::size_t datagrams = io.split(n);
+    // Dispatch in arrival order, as a software pipeline: datagram i runs
+    // while datagram i + kLookahead's destination and datagram
+    // i + 2 * kLookahead's table entries load.
+    const auto read_ahead = [&](Received& r) {
+      io.next(r);
+      prefetch_entries(r);
+    };
+    const std::size_t primed = std::min(datagrams, 2 * kLookahead);
+    for (std::size_t i = 0; i < primed; ++i) read_ahead(io.ring[i]);
+    for (std::size_t i = 0; i < datagrams; ++i) {
+      if (i + 2 * kLookahead < datagrams) {
+        read_ahead(io.ring[(i + 2 * kLookahead) % kRing]);
       }
-      const std::uint8_t* data = io.rbuf.get() + i * kRecvBufSize;
-      const std::size_t len = io.rmsgs[i].msg_len;
-      const std::size_t segment = segment_size(hdr, len);
-      std::size_t off = 0;
-      do {  // a zero-length datagram is still one (undecodable) datagram
-        handle_datagram(data + off, std::min(segment, len - off), src_port);
-        ++datagrams;
-        off += segment;
-      } while (off < len);
+      if (i + kLookahead < datagrams) {
+        prefetch_destination(io.ring[(i + kLookahead) % kRing]);
+      }
+      dispatch(io.ring[i % kRing]);
     }
     if (recv_depth_hist_) {
       recv_depth_hist_->observe(static_cast<double>(datagrams));
     }
-    consumed += datagrams;
+    consumed += static_cast<int>(datagrams);
     if (n < kRecvBatch) break;  // socket drained
   }
 #else
@@ -337,30 +402,51 @@ void AsyncUdpTransport::on_readable() {
       }
       break;
     }
+    // A batch of one datagram, so one clock read per datagram.
+    const EventLoop::BatchInstant instant(loop_);
     if (recv_depth_hist_) recv_depth_hist_->observe(1.0);
-    handle_datagram(io_->rbuf.data(), static_cast<std::size_t>(n),
-                    ntohs(src.sin_port));
+    Received r;
+    r.src_port = ntohs(src.sin_port);
+    r.ok = udp_decode(io_->rbuf.data(), static_cast<std::size_t>(n), r.msg);
+    dispatch(r);
     ++consumed;
   }
 #endif
 }
 
-void AsyncUdpTransport::handle_datagram(const std::uint8_t* data,
-                                        std::size_t len,
-                                        std::uint16_t src_port) {
-  net::Message msg;
-  if (len != kUdpWireSize || !udp_decode(data, len, msg)) {
+void AsyncUdpTransport::prefetch_entries(const Received& r) const {
+  // A malformed datagram has no entries; `from` is where an inline
+  // device's reply goes.
+  if (!r.ok) return;
+  const std::size_t size = clients_.size();
+  if (r.msg.to < size) util::prefetch(&clients_[r.msg.to]);
+  if (r.msg.from < size) util::prefetch(&clients_[r.msg.from]);
+}
+
+void AsyncUdpTransport::prefetch_destination(const Received& r) const {
+  // The table is read afresh: a handler that ran since this datagram
+  // was decoded may have detached its destination or reallocated the
+  // table. The client is only prefetched, never dereferenced, so a
+  // stale entry costs nothing.
+  if (!r.ok || r.msg.to >= clients_.size()) return;
+  const net::INetworkClient* client = clients_[r.msg.to];
+  if (client != nullptr) util::prefetch_range(client, 4 * util::kCacheLine);
+}
+
+void AsyncUdpTransport::dispatch(const Received& r) {
+  if (!r.ok) {
     recv_errors_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  const net::Message& msg = r.msg;
   // Peer learning: an unknown external sender binds its NodeId to the
   // datagram's source port, so replies route back without pre-config.
   // Our own port teaches nothing: a datagram from it comes from a local
   // endpoint that detached while the datagram was in flight. Checking
   // the port first spares loopback traffic a second client-table load.
-  if (src_port != local_port_ && msg.from != net::kInvalidNode &&
+  if (r.src_port != local_port_ && msg.from != net::kInvalidNode &&
       !attached(msg.from)) {
-    peers_[msg.from] = src_port;
+    peers_[msg.from] = r.src_port;
   }
   if (!attached(msg.to)) {
     unroutable_.fetch_add(1, std::memory_order_relaxed);

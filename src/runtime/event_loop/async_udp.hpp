@@ -16,7 +16,18 @@
 //   * receive — recvmmsg() pulls up to 64 messages per syscall; with
 //     UDP_GRO a message may be a whole run, split here by the segment
 //     size the kernel reports. The loop's level-triggered epoll re-arms
-//     if more than 4096 datagrams are queued (fairness bound).
+//     if more than 4096 datagrams are queued (fairness bound). Each
+//     call's batch is handled as one unit. One steady-clock read when
+//     the call returns is every handler's now()
+//     (EventLoop::BatchInstant), so a reply is judged by when it was
+//     received, not by when the loop reached it. The batch is split
+//     into datagrams, which are dispatched in arrival order as a
+//     software pipeline: each is decoded 2k datagrams ahead of its
+//     dispatch, where its client-table entries (to and from) are
+//     prefetched, and k ahead its destination's first four lines are
+//     (net/link.hpp; k = 4, as in des::Scheduler). Dispatch reads the
+//     table afresh, so a handler may attach or detach endpoints
+//     mid-batch: only a prefetch ever sees a stale entry.
 //
 // Every probe and reply still crosses the kernel as its own 48-byte
 // wire datagram: a peer without GRO (tools/probemon_loadgen) receives
@@ -131,10 +142,16 @@ class AsyncUdpTransport final : public net::Link {
 
  private:
   struct IoBatches;  // platform-specific scratch (mmsghdr arrays)
+  struct Received;   // a datagram decoded ahead of its dispatch
 
   void on_readable();
-  void handle_datagram(const std::uint8_t* data, std::size_t len,
-                       std::uint16_t src_port);
+  /// The receive pipeline's prefetches: the client-table entries of a
+  /// decoded datagram's `to` and `from`, and the first four lines of its
+  /// destination (net/link.hpp).
+  void prefetch_entries(const Received& r) const;
+  void prefetch_destination(const Received& r) const;
+  /// Count, learn from and route one received datagram.
+  void dispatch(const Received& r);
   void assert_loop_confined(const char* what) const;
 
   EventLoop& loop_;

@@ -28,6 +28,12 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
+/// The batch instant the calling thread is dispatching under, and the
+/// loop it belongs to (null outside any BatchInstant). Thread-local, so
+/// only the thread that holds the scope sees the instant.
+thread_local const EventLoop* t_batch_loop = nullptr;
+thread_local double t_batch_time = 0;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -61,6 +67,21 @@ EventLoop::~EventLoop() {
   if (poll_fd_ >= 0) ::close(poll_fd_);
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
+}
+
+double EventLoop::now() const {
+  return t_batch_loop == this ? t_batch_time : timers_.now();
+}
+
+EventLoop::BatchInstant::BatchInstant(const EventLoop& loop)
+    : outer_loop_(t_batch_loop), outer_time_(t_batch_time) {
+  t_batch_time = loop.timers_.now();
+  t_batch_loop = &loop;
+}
+
+EventLoop::BatchInstant::~BatchInstant() {
+  t_batch_loop = outer_loop_;
+  t_batch_time = outer_time_;
 }
 
 void EventLoop::add_fd(int fd, FdHandler handler) {

@@ -16,7 +16,18 @@
 //   4. epoll_wait with a timeout derived from the nearest timer
 //      deadline (capped); a wake eventfd makes post()/stop() take
 //      effect immediately
-//   5. dispatch fd events to their handlers
+//   5. dispatch fd events to their handlers. A handler that reads a
+//      batch of input at once (AsyncUdpTransport, one recvmmsg() call)
+//      holds a BatchInstant while it dispatches that batch, so every
+//      datagram of the batch is handled at the one instant the batch
+//      was read
+//
+// Time: now() is seconds since construction on the steady clock. On
+// the loop thread, while a BatchInstant is alive, it is that batch's
+// one clock read; everywhere else (other threads, posted tasks, flush
+// hooks, timer callbacks) it is a live read. Timer polls read the clock
+// live too, so a timer fires at its deadline or later, never at a
+// batch's stale instant.
 //
 // Threading contract:
 //   * post(), stop(), running(), the counter accessors and a device's
@@ -70,8 +81,10 @@ class EventLoop final : public des::Clock {
   /// The loop's wall-clock timer wheel. Loop thread only.
   des::WallClockTimerWheel& timers() noexcept { return timers_; }
   const des::WallClockTimerWheel& timers() const noexcept { return timers_; }
-  /// Seconds since loop construction (monotonic). Any thread.
-  double now() const override { return timers_.now(); }
+  /// Seconds since loop construction (monotonic). Any thread. On the
+  /// loop thread inside a BatchInstant, the batch's instant; else a
+  /// steady-clock read.
+  double now() const override;
   /// Clock for protocol objects (loop thread only). `t` is on the now()
   /// time base, so Clock::schedule_after counts from now(), not from the
   /// last poll: a timer armed in a datagram handler after an idle wait
@@ -80,6 +93,23 @@ class EventLoop final : public des::Clock {
     return timers_.schedule_at(t, std::move(fn));
   }
   bool cancel(des::EventId id) override { return timers_.cancel(id); }
+
+  /// Scoped batch instant: takes one steady-clock read, and until it is
+  /// destroyed now() on the constructing thread returns that read. A fd
+  /// handler holds one per batch of input it dispatches; the scope ends
+  /// the instant however the batch ends, a throwing handler included.
+  /// Nests: destruction restores the enclosing instant, if any.
+  class BatchInstant {
+   public:
+    explicit BatchInstant(const EventLoop& loop);
+    ~BatchInstant();
+    BatchInstant(const BatchInstant&) = delete;
+    BatchInstant& operator=(const BatchInstant&) = delete;
+
+   private:
+    const EventLoop* outer_loop_;
+    double outer_time_;
+  };
 
   /// Register a readable-fd handler. The fd must be non-blocking.
   /// Loop thread, or while the loop is not running.

@@ -1,6 +1,7 @@
 // Tests for the event-loop runtime: AsyncUdpTransport routing, peer
 // learning and segmentation offload (runs of datagrams sent as one
-// message, coalesced receives split back) over real sockets,
+// message, coalesced receives split back) over real sockets, the
+// receive batch as one unit (its dispatch pipeline and its one instant),
 // device/control-point protocol behaviour
 // (clean cycles, retransmission, absence, fair sharing), the
 // AsyncPresenceService facade, and a few-hundred-endpoint smoke run on
@@ -18,12 +19,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/probemon.hpp"
@@ -463,6 +466,226 @@ TEST(AsyncUdpTransport, OversizedCoalescedInputIsDroppedWhole) {
   loop.stop();
   EXPECT_EQ(client.cycles, (std::vector<std::uint64_t>{0}));
   EXPECT_EQ(transport.recv_error_count(), 1u);
+}
+
+/// The recv-depth histogram's (calls, datagrams): one observation per
+/// receive call that returned datagrams.
+std::pair<std::uint64_t, double> receive_calls(
+    const telemetry::Registry& registry) {
+  for (const telemetry::Sample& s : registry.snapshot()) {
+    if (s.name == "probemon_transport_recv_batch_depth") {
+      return {s.count, s.sum};
+    }
+  }
+  return {0, 0.0};
+}
+
+TEST(AsyncUdpTransport, BatchDispatchSurvivesTopologyChangesMidBatch) {
+  // 64 datagrams to 8 local clients, queued in one flush before the
+  // loop runs, arrive as one receive batch. The first handler detaches
+  // client 5 and attaches enough clients to reallocate the client
+  // table while the pipeline holds decoded datagrams and prefetches
+  // ahead of it. Dispatch reads the table afresh, so client 5's later
+  // datagrams are unroutable and every other one is delivered in order.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  telemetry::Registry registry;
+  transport.instrument(registry);
+
+  /// Appends each delivery's cycle to one shared log; `first` runs once.
+  struct LoggingClient final : net::INetworkClient {
+    void on_message(const net::Message& msg) override {
+      log->push_back(msg.cycle);
+      if (first) std::exchange(first, nullptr)();
+    }
+    std::vector<std::uint64_t>* log = nullptr;
+    std::function<void()> first;
+  };
+  std::vector<std::uint64_t> log;
+  std::array<LoggingClient, 8> clients;
+  std::array<net::NodeId, 8> ids{};
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    clients[c].log = &log;
+    ids[c] = transport.attach(clients[c]);
+  }
+  std::vector<std::unique_ptr<CountingClient>> joined;
+  clients[0].first = [&] {
+    transport.detach(ids[5]);
+    for (int k = 0; k < 1024; ++k) {
+      joined.push_back(std::make_unique<CountingClient>());
+      transport.attach(*joined.back());
+    }
+  };
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    net::Message msg;
+    msg.kind = net::MessageKind::kProbe;
+    msg.from = ids[(k + 1) % 8];
+    msg.to = ids[k % 8];
+    msg.cycle = k;
+    ASSERT_TRUE(transport.send(msg));
+    if (k % 8 != 5) expected.push_back(k);
+  }
+  transport.flush();
+  ASSERT_EQ(transport.sent_count(), 64u);
+  loop.start();
+  EXPECT_TRUE(eventually([&] {
+    return transport.delivered_count() + transport.unroutable_count() == 64;
+  }));
+  loop.stop();
+  EXPECT_EQ(receive_calls(registry), (std::pair<std::uint64_t, double>{1, 64}))
+      << "the 64 datagrams did not arrive as one receive batch";
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(transport.delivered_count(), 56u);
+  EXPECT_EQ(transport.unroutable_count(), 8u);
+  EXPECT_EQ(transport.recv_error_count(), 0u);
+  for (const auto& client : joined) EXPECT_EQ(client->received.load(), 0);
+}
+
+TEST(AsyncUdpTransport, MalformedDatagramIsCountedWhereItFallsInABatch) {
+  // A batch with a short datagram and a 48-byte one with an unknown
+  // kind among good probes: the pipeline decodes ahead of dispatch, but
+  // each bad datagram is counted at its own place in arrival order.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  telemetry::Registry registry;
+  transport.instrument(registry);
+  struct ErrorReadingClient final : net::INetworkClient {
+    void on_message(const net::Message&) override {
+      errors_seen.push_back(transport->recv_error_count());
+    }
+    AsyncUdpTransport* transport = nullptr;
+    std::vector<std::uint64_t> errors_seen;
+  } client;
+  client.transport = &transport;
+  const net::NodeId id = transport.attach(client);
+
+  RawPeer peer;
+  const std::vector<std::uint8_t> probe = probe_run(id, 1);
+  const std::vector<std::uint8_t> short_junk = {1, 2, 3, 4, 5};
+  std::vector<std::uint8_t> bad_kind = probe;
+  bad_kind[0] = 0xff;
+  const std::vector<const std::vector<std::uint8_t>*> order = {
+      &probe, &probe, &probe, &short_junk, &probe, &probe, &bad_kind, &probe};
+  for (const auto* datagram : order) {
+    ASSERT_TRUE(peer.send_to(transport.local_port(), *datagram));
+  }
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return transport.recv_error_count() == 2; }));
+  loop.stop();
+  EXPECT_EQ(receive_calls(registry),
+            (std::pair<std::uint64_t, double>{1, 8}))
+      << "the 8 datagrams did not arrive as one receive batch";
+  EXPECT_EQ(client.errors_seen,
+            (std::vector<std::uint64_t>{0, 0, 0, 1, 1, 2}));
+  EXPECT_EQ(transport.delivered_count(), 6u);
+}
+
+TEST(EventLoop, HandlersOfOneReceiveBatchShareOneInstant) {
+  // A receive batch is one unit: one clock read when recvmmsg() returns
+  // is every handler's now(). Everywhere else -- another thread while
+  // the batch runs, a posted task, a timer callback, a flush hook -- a
+  // read is live.
+  constexpr double kDelay = 0.005;
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  telemetry::Registry registry;
+  transport.instrument(registry);
+
+  /// Stamps every delivery with now(); the first delivery runs `first`.
+  struct StampingClient final : net::INetworkClient {
+    void on_message(const net::Message&) override {
+      stamps.push_back(loop->now());
+      if (first) std::exchange(first, nullptr)();
+    }
+    EventLoop* loop = nullptr;
+    std::vector<double> stamps;
+    std::function<void()> first;
+  } client;
+  client.loop = &loop;
+  const net::NodeId id = transport.attach(client);
+
+  /// Two reads of now() 1 ms of real time apart: (first, advanced).
+  const auto read_twice = [&loop] {
+    const double first = loop.now();
+    std::this_thread::sleep_for(1ms);
+    return std::pair<double, bool>{first, loop.now() > first};
+  };
+  std::atomic<bool> in_batch{false};
+  std::atomic<bool> observed{false};
+  std::atomic<int> done{0};
+  double instant = 0;
+  bool frozen = false;
+  std::pair<double, bool> timer_read{}, task_read{}, flush_read{};
+  bool flush_armed = false;
+  const std::uint64_t hook = loop.add_flush_hook([&] {
+    if (!std::exchange(flush_armed, false)) return;
+    flush_read = read_twice();
+    done.fetch_add(1);
+  });
+  client.first = [&] {
+    instant = loop.now();
+    std::this_thread::sleep_for(2ms);
+    frozen = loop.now() == instant;
+    in_batch.store(true);
+    // The main thread reads the clock while this batch is dispatched.
+    eventually([&] { return observed.load(); });
+    loop.schedule_after(kDelay, [&] {
+      timer_read = read_twice();
+      done.fetch_add(1);
+    });
+    loop.post([&] {
+      task_read = read_twice();
+      done.fetch_add(1);
+    });
+    flush_armed = true;
+  };
+  const auto send_probes = [&](std::uint64_t first_cycle, int count) {
+    for (int k = 0; k < count; ++k) {
+      net::Message msg;
+      msg.kind = net::MessageKind::kProbe;
+      msg.from = id;
+      msg.to = id;
+      msg.cycle = first_cycle + static_cast<std::uint64_t>(k);
+      transport.send(msg);
+    }
+    transport.flush();
+  };
+  send_probes(0, 16);  // queued before the loop runs: one receive batch
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return in_batch.load(); }));
+  const auto other_thread = read_twice();
+  observed.store(true);
+  EXPECT_TRUE(eventually([&] {
+    return transport.delivered_count() == 16 && done.load() == 3;
+  }));
+  // A later batch, sent from the loop thread.
+  loop.post([&] { send_probes(16, 8); });
+  EXPECT_TRUE(eventually([&] { return transport.delivered_count() == 24; }));
+  loop.stop();
+  loop.remove_flush_hook(hook);
+
+  ASSERT_EQ(client.stamps.size(), 24u);
+  for (std::size_t k = 0; k < 16; ++k) {
+    EXPECT_EQ(client.stamps[k], instant) << "datagram " << k;
+  }
+  EXPECT_TRUE(frozen) << "now() moved inside one batch's handler";
+  EXPECT_GT(other_thread.first, instant);
+  EXPECT_TRUE(other_thread.second) << "another thread read a frozen clock";
+  EXPECT_GE(timer_read.first, instant + kDelay);
+  EXPECT_TRUE(timer_read.second) << "a timer callback read a frozen clock";
+  EXPECT_GT(task_read.first, instant);
+  EXPECT_TRUE(task_read.second) << "a posted task read a frozen clock";
+  EXPECT_GT(flush_read.first, instant);
+  EXPECT_TRUE(flush_read.second) << "a flush hook read a frozen clock";
+  // The later batch reads a later instant, and each receive call reads
+  // the clock once: as many distinct stamps as calls.
+  for (std::size_t k = 16; k < 24; ++k) {
+    EXPECT_GT(client.stamps[k], instant) << "datagram " << k;
+  }
+  EXPECT_TRUE(std::is_sorted(client.stamps.begin(), client.stamps.end()));
+  const std::set<double> distinct(client.stamps.begin(), client.stamps.end());
+  EXPECT_EQ(distinct.size(), receive_calls(registry).first);
 }
 
 TEST(AsyncRuntime, DcppCyclesSucceedOverRealUdp) {

@@ -20,7 +20,10 @@
 #endif
 
 #include "check/invariant_auditor.hpp"
+#include "core/dcpp_control_point.hpp"
 #include "core/observer_fanout.hpp"
+#include "des/simulation.hpp"
+#include "net/network.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
@@ -179,6 +182,45 @@ TEST(InvariantAuditor, MoreRepliesThanProbesTripsCounterConsistency) {
   EXPECT_EQ(auditor.total_violations(), 0u);
   auditor.on_probe_received(9, 1, 0.02);  // a reply nobody asked for
   EXPECT_EQ(auditor.violations(Invariant::kCounterConsistency), 1u);
+}
+
+TEST(InvariantAuditor, ReplyToAnUnsentAttemptLeavesTheAuditClean) {
+  // Any local process can put a reply on the reactor's socket, and the
+  // wire carries any attempt byte. A reply for the current cycle that
+  // names an attempt the CP never sent must not end the cycle: counted
+  // as a success it reports attempt + 1 probes where one went out.
+  des::Simulation sim{11};
+  core::EntityArena arena;
+  auto network = net::Network::make_paper_default(sim.scheduler(), sim.rng());
+  struct Unanswering final : net::INetworkClient {
+    void on_message(const net::Message&) override {}
+  } device;
+  const net::NodeId device_id = network->attach(device);
+  core::DcppCpConfig cp_config;
+  AuditConfig audit;
+  audit.timeouts = cp_config.timeouts;
+  InvariantAuditor auditor(audit);
+  core::DcppControlPoint cp(sim, *network, arena, device_id, cp_config,
+                            &auditor);
+  cp.start();
+  sim.run_until(0.001);  // attempt 0 is out
+  ASSERT_EQ(cp.cycle().probes_sent(), 1u);
+  for (const std::uint8_t attempt : {std::uint8_t{200}, std::uint8_t{255}}) {
+    net::Message reply;
+    reply.kind = net::MessageKind::kReply;
+    reply.from = device_id;
+    reply.to = cp.id();
+    reply.cycle = cp.cycle().cycle();
+    reply.attempt = attempt;
+    reply.grant_delay = 1.0;
+    cp.on_message(reply);
+  }
+  EXPECT_EQ(cp.cycle().cycles_succeeded(), 0u);
+  EXPECT_TRUE(cp.cycle().active());
+  // The cycle runs out its retransmissions against the silent device.
+  sim.run_until(0.5);
+  EXPECT_EQ(cp.cycle().cycles_failed(), 1u);
+  EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
 }
 
 TEST(InvariantAuditor, WindowLoadBeyondBetaLNomTrips) {

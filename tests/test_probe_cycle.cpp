@@ -140,6 +140,24 @@ TEST(ProbeCycle, StaleReplyFromPreviousCycleRejected) {
   EXPECT_EQ(h.successes, 2);
 }
 
+TEST(ProbeCycle, ReplyToAnUnsentAttemptIsStale) {
+  // Only attempts 0 .. attempt() have gone out. A reply naming a later
+  // one is forged or corrupt; accepting it would report more attempts
+  // than were sent (255 + 1 wraps the count to 0).
+  Harness h;
+  h.start();
+  EXPECT_FALSE(h.reply(1, 1));
+  EXPECT_FALSE(h.reply(1, 200));
+  EXPECT_FALSE(h.reply(1, 255));
+  EXPECT_TRUE(h.cycle.active());
+  h.sched.run_until(kTof + 0.001);  // attempt 1 goes out
+  ASSERT_EQ(h.cycle.attempt(), 1);
+  EXPECT_FALSE(h.reply(1, 2));
+  EXPECT_EQ(h.successes, 0);
+  EXPECT_TRUE(h.reply(1, 1));
+  EXPECT_EQ(h.cycle.cycles_succeeded(), 1u);
+}
+
 TEST(ProbeCycle, ReplyWhenInactiveRejected) {
   Harness h;
   EXPECT_FALSE(h.reply(0));

@@ -2,7 +2,7 @@
 """Per-layer CPU split from a sampleprof capture.
 
     python3 tools/sampleprof/report.py sampleprof.<pid>.txt [--tid N]
-                                       [--top K]
+                                       [--top K] [--hot FUNC]
 
 sampleprof.so (tools/sampleprof/sampleprof.c) writes one backtrace per
 SIGPROF tick plus the process's /proc/self/maps. This script maps each
@@ -30,6 +30,15 @@ Layers (first match per frame, in this order):
     telemetry     telemetry:: counters, histograms, registry
     loop          runtime::EventLoop's own code
     other         anything else (libc/libstdc++ reached from no layer)
+
+--hot FUNC adds a per-instruction view of every function whose demangled
+name contains FUNC: the samples interrupted inside it, counted per
+instruction address, with the instruction (objdump) and the source line
+and innermost inlined function it belongs to (addr2line). A tick lands
+on an instruction that has not retired yet: on a row that waits for
+memory, the stalled load or the first instruction that consumes its
+value. That is how to tell which load a function waits on. Exits 1 when
+it prints no instruction row (no match, or only [vdso] matched).
 
 Samples are CPU ticks of the kernel's HZ (about 250 per CPU-second on a
 typical host): a one-minute run of a busy thread gives ~15k samples, a
@@ -215,20 +224,99 @@ class Symbolizer:
                 self.cache[addr] = (fn, obj)
 
 
-def sample_frames(symbolizer, frames):
-    """(function, object) per frame, innermost first, from the
-    interrupted frame outwards."""
+def interrupted_frame(symbolizer, frames):
+    """Index of the interrupted frame, the one with an exact pc."""
     # backtrace() ran in the handler: its frames come first, then the
     # signal trampoline the handler returns through, then the
-    # interrupted frame with its exact pc.
+    # interrupted frame.
     first = 0
     while first < len(frames) and os.path.basename(
             symbolizer.locate(frames[first])[0] or "").startswith("sampleprof"):
         first += 1
-    first += 1  # the trampoline
+    return first + 1  # past the trampoline
+
+
+def sample_frames(symbolizer, frames):
+    """(function, object) per frame, innermost first, from the
+    interrupted frame outwards."""
+    first = interrupted_frame(symbolizer, frames)
     # Outer frames hold return addresses: look up the call before each.
     return [symbolizer.name(addr if depth == first else addr - 1)
             for depth, addr in enumerate(frames) if depth >= first]
+
+
+def run_tool(command):
+    try:
+        return subprocess.run(command, capture_output=True, text=True,
+                              check=False).stdout
+    except OSError:
+        return ""
+
+
+def instruction_text(obj, vaddrs):
+    """vaddr -> disassembled instruction, one objdump over their span."""
+    out = run_tool(["objdump", "-d", "--no-show-raw-insn", "-C",
+                    "--start-address=%#x" % min(vaddrs),
+                    "--stop-address=%#x" % (max(vaddrs) + 16), obj])
+    text = {}
+    for line in out.splitlines():
+        m = re.match(r"^\s*([0-9a-f]+):\s+(.*)$", line)
+        if m:
+            text[int(m.group(1), 16)] = " ".join(m.group(2).split())
+    return text
+
+
+def source_lines(obj, vaddrs):
+    """vaddr -> "file:line (innermost inlined function)" via addr2line."""
+    out = run_tool(["addr2line", "-f", "-C", "-e", obj] +
+                   [hex(v) for v in vaddrs]).splitlines()
+    lines = {}
+    for k, vaddr in enumerate(vaddrs):
+        if 2 * k + 1 < len(out):
+            fn, where = out[2 * k], out[2 * k + 1]
+            where = os.path.basename(where.split(" ")[0])
+            lines[vaddr] = "%s (%s)" % (where, fn.split("(")[0])
+    return lines
+
+
+def hot_instructions(symbolizer, chosen, func, total, label, top):
+    """Print per-instruction sample counts of each function whose name
+    contains `func`; returns the number of rows printed."""
+    hits = collections.defaultdict(collections.Counter)
+    for _, frames in chosen:
+        first = interrupted_frame(symbolizer, frames)
+        if first >= len(frames):
+            continue
+        addr = frames[first]
+        fn = symbolizer.name(addr)[0]
+        if fn and func in fn:
+            obj, vaddr = symbolizer.locate(addr)
+            hits[(fn, obj)][vaddr] += 1
+    rows = 0
+    if not hits:
+        print("sampleprof: no samples of %s interrupted in %r" % (label, func),
+              file=sys.stderr)
+    for (fn, obj), counts in sorted(hits.items(),
+                                    key=lambda kv: -sum(kv[1].values())):
+        n = sum(counts.values())
+        print()
+        print("# hot instructions of %s (%s): %d samples, %.1f%% of the "
+              "thread" % (fn[:160], label, n, 100.0 * n / total))
+        vaddrs = sorted(v for v in counts if v is not None)
+        if not vaddrs:
+            print("(no object file to disassemble: %s)" % obj)
+            continue
+        text = instruction_text(obj, vaddrs)
+        where = source_lines(obj, vaddrs)
+        print("| address | samples | % of function | instruction | source |")
+        print("|---|---|---|---|---|")
+        ranked = sorted(vaddrs, key=lambda v: (-counts[v], v))
+        for vaddr in ranked[:top] if top else ranked:
+            print("| %#x | %d | %.1f | %s | %s |" % (
+                vaddr, counts[vaddr], 100.0 * counts[vaddr] / n,
+                text.get(vaddr, "?"), where.get(vaddr, "?")))
+            rows += 1
+    return rows
 
 
 def classify(named):
@@ -245,7 +333,11 @@ def main():
     parser.add_argument("--tid", type=int,
                         help="thread to report (default: most samples)")
     parser.add_argument("--top", type=int, default=15,
-                        help="innermost functions to list (0 = none)")
+                        help="innermost functions to list (0 = none); "
+                             "with --hot, rows per function (0 = all)")
+    parser.add_argument("--hot", metavar="FUNC",
+                        help="per-instruction samples of the functions "
+                             "whose name contains FUNC")
     args = parser.parse_args()
 
     maps, samples = parse_capture(args.capture)
@@ -283,6 +375,9 @@ def main():
         print("# innermost functions (%s)" % label)
         for fn, n in leaf.most_common(args.top):
             print("%6.1f%%  %s" % (100.0 * n / total, fn[:160]))
+    if args.hot is not None and not hot_instructions(
+            symbolizer, chosen, args.hot, total, label, args.top):
+        return 1
     return 0
 
 
