@@ -67,7 +67,10 @@
 #   * a sampleprof smoke: tools/sampleprof/sampleprof.so preloaded into
 #     a short bench_rt_scale run; report.py must print a non-empty
 #     per-layer table, and its --hot view of the hottest innermost
-#     function with an object file at least one instruction row
+#     function with an object file at least one instruction row; then
+#     into a DES bench (bench_t1_sapp_steady, an Experiment with Metrics
+#     and the auditor attached), whose observers and network rows must
+#     both hold samples
 # and writes bench_out/analysis_summary.json with machine-readable
 # results (invariant violations, tidy warning count, lint findings,
 # the TSan legs).
@@ -760,6 +763,26 @@ EOF
     echo "    FAILED: sampleprof --hot printed no instruction rows" >&2
     exit 1
   }
+  # The DES side: a SAPP Experiment, whose protocol observers (Metrics
+  # behind the fan-out) and simulated network must each get their own
+  # row rather than being spread over the rows of their callers.
+  echo "==> sampleprof smoke (bench_t1_sapp_steady under the SIGPROF sampler)"
+  mkdir -p "$SCRATCH/sampleprof_des"
+  (cd "$SCRATCH/sampleprof_des" &&
+     LD_PRELOAD="$BUILD/tools/sampleprof.so" \
+       "$BUILD/bench/bench_t1_sapp_steady" --seed=7 --duration=300000 \
+       --warmup=200 >/dev/null)
+  python3 "$ROOT/tools/sampleprof/report.py" \
+    "$(ls "$SCRATCH"/sampleprof_des/sampleprof.*.txt | head -1)" \
+    > "$SCRATCH/sampleprof_des.out"
+  cat "$SCRATCH/sampleprof_des.out"
+  for layer in observers network; do
+    awk -F'|' -v layer="$layer" '$2 == " " layer " " && $3 + 0 > 0 {ok = 1}
+      END {exit !ok}' "$SCRATCH/sampleprof_des.out" || {
+      echo "    FAILED: sampleprof put no DES sample in the $layer row" >&2
+      exit 1
+    }
+  done
 
   # --- dynamic: thread,undefined build, two always-on steps. The
   # reactor leg: start/stop churn under a concurrent scrape,
@@ -775,7 +798,8 @@ EOF
   TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
   TSAN_REACTOR='EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)'
   TSAN_REACTOR+='|HttpRoutes\.WatchesAndHealthzOverLiveService'
-  TSAN_REACTOR+='|InvariantAuditor\.(RuntimeWatchAuditsToZero|RemoteDeviceIdIsCountedSparsely)'
+  TSAN_REACTOR+='|InvariantAuditor\.(RuntimeWatchAuditsToZero|RemoteDeviceIdIsCountedSparsely'
+  TSAN_REACTOR+='|ResultsReadFromAnotherThreadWhileTheLoopRecords)'
   TSAN_REACTOR+='|PresenceServiceTelemetry\.|TransportTelemetry\.'
   TSAN_REACTOR+='|DefaultRules\.DeviceLoadReadsALiveReactorDevice'
   TSAN_REACTOR+='|EngineConformance\.'

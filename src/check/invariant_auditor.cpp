@@ -47,8 +47,8 @@ InvariantAuditor::InvariantAuditor(AuditConfig config,
   }
 }
 
-// Safe to call with or without mutex_ held: the tally is atomic, the
-// registry counter is atomic, and the diagnostics ring has its own lock.
+// Safe from any thread: the tally is atomic, the registry counter is
+// atomic, and the diagnostics ring has its own lock.
 void InvariantAuditor::record(Invariant invariant, std::string detail) {
   const std::size_t i = index_of(invariant);
   counts_[i].fetch_add(1, std::memory_order_relaxed);
@@ -57,12 +57,11 @@ void InvariantAuditor::record(Invariant invariant, std::string detail) {
   line << to_string(invariant) << ": " << detail;
   util::MutexLock lock(reports_mutex_);
   reports_.push_back(line.str());
-  if (reports_.size() > kMaxReports) reports_.pop_front();
+  if (reports_.size() > kMaxReports) reports_.erase(reports_.begin());
 }
 
 void InvariantAuditor::on_probe_sent(net::NodeId cp, net::NodeId device,
                                      double t, std::uint8_t attempt) {
-  util::MutexLock lock(mutex_);
   ++devices_[device].probes_sent_to;
   CycleState& cycle = cycles_[cp];
   if (attempt == 0) {
@@ -96,7 +95,6 @@ void InvariantAuditor::on_probe_sent(net::NodeId cp, net::NodeId device,
 
 void InvariantAuditor::on_probe_received(net::NodeId device, net::NodeId /*cp*/,
                                          double t) {
-  util::MutexLock lock(mutex_);
   DeviceState& state = devices_[device];
   ++state.probes_received;
   if (state.probes_received > state.probes_sent_to) {
@@ -126,7 +124,6 @@ void InvariantAuditor::on_probe_received(net::NodeId device, net::NodeId /*cp*/,
 
 void InvariantAuditor::on_cycle_success(net::NodeId cp, net::NodeId /*device*/,
                                         double t, std::uint8_t attempts) {
-  util::MutexLock lock(mutex_);
   CycleState* found = cycles_.find(cp);
   if (!found) return;  // attached mid-stream; cannot judge
   CycleState& cycle = *found;
@@ -168,7 +165,6 @@ void InvariantAuditor::on_delay_updated(net::NodeId cp, double t,
 void InvariantAuditor::on_device_declared_absent(net::NodeId cp,
                                                  net::NodeId /*device*/,
                                                  double t) {
-  util::MutexLock lock(mutex_);
   CycleState* found = cycles_.find(cp);
   if (!found) return;  // attached mid-stream
   CycleState& cycle = *found;
@@ -191,16 +187,11 @@ void InvariantAuditor::on_slot_granted(net::NodeId device, double t,
                                        double nt_before, double nt_after) {
   if (!config_.audit_dcpp) return;
   const double eps = config_.epsilon;
-  double previous_slot = 0.0;
-  bool have_previous = false;
-  {
-    util::MutexLock lock(mutex_);
-    DeviceState& state = devices_[device];
-    previous_slot = state.frontier;
-    have_previous = state.frontier_known;
-    state.frontier = std::max(state.frontier, nt_after);
-    state.frontier_known = true;
-  }
+  DeviceState& state = devices_[device];
+  const double previous_slot = state.frontier;
+  const bool have_previous = state.frontier_known;
+  state.frontier = std::max(state.frontier, nt_after);
+  state.frontier_known = true;
 
   const double frontier = std::max(nt_before, t);
   if (nt_after + eps < frontier ||
@@ -316,7 +307,7 @@ std::uint64_t InvariantAuditor::total_violations() const noexcept {
 
 std::vector<std::string> InvariantAuditor::recent_reports() const {
   util::MutexLock lock(reports_mutex_);
-  return {reports_.begin(), reports_.end()};
+  return reports_;
 }
 
 std::string InvariantAuditor::summary() const {

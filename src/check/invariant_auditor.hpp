@@ -49,10 +49,16 @@
 // load window keeps its receive instants in a side table that only
 // on_probe_received touches, and only when load_l_nom > 0.
 //
-// Thread-safety: the observer hooks serialize on an internal mutex, so
-// feeding them from the DES loop or from event-loop threads is safe.
-// audit_cycle()/audit_tracer() are safe from any thread. The auditor
-// must see the *complete* event stream of the system it audits
+// Thread-safety: the observer hooks are confined to the one thread
+// that feeds them — a DES run, or a reactor's loop thread — as every
+// core::ProtocolObserver is on both engines, so they take no lock and
+// their tables are unguarded. Feeding one auditor from two threads at
+// once is a data race. The results are safe from any thread while the
+// hooks run: the tallies are atomic and the reports ring has its own
+// lock, so /healthz, summary(), recent_reports() and the violation
+// counts can be read elsewhere; audit_cycle()/audit_tracer() touch
+// only those and are safe from any thread too. The auditor must see
+// the *complete* event stream of the system it audits
 // (counter_consistency compares sends against receives), which is what
 // Experiment's fan-out provides.
 #pragma once
@@ -136,17 +142,16 @@ class InvariantAuditor final : public core::ProtocolObserver {
 
   // --- core::ProtocolObserver (DES + any observer fan-out) ------------------
   void on_probe_sent(net::NodeId cp, net::NodeId device, double t,
-                     std::uint8_t attempt) override PROBEMON_EXCLUDES(mutex_);
-  void on_probe_received(net::NodeId device, net::NodeId cp, double t) override
-      PROBEMON_EXCLUDES(mutex_);
+                     std::uint8_t attempt) override;
+  void on_probe_received(net::NodeId device, net::NodeId cp,
+                         double t) override;
   void on_cycle_success(net::NodeId cp, net::NodeId device, double t,
-                        std::uint8_t attempts) override
-      PROBEMON_EXCLUDES(mutex_);
+                        std::uint8_t attempts) override;
   void on_delay_updated(net::NodeId cp, double t, double delay) override;
   void on_device_declared_absent(net::NodeId cp, net::NodeId device,
-                                 double t) override PROBEMON_EXCLUDES(mutex_);
+                                 double t) override;
   void on_slot_granted(net::NodeId device, double t, double nt_before,
-                       double nt_after) override PROBEMON_EXCLUDES(mutex_);
+                       double nt_after) override;
 
   // --- recorded traces -------------------------------------------------------
   /// Audit one completed probe-cycle span, e.g. a ProbeCycleTracer
@@ -193,17 +198,18 @@ class InvariantAuditor final : public core::ProtocolObserver {
   std::array<std::atomic<std::uint64_t>, kInvariantCount> counts_{};
   std::array<telemetry::Counter*, kInvariantCount> registry_counts_{};
 
-  /// Lock order: mutex_ -> reports_mutex_ (record() runs under mutex_).
-  mutable util::Mutex mutex_{"check.InvariantAuditor"};
-  util::FlatIdMap<CycleState> cycles_ PROBEMON_GUARDED_BY(mutex_);
-  util::FlatIdMap<DeviceState> devices_ PROBEMON_GUARDED_BY(mutex_);
+  /// The feeding thread's own: no other thread reads them.
+  util::FlatIdMap<CycleState> cycles_;
+  util::FlatIdMap<DeviceState> devices_;
   /// Receive instants inside the load window, per device (load_l_nom
   /// > 0 only).
-  std::unordered_map<net::NodeId, std::deque<double>> load_windows_
-      PROBEMON_GUARDED_BY(mutex_);
+  std::unordered_map<net::NodeId, std::deque<double>> load_windows_;
+  /// Guards the ring, which readers on other threads copy out.
   mutable util::Mutex reports_mutex_{"check.InvariantAuditor.reports"};
-  /// bounded diagnostics ring (record() only)
-  std::deque<std::string> reports_ PROBEMON_GUARDED_BY(reports_mutex_);
+  /// Bounded diagnostics, oldest first (record() only). A vector, not
+  /// a deque: violations are rare, and an empty libstdc++ deque
+  /// allocates ~600 B in every auditor.
+  std::vector<std::string> reports_ PROBEMON_GUARDED_BY(reports_mutex_);
 };
 
 }  // namespace probemon::check

@@ -53,8 +53,8 @@ void Metrics::record_active_cps(double t, std::size_t count) {
 void Metrics::finish(double t) { load_.flush(t); }
 
 const CpMetrics* Metrics::cp(net::NodeId id) const {
-  auto it = per_cp_.find(id);
-  return it == per_cp_.end() ? nullptr : &it->second;
+  CpMetrics* const* row = rows_.find(id);
+  return row == nullptr ? nullptr : *row;
 }
 
 std::vector<double> Metrics::mean_delays() const {

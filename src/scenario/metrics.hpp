@@ -16,6 +16,7 @@
 #include "core/observer.hpp"
 #include "stats/series.hpp"
 #include "stats/welford.hpp"
+#include "util/flat_id_map.hpp"
 
 namespace probemon::scenario {
 
@@ -47,6 +48,9 @@ struct CpMetrics {
 class Metrics final : public core::ProtocolObserver {
  public:
   explicit Metrics(MetricsConfig config = {});
+  /// The row index points into this object's own map.
+  Metrics(const Metrics&) = delete;
+  Metrics& operator=(const Metrics&) = delete;
 
   // --- ProtocolObserver ---------------------------------------------------
   void on_probe_sent(net::NodeId cp, net::NodeId device, double t,
@@ -98,12 +102,21 @@ class Metrics final : public core::ProtocolObserver {
   std::vector<double> detection_latencies() const;
 
  private:
-  CpMetrics& cp_mut(net::NodeId id) { return per_cp_[id]; }
+  /// The CP's row, created on its first event: one probe of the flat
+  /// index, no walk of the id-ordered map.
+  CpMetrics& cp_mut(net::NodeId id) {
+    CpMetrics*& row = rows_[id];
+    if (row == nullptr) row = &per_cp_[id];
+    return *row;
+  }
 
   MetricsConfig config_;
   stats::RateMeter load_;
   stats::TimeSeries active_cps_;
+  /// The rows in id order, for the results; map nodes never move, so
+  /// the index's pointers stay valid for the object's lifetime.
   std::map<net::NodeId, CpMetrics> per_cp_;
+  util::FlatIdMap<CpMetrics*> rows_;
   std::uint64_t probes_received_ = 0;
   std::uint64_t probes_sent_ = 0;
   std::optional<double> device_departed_at_;

@@ -2,7 +2,8 @@
 // out flat for per-event bookkeeping.
 //
 // The invariant auditor looks up one record per control point and one
-// per device on every protocol event. A node-based std::unordered_map
+// per device on every protocol event, and scenario::Metrics finds each
+// CP's row through one of these. A node-based std::unordered_map
 // spends that lookup on a bucket load, a node load and a pointer chase;
 // here it is one multiply and, almost always, one cache line:
 //
@@ -16,7 +17,8 @@
 //
 // Id 0 marks an empty slot, so the entry for id 0 (net::kInvalidNode)
 // lives outside the array. Entries are never erased: the auditor's
-// tables only grow, one record per entity it has seen.
+// tables and the Metrics row index only grow, one record per entity
+// seen.
 //
 // An insert may rehash and move every entry, so a reference from
 // operator[] or find() is valid only until the next insert into the

@@ -371,6 +371,60 @@ TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
   EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
 }
 
+TEST(InvariantAuditor, ResultsReadFromAnotherThreadWhileTheLoopRecords) {
+  // The hooks take no lock: one thread feeds them, here a reactor's loop
+  // thread. The tallies, the reports ring and summary() are read from
+  // another thread meanwhile, while record() files every violation.
+  telemetry::Registry registry;
+  InvariantAuditor auditor({}, &registry);
+  runtime::EventLoop loop;
+  loop.start();
+
+  constexpr int kTasks = 64;
+  constexpr int kCyclesPerTask = 16;
+  constexpr std::uint64_t kViolations = kTasks * kCyclesPerTask;
+  std::atomic<int> fed{0};
+  std::atomic<bool> reading{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::thread reader([&] {
+    reading.store(true);
+    std::uint64_t seen = 0;
+    while (fed.load() < kTasks) {
+      const std::uint64_t total = auditor.total_violations();
+      EXPECT_GE(total, seen);  // a tally only grows
+      seen = total;
+      EXPECT_LE(auditor.recent_reports().size(), 32u);
+      EXPECT_NE(auditor.summary().find("invariant violations"),
+                std::string::npos);
+      reads.fetch_add(1);
+    }
+  });
+  while (!reading.load()) std::this_thread::yield();
+  for (int task = 0; task < kTasks; ++task) {
+    loop.post([&auditor, &fed, task] {
+      for (int i = 0; i < kCyclesPerTask; ++i) {
+        const net::NodeId cp = 1 + static_cast<net::NodeId>(i);
+        const double t = task + 0.001 * i;
+        auditor.on_probe_sent(cp, 900, t, 0);
+        auditor.on_probe_sent(cp, 900, t, 2);  // skips attempt 1
+        auditor.on_cycle_success(cp, 900, t, 2);
+      }
+      fed.fetch_add(1);
+    });
+  }
+  reader.join();
+  loop.stop();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(auditor.violations(Invariant::kCycleOrder), kViolations);
+  EXPECT_EQ(auditor.total_violations(), kViolations) << auditor.summary();
+  EXPECT_EQ(registry
+                .counter("probemon_invariant_violations_total", "",
+                         {{"invariant", "cycle_order"}})
+                .value(),
+            kViolations);
+  EXPECT_EQ(auditor.recent_reports().size(), 32u);
+}
+
 TEST(InvariantAuditor, RemoteDeviceIdIsCountedSparsely) {
   // A device reached through set_peer keeps its own id, anywhere in the
   // u32 range. The auditor's tables are keyed sparsely: probing a device

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <vector>
 
+#include "core/observer_fanout.hpp"
 #include "scenario/churn.hpp"
 #include "scenario/experiment.hpp"
+#include "util/rng.hpp"
 
 namespace probemon::scenario {
 namespace {
@@ -223,6 +228,153 @@ TEST(Metrics, DetectionLatenciesRequireDeparture) {
   const auto lat = metrics.detection_latencies();
   ASSERT_EQ(lat.size(), 1u);
   EXPECT_DOUBLE_EQ(lat[0], 2.0);
+}
+
+/// What Metrics must hold for one CP, tallied without it.
+struct ReferenceRow {
+  std::uint64_t probes_sent = 0;
+  std::uint64_t cycles_succeeded = 0;
+  std::vector<stats::Sample> series;
+  stats::Welford delays;
+  stats::Welford frequencies;
+  double last_delay = 0.0;
+  std::optional<double> declared_absent_at;
+  std::optional<double> learned_absent_at;
+};
+
+/// Keeps a ReferenceRow per CP from the event stream Metrics sees.
+class ReferenceTally final : public core::ProtocolObserver {
+ public:
+  explicit ReferenceTally(const MetricsConfig& config) : config_(config) {}
+
+  void on_probe_sent(net::NodeId cp, net::NodeId, double,
+                     std::uint8_t) override {
+    ++rows[cp].probes_sent;
+  }
+  void on_cycle_success(net::NodeId cp, net::NodeId, double,
+                        std::uint8_t) override {
+    ++rows[cp].cycles_succeeded;
+  }
+  void on_delay_updated(net::NodeId cp, double t, double delay) override {
+    ReferenceRow& row = rows[cp];
+    if (config_.record_delay_series) row.series.push_back({t, delay});
+    row.last_delay = delay;
+    if (t >= config_.warmup && delay > 0) {
+      row.delays.add(delay);
+      row.frequencies.add(1.0 / delay);
+    }
+  }
+  void on_device_declared_absent(net::NodeId cp, net::NodeId,
+                                 double t) override {
+    if (!rows[cp].declared_absent_at) rows[cp].declared_absent_at = t;
+  }
+  void on_absence_learned(net::NodeId cp, net::NodeId, double t) override {
+    if (!rows[cp].learned_absent_at) rows[cp].learned_absent_at = t;
+  }
+
+  std::map<net::NodeId, ReferenceRow> rows;
+
+ private:
+  MetricsConfig config_;
+};
+
+void expect_same_moments(const stats::Welford& got,
+                         const stats::Welford& want, net::NodeId id) {
+  EXPECT_EQ(got.count(), want.count()) << "cp " << id;
+  if (want.count() == 0) return;
+  EXPECT_EQ(got.mean(), want.mean()) << "cp " << id;
+  if (want.count() > 1) {
+    EXPECT_EQ(got.variance(), want.variance()) << "cp " << id;
+  }
+}
+
+/// per_cp() iterates in id order, holds exactly the tallied CPs, and
+/// every row (reached both ways) equals its reference.
+void expect_rows_match(const Metrics& metrics, const ReferenceTally& tally) {
+  ASSERT_EQ(metrics.per_cp().size(), tally.rows.size());
+  auto want_it = tally.rows.begin();
+  std::optional<net::NodeId> previous;
+  for (const auto& [id, row] : metrics.per_cp()) {
+    if (previous) {
+      EXPECT_LT(*previous, id);
+    }
+    previous = id;
+    ASSERT_EQ(id, want_it->first);
+    const ReferenceRow& want = want_it->second;
+    ++want_it;
+    EXPECT_EQ(metrics.cp(id), &row) << "cp " << id;
+    EXPECT_EQ(row.probes_sent, want.probes_sent) << "cp " << id;
+    EXPECT_EQ(row.cycles_succeeded, want.cycles_succeeded) << "cp " << id;
+    EXPECT_EQ(row.last_delay, want.last_delay) << "cp " << id;
+    EXPECT_EQ(row.declared_absent_at, want.declared_absent_at) << "cp " << id;
+    EXPECT_EQ(row.learned_absent_at, want.learned_absent_at) << "cp " << id;
+    expect_same_moments(row.delay_moments, want.delays, id);
+    expect_same_moments(row.frequency_moments, want.frequencies, id);
+    ASSERT_EQ(row.delay_series.size(), want.series.size()) << "cp " << id;
+    for (std::size_t i = 0; i < want.series.size(); ++i) {
+      EXPECT_EQ(row.delay_series[i].t, want.series[i].t) << "cp " << id;
+      EXPECT_EQ(row.delay_series[i].value, want.series[i].value) << "cp " << id;
+    }
+  }
+}
+
+TEST(Metrics, RowsKeepIdOrderWhileCpsLeaveAndJoinInAnyOrder) {
+  MetricsConfig config;
+  config.warmup = 20.0;
+  Metrics metrics(config);
+  EXPECT_EQ(metrics.cp(3), nullptr);  // no row before the first event
+  ReferenceTally tally(config);
+  core::FanoutObserver both({&metrics, &tally});
+  util::Rng rng(29);
+  // First events arrive out of id order; id 0 and a sparse id (a remote
+  // peer's) among them. Every id that joins later is odd.
+  std::vector<net::NodeId> active = {907, 3, 0xFFFFFFF0u, 42, 0, 1};
+  double t = 0.0;
+  for (int step = 0; step < 20000; ++step) {
+    t += 0.01;
+    if (step % 64 == 63) {
+      // One CP leaves (its row stays) and a new id joins, anywhere in
+      // the u32 range: several hundred rows, so the index rehashes.
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(
+                                        rng.uniform_u64(0, active.size() - 1)));
+      active.push_back(
+          static_cast<net::NodeId>(2 * rng.uniform_u64(3, 0x7FFFFFFEu) + 1));
+    }
+    const net::NodeId cp = active[rng.uniform_u64(0, active.size() - 1)];
+    switch (rng.uniform_u64(0, 5)) {
+      case 0: both.on_probe_sent(cp, 77, t, 0); break;
+      case 1: both.on_cycle_success(cp, 77, t, 1); break;
+      case 2: both.on_delay_updated(cp, t, rng.uniform(0.0, 2.0)); break;
+      case 3: both.on_device_declared_absent(cp, 77, t); break;
+      case 4: both.on_absence_learned(cp, 77, t); break;
+      default: both.on_probe_received(77, cp, t); break;  // no CP row
+    }
+  }
+  EXPECT_GT(tally.rows.size(), 300u);
+  expect_rows_match(metrics, tally);
+  for (const net::NodeId unseen : {2u, 4u, 123456u, 0xFFFFFFFEu}) {
+    EXPECT_EQ(metrics.cp(unseen), nullptr) << "cp " << unseen;
+  }
+}
+
+TEST(Metrics, ExperimentRowsMatchAReferenceTallyUnderChurn) {
+  // Every CP joins after the tally is attached, through churn that
+  // removes random CPs while new ids join, then the device departs.
+  ExperimentConfig config = base_config(Protocol::kDcpp, 29, 0);
+  config.metrics.warmup = 10.0;
+  Experiment exp(config);
+  ReferenceTally tally(config.metrics);
+  exp.add_observer(tally);
+  exp.install_churn(std::make_unique<ScriptedChurn>(
+      std::vector<ScriptedChurn::Step>{
+          {0.5, 6}, {15.0, 2}, {20.0, 9}, {35.0, 1}, {40.0, 12}}));
+  exp.schedule_device_departure(60.0);
+  exp.run_until(80.0);
+  exp.finish();
+  EXPECT_GE(tally.rows.size(), 20u);
+  expect_rows_match(exp.metrics(), tally);
+  EXPECT_FALSE(exp.metrics().detection_latencies().empty());
+  EXPECT_EQ(exp.metrics().cp(0xFFFFFFFEu), nullptr);
 }
 
 TEST(Metrics, SeriesRecordingCanBeDisabled) {

@@ -586,6 +586,34 @@ TEST(Scheduler, CancelThenCascadeChurn) {
   for (EventId id : ids) EXPECT_FALSE(sched.cancel(id));
 }
 
+TEST(Scheduler, FirstCoarseSlotFollowsInsertsCancelsAndCascades) {
+  // The earliest occupied coarse slot is cached, not rescanned per
+  // refill: an insert below it, a cancel that empties it, and a cascade
+  // must each move it (32 s coarse slots; every time here is beyond the
+  // 128 s fine span when it is scheduled).
+  Scheduler sched;
+  std::vector<double> fired;
+  const auto record = [&] { fired.push_back(sched.now()); };
+  const EventId at_400 = sched.schedule_at(400.0, record);
+  sched.schedule_at(600.0, record);
+  const EventId at_300 = sched.schedule_at(300.0, record);  // lowers it
+  EXPECT_EQ(sched.next_time(), 300.0);
+  EXPECT_TRUE(sched.cancel(at_300));  // empties the first slot
+  EXPECT_EQ(sched.next_time(), 400.0);
+  sched.schedule_at(200.0, record);
+  sched.schedule_at(310.0, record);
+  EXPECT_TRUE(sched.cancel(at_400));  // empties a later slot
+  EXPECT_EQ(sched.next_time(), 200.0);
+  EXPECT_EQ(sched.coarse_resident(), 3u);
+  // Fires 200; the refill after it cascades 310's slot and stops there.
+  sched.run_until(250.0);
+  EXPECT_EQ(sched.coarse_resident(), 1u);
+  sched.schedule_at(500.0, record);  // coarse again, below 600's slot
+  EXPECT_EQ(sched.coarse_resident(), 2u);
+  sched.run_all();
+  EXPECT_EQ(fired, (std::vector<double>{200.0, 310.0, 500.0, 600.0}));
+}
+
 // Long-haul variant of the trace workload: delays up to days, so events
 // traverse overflow -> coarse -> fine across many cascades, with cancel
 // churn hitting every level.

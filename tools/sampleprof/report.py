@@ -14,6 +14,11 @@ walking the stack from the interrupted frame outwards, the first frame
 whose function matches a layer's pattern names the layer. So a sample in
 pthread_mutex_lock called by the auditor counts as `mutex`, one in the
 auditor's own code as `auditor`, and one in memcpy as whatever called it.
+A pattern is matched against the function's own qualified name, template
+arguments included, never against its parameter list: net::Message is in
+most core signatures, and taking one does not make a function network
+code. A callable's trampoline (InlineFunction<...>::InlineOps<L>::invoke)
+names its lambda L, so it counts with the lambda's owner.
 
 Layers (first match per frame, in this order):
 
@@ -22,8 +27,12 @@ Layers (first match per frame, in this order):
     mutex         util::Mutex and pthread mutexes
     clock         steady-clock reads (the vDSO, clock_gettime, now())
     auditor       check::InvariantAuditor
+    observers     the other protocol observers: scenario::Metrics, the
+                  core::FanoutObserver that feeds every sink, stats::
+                  accumulators, trace::EventLog
     service       runtime::AsyncPresenceService and its watch adapters
     timer wheel   des::Scheduler / des::WallClockTimerWheel
+    network       net::Network, the delay and loss models
     udp           runtime::AsyncUdpTransport, the wire codec
     device        core devices
     cp core       core control points, the probe cycle, SAPP adaptation
@@ -69,11 +78,16 @@ LAYERS = [
         r"^\[vdso\]$|clock_gettime|steady_clock::now|"
         r"WallClockTimerWheel::now\(|EventLoop::now\(")),
     ("auditor", re.compile(r"check::InvariantAuditor")),
+    ("observers", re.compile(
+        r"scenario::Metrics::|core::FanoutObserver::|probemon::stats::|"
+        r"trace::EventLog::")),
     ("service", re.compile(
         r"runtime::AsyncPresenceService|runtime::AsyncControlPointBase|"
-        r"AsyncSappControlPoint|AsyncDcppControlPoint|FanoutObserver")),
+        r"AsyncSappControlPoint|AsyncDcppControlPoint")),
     ("timer wheel", re.compile(
-        r"des::Scheduler::|des::WallClockTimerWheel::|SlabPool")),
+        r"des::Scheduler::|des::WallClockTimerWheel::")),
+    ("network", re.compile(
+        r"net::Network::|net::\w*(Delay|Loss)\w*::")),
     ("udp", re.compile(r"runtime::AsyncUdpTransport|runtime::udp_(de|en)code")),
     ("device", re.compile(
         r"core::BasicDevice|core::BasicDcppDevice|core::BasicSappDevice|"
@@ -319,10 +333,34 @@ def hot_instructions(symbolizer, chosen, func, total, label, top):
     return rows
 
 
+TRAILING_QUALIFIERS = re.compile(
+    r"(\s*(const|volatile|noexcept|&&|&)|\s*\[clone [^]]*\]|\[abi:\w+\])+$")
+
+
+def qualified_name(fn):
+    """A demangled function name without its parameter list (the last
+    balanced parenthesis group) and the qualifiers after it."""
+    name = TRAILING_QUALIFIERS.sub("", fn)
+    if not name.endswith(")"):
+        return name
+    depth = 0
+    for i in range(len(name) - 1, -1, -1):
+        if name[i] == ")":
+            depth += 1
+        elif name[i] == "(":
+            depth -= 1
+            if depth == 0:
+                return name[:i]
+    return name
+
+
 def classify(named):
     for fn, _ in named:
+        if not fn:
+            continue
+        own = qualified_name(fn)
         for layer, pattern in LAYERS:
-            if fn and pattern.search(fn):
+            if pattern.search(own):
                 return layer
     return "other"
 
