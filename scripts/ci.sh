@@ -64,13 +64,14 @@
 #     reactor service) plus the metric store's concurrency
 #     tests (Registry, LabelInterner, DeltaExporter, ThreadSafety*),
 #     then the whole suite under it as its own step
-#   * a sampleprof smoke: tools/sampleprof/sampleprof.so preloaded into
-#     a short bench_rt_scale run; report.py must print a non-empty
-#     per-layer table, and its --hot view of the hottest innermost
-#     function with an object file at least one instruction row; then
-#     into a DES bench (bench_t1_sapp_steady, an Experiment with Metrics
-#     and the auditor attached), whose observers and network rows must
-#     both hold samples
+#   * a sampleprof smoke: report.py's doctests (the layer of a few
+#     known function names), then tools/sampleprof/sampleprof.so
+#     preloaded into a short bench_rt_scale run; report.py must print a
+#     non-empty per-layer table, and its --hot view of the hottest
+#     innermost function with an object file at least one instruction
+#     row; then into a DES bench (bench_t1_sapp_steady, an Experiment
+#     with Metrics and the auditor attached), whose observers and
+#     network rows must both hold samples
 # and writes bench_out/analysis_summary.json with machine-readable
 # results (invariant violations, tidy warning count, lint findings,
 # the TSan legs).
@@ -733,6 +734,10 @@ EOF
   # short bench_rt_scale run must write its samples, and report.py must
   # attribute the loop thread's to layers -- the tool behind the
   # per-layer splits in docs/performance.md. A smoke, not a measurement.
+  # report.py's doctests pin which layer a few known names land in
+  # (the clock reads, a core function taking a net::Message).
+  echo "==> report.py doctests"
+  python3 -m doctest "$ROOT/tools/sampleprof/report.py"
   echo "==> sampleprof smoke (bench_rt_scale under the SIGPROF sampler)"
   mkdir -p "$SCRATCH/sampleprof"
   (cd "$SCRATCH/sampleprof" &&

@@ -137,9 +137,6 @@ void Scheduler::cancel_in_coarse(std::size_t slot) {
   --coarse_count_;
   if (chain_cancelled(coarse_chunk_[slot])) {
     coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    if (coarse_count_ > 0 && slot == coarse_slot_of(coarse_first_)) {
-      coarse_first_ = scan_coarse_first();
-    }
   }
 }
 
@@ -178,8 +175,8 @@ Time Scheduler::next_time() const {
     // Coarse slots cover disjoint, increasing tick ranges, so the first
     // occupied slot holds the earliest coarse event (its keys are
     // unsorted within the slot — scan them).
-    best = std::min(
-        best, chain_min_live(coarse_chunk_[coarse_slot_of(coarse_first_)]));
+    best = std::min(best,
+                    chain_min_live(coarse_chunk_[next_occupied_coarse_slot()]));
   }
   if (best != kTimeInfinity) return best;
   if (!overflow_.empty()) return overflow_.front().time;
@@ -189,31 +186,30 @@ Time Scheduler::next_time() const {
 bool Scheduler::refill_tick() {
   clear_tick();
   for (;;) {
-    // One scan of the fine bitmap per pass; every key of a slot shares
-    // its tick, tombstones included.
-    const std::size_t slot = wheel_count_ > 0 ? next_occupied_slot() : 0;
-    const std::int64_t fine_tick =
-        wheel_count_ > 0 ? tick_of(chain_tick_time(slot_chunk_[slot])) : 0;
     if (coarse_count_ > 0) {
       // Cascade-on-advance: when the first occupied coarse slot starts
       // at or before the next occupied fine tick, nothing in the fine
       // wheel precedes it — advance to just before the slot's window
       // and spill its events into the fine wheel (each lands strictly
-      // inside the span because 2^coarse_shift < 2^wheel_bits).
-      PROBEMON_INVARIANT(
-          coarse_slot_of(coarse_first_) == next_occupied_coarse_slot(),
-          "cached coarse tick " << coarse_first_
-                                << " is not the first occupied coarse slot");
-      const std::int64_t cstart = coarse_first_ << coarse_shift_;
-      if (wheel_count_ == 0 || fine_tick >= cstart) {
+      // inside the span because 2^coarse_shift < 2^wheel_bits). Every
+      // key of a slot shares its tick, tombstones included.
+      const std::size_t cslot = next_occupied_coarse_slot();
+      const std::int64_t cstart =
+          coarse_tick_of(tick_of(chain_tick_time(coarse_chunk_[cslot])))
+          << coarse_shift_;
+      const bool fine_first =
+          wheel_count_ > 0 &&
+          tick_of(chain_tick_time(slot_chunk_[next_occupied_slot()])) < cstart;
+      if (!fine_first) {
         cur_tick_ = cstart - 1;
-        cascade_coarse_slot(coarse_slot_of(coarse_first_));
+        cascade_coarse_slot(cslot);
         promote_overflow();
         continue;
       }
     }
     if (wheel_count_ > 0) {
-      cur_tick_ = fine_tick;
+      const std::size_t slot = next_occupied_slot();
+      cur_tick_ = tick_of(chain_tick_time(slot_chunk_[slot]));
       drain_slot_into_tick(slot);
       promote_overflow();
       return true;
@@ -523,14 +519,7 @@ void Scheduler::drain_slot_into_tick(std::size_t slot) {
   // The drained events keep Where::kFine with this slot, which now names
   // the executing tick (see Where). Sub-bucket appends may reuse the
   // chunks already read.
-  if ((chain & kBigChunk) == 0) {
-    // A slot of one first chunk (at most kFirstKeys keys, so bits == 0):
-    // its keys are the run, in order unless they arrived out of order.
-    const Key* keys = firsts_[chain].keys;
-    run_.assign(keys, keys + size);
-    if (size == 2 && before(run_[1], run_[0])) std::swap(run_[0], run_[1]);
-    firsts_.release(chain);
-  } else if (bits == 0) {
+  if (bits == 0) {
     consume_chain(chain, [this](const Key& key) { run_.push_back(key); });
     // A chunk holds its keys in schedule order, so a slot of one chunk
     // is usually sorted already; a real sort is needed only when times
@@ -549,7 +538,6 @@ void Scheduler::drain_slot_into_tick(std::size_t slot) {
 }
 
 void Scheduler::promote_overflow() {
-  if (overflow_.empty()) return;
   // The overflow heap is keyed (time, seq) and ticks are monotone in
   // time, so once the root's tick is outside the window nothing else
   // can be inside it.
@@ -612,7 +600,6 @@ void Scheduler::coarse_insert(const Key& key) {
   if (chain == kNil) coarse_occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
   chain_append(chain, key);
   pool_[key.index].where = make_where(Where::kCoarse, slot);
-  if (coarse_count_ == 0 || ctick < coarse_first_) coarse_first_ = ctick;
   ++coarse_count_;
 }
 
@@ -624,12 +611,6 @@ void Scheduler::cascade_coarse_slot(std::size_t slot) {
   consume_chain(chain, [this](const Key& key) {
     if (live(key)) wheel_insert(key);  // tombstones stay behind
   });
-  if (coarse_count_ > 0) coarse_first_ = scan_coarse_first();
-}
-
-std::int64_t Scheduler::scan_coarse_first() const {
-  return coarse_tick_of(
-      tick_of(chain_tick_time(coarse_chunk_[next_occupied_coarse_slot()])));
 }
 
 std::size_t Scheduler::next_occupied_coarse_slot() const {

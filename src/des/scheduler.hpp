@@ -476,9 +476,6 @@ class Scheduler {
   /// window, so each event lands strictly inside the fine span.
   void cascade_coarse_slot(std::size_t slot);
   std::size_t next_occupied_coarse_slot() const;  ///< requires coarse_count_ > 0
-  /// Coarse tick of the first occupied coarse slot, by a bitmap scan
-  /// (requires coarse_count_ > 0): what coarse_first_ caches.
-  std::int64_t scan_coarse_first() const;
 
   // --- the executing tick (calendar queue) ----------------------------------
   /// Sub-bucket of time t under the tick's current geometry; monotone
@@ -556,10 +553,6 @@ class Scheduler {
   std::vector<std::uint32_t> coarse_chunk_;  ///< coarse slot -> newest chunk
   std::vector<std::uint64_t> coarse_occ_;   ///< occupancy bitmap
   std::size_t coarse_count_ = 0;            ///< live events in coarse slots
-  /// Coarse tick of the first occupied coarse slot while coarse_count_
-  /// > 0: lowered by an insert, rescanned after a cascade or a cancel
-  /// that empties that slot, so a refill reads it without a scan.
-  std::int64_t coarse_first_ = 0;
   int coarse_shift_ = 0;  ///< log2 fine ticks per coarse slot; 0 = disabled
   std::size_t coarse_mask_ = 0;
   std::int64_t cur_tick_ = 0;

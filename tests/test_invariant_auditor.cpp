@@ -389,7 +389,7 @@ TEST(InvariantAuditor, ResultsReadFromAnotherThreadWhileTheLoopRecords) {
   std::thread reader([&] {
     reading.store(true);
     std::uint64_t seen = 0;
-    while (fed.load() < kTasks) {
+    do {  // at least one read, even if the loop is done before the first
       const std::uint64_t total = auditor.total_violations();
       EXPECT_GE(total, seen);  // a tally only grows
       seen = total;
@@ -397,7 +397,7 @@ TEST(InvariantAuditor, ResultsReadFromAnotherThreadWhileTheLoopRecords) {
       EXPECT_NE(auditor.summary().find("invariant violations"),
                 std::string::npos);
       reads.fetch_add(1);
-    }
+    } while (fed.load() < kTasks);
   });
   while (!reading.load()) std::this_thread::yield();
   for (int task = 0; task < kTasks; ++task) {

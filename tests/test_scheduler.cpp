@@ -587,10 +587,9 @@ TEST(Scheduler, CancelThenCascadeChurn) {
 }
 
 TEST(Scheduler, FirstCoarseSlotFollowsInsertsCancelsAndCascades) {
-  // The earliest occupied coarse slot is cached, not rescanned per
-  // refill: an insert below it, a cancel that empties it, and a cascade
-  // must each move it (32 s coarse slots; every time here is beyond the
-  // 128 s fine span when it is scheduled).
+  // The earliest occupied coarse slot moves with an insert below it, a
+  // cancel that empties it, and a cascade (32 s coarse slots; every time
+  // here is beyond the 128 s fine span when it is scheduled).
   Scheduler sched;
   std::vector<double> fired;
   const auto record = [&] { fired.push_back(sched.now()); };

@@ -76,7 +76,7 @@ LAYERS = [
         r"__lll_unlock|lock_order::")),
     ("clock", re.compile(
         r"^\[vdso\]$|clock_gettime|steady_clock::now|"
-        r"WallClockTimerWheel::now\(|EventLoop::now\(")),
+        r"WallClockTimerWheel::now$|EventLoop::now$")),
     ("auditor", re.compile(r"check::InvariantAuditor")),
     ("observers", re.compile(
         r"scenario::Metrics::|core::FanoutObserver::|probemon::stats::|"
@@ -355,6 +355,23 @@ def qualified_name(fn):
 
 
 def classify(named):
+    """The layer of a sample: the first of its (function, object) frames,
+    innermost first, whose qualified name matches a layer.
+
+    >>> classify([("probemon::des::WallClockTimerWheel::now() const", None)])
+    'clock'
+    >>> classify([("probemon::runtime::EventLoop::now() const", None)])
+    'clock'
+    >>> classify([("probemon::core::SappControlPoint::delay_after_success("
+    ...            "probemon::net::Message const&, double)", None)])
+    'cp core'
+    >>> classify([("probemon::scenario::Metrics::on_probe_sent(unsigned int,"
+    ...            " unsigned int, double, unsigned int)", None)])
+    'observers'
+    >>> classify([("?", None), ("probemon::net::Network::send("
+    ...            "probemon::net::Message)", None)])
+    'network'
+    """
     for fn, _ in named:
         if not fn:
             continue
