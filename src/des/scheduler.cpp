@@ -26,7 +26,7 @@ Scheduler::Scheduler(const SchedulerConfig& config) : config_(config) {
   if (config_.backend == SchedulerBackend::kWheel) {
     const std::size_t slots = std::size_t{1} << config_.wheel_bits;
     wheel_mask_ = slots - 1;
-    slot_chunk_.assign(slots, kNil);
+    slot_chunk_ = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
     slot_bits_.assign(slots / 64, 0);
     if (config_.coarse_bits != 0) {
       coarse_shift_ = config_.coarse_tick_bits < 0
@@ -41,7 +41,7 @@ Scheduler::Scheduler(const SchedulerConfig& config) : config_(config) {
       }
       const std::size_t cslots = std::size_t{1} << config_.coarse_bits;
       coarse_mask_ = cslots - 1;
-      coarse_chunk_.assign(cslots, kNil);
+      coarse_chunk_ = std::make_unique_for_overwrite<std::uint32_t[]>(cslots);
       coarse_occ_.assign(cslots / 64, 0);
     }
   }
@@ -128,14 +128,14 @@ void Scheduler::cancel_in_fine(std::size_t slot) {
     return;
   }
   --wheel_count_;
-  if (chain_cancelled(slot_chunk_[slot])) {
+  if (chain_cancelled(fine_head(slot))) {
     slot_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   }
 }
 
 void Scheduler::cancel_in_coarse(std::size_t slot) {
   --coarse_count_;
-  if (chain_cancelled(coarse_chunk_[slot])) {
+  if (chain_cancelled(coarse_head(slot))) {
     coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   }
 }
@@ -169,14 +169,14 @@ Time Scheduler::next_time() const {
   // matters when the wheels are empty.
   Time best = kTimeInfinity;
   if (wheel_count_ > 0) {
-    best = chain_min_live(slot_chunk_[next_occupied_slot()]);
+    best = chain_min_live(fine_head(next_occupied_slot()));
   }
   if (coarse_count_ > 0) {
     // Coarse slots cover disjoint, increasing tick ranges, so the first
     // occupied slot holds the earliest coarse event (its keys are
     // unsorted within the slot — scan them).
     best = std::min(best,
-                    chain_min_live(coarse_chunk_[next_occupied_coarse_slot()]));
+                    chain_min_live(coarse_head(next_occupied_coarse_slot())));
   }
   if (best != kTimeInfinity) return best;
   if (!overflow_.empty()) return overflow_.front().time;
@@ -195,11 +195,11 @@ bool Scheduler::refill_tick() {
       // key of a slot shares its tick, tombstones included.
       const std::size_t cslot = next_occupied_coarse_slot();
       const std::int64_t cstart =
-          coarse_tick_of(tick_of(chain_tick_time(coarse_chunk_[cslot])))
+          coarse_tick_of(tick_of(chain_tick_time(coarse_head(cslot))))
           << coarse_shift_;
       const bool fine_first =
           wheel_count_ > 0 &&
-          tick_of(chain_tick_time(slot_chunk_[next_occupied_slot()])) < cstart;
+          tick_of(chain_tick_time(fine_head(next_occupied_slot()))) < cstart;
       if (!fine_first) {
         cur_tick_ = cstart - 1;
         cascade_coarse_slot(cslot);
@@ -209,7 +209,7 @@ bool Scheduler::refill_tick() {
     }
     if (wheel_count_ > 0) {
       const std::size_t slot = next_occupied_slot();
-      cur_tick_ = tick_of(chain_tick_time(slot_chunk_[slot]));
+      cur_tick_ = tick_of(chain_tick_time(fine_head(slot)));
       drain_slot_into_tick(slot);
       promote_overflow();
       return true;
@@ -455,7 +455,6 @@ bool Scheduler::chain_cancelled(std::uint32_t& chain) {
   --newest.live;
   if (newest.live == 0) {
     chain_release(chain);
-    chain = kNil;
     return true;
   }
   // A slot that is mostly tombstones is rebuilt from its live keys once
@@ -482,24 +481,51 @@ Time Scheduler::chain_min_live(std::uint32_t chain) const {
   return best;
 }
 
+// --- slot heads --------------------------------------------------------------
+
+namespace {
+
+[[maybe_unused]] bool bit_set(const std::vector<std::uint64_t>& bits,
+                              std::size_t i) noexcept {
+  return ((bits[i >> 6] >> (i & 63)) & 1) != 0;
+}
+
+}  // namespace
+
+const std::uint32_t& Scheduler::fine_head(std::size_t slot) const noexcept {
+  PROBEMON_INVARIANT(bit_set(slot_bits_, slot),
+                     "head of closed fine slot " << slot << " read");
+  return slot_chunk_[slot];
+}
+
+const std::uint32_t& Scheduler::coarse_head(std::size_t slot) const noexcept {
+  PROBEMON_INVARIANT(bit_set(coarse_occ_, slot),
+                     "head of closed coarse slot " << slot << " read");
+  return coarse_chunk_[slot];
+}
+
 // --- wheel primitives --------------------------------------------------------
 
 void Scheduler::wheel_insert(const Key& key) {
   const std::int64_t tick = tick_of(key.time);
   const std::size_t slot = slot_of(tick);
-  std::uint32_t& chain = slot_chunk_[slot];
+  std::uint64_t& bits = slot_bits_[slot >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+  if ((bits & bit) == 0) {
+    bits |= bit;
+    slot_chunk_[slot] = kNil;  // opens empty; chain_append gives it a chunk
+  }
+  std::uint32_t& chain = fine_head(slot);
   PROBEMON_CONTRACT(chain == kNil || tick_of(chain_tick_time(chain)) == tick,
                     "wheel slot " << slot << " mixes ticks " << tick << " and "
                                   << tick_of(chain_tick_time(chain)));
-  if (chain == kNil) slot_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
   chain_append(chain, key);
   pool_[key.index].where = make_where(Where::kFine, slot);
   ++wheel_count_;
 }
 
 void Scheduler::drain_slot_into_tick(std::size_t slot) {
-  const std::uint32_t chain = slot_chunk_[slot];
-  slot_chunk_[slot] = kNil;
+  const std::uint32_t chain = fine_head(slot);
   slot_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   const std::uint32_t size = header(chain).size;
   const std::uint32_t live_keys = header(chain).live;
@@ -589,7 +615,13 @@ std::size_t Scheduler::next_occupied_slot() const {
 void Scheduler::coarse_insert(const Key& key) {
   const std::int64_t ctick = coarse_tick_of(tick_of(key.time));
   const std::size_t slot = coarse_slot_of(ctick);
-  std::uint32_t& chain = coarse_chunk_[slot];
+  std::uint64_t& bits = coarse_occ_[slot >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+  if ((bits & bit) == 0) {
+    bits |= bit;
+    coarse_chunk_[slot] = kNil;  // opens empty; chain_append gives it a chunk
+  }
+  std::uint32_t& chain = coarse_head(slot);
   // Residents satisfy coarse_tick_of(cur_tick_) < ctick <
   // coarse_tick_of(cur_tick_) + slot count, so — exactly like the fine
   // wheel — one slot never mixes two coarse ticks.
@@ -597,15 +629,13 @@ void Scheduler::coarse_insert(const Key& key) {
       chain == kNil || coarse_tick_of(tick_of(chain_tick_time(chain))) == ctick,
       "coarse slot " << slot << " mixes coarse ticks " << ctick << " and "
                      << coarse_tick_of(tick_of(chain_tick_time(chain))));
-  if (chain == kNil) coarse_occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
   chain_append(chain, key);
   pool_[key.index].where = make_where(Where::kCoarse, slot);
   ++coarse_count_;
 }
 
 void Scheduler::cascade_coarse_slot(std::size_t slot) {
-  const std::uint32_t chain = coarse_chunk_[slot];
-  coarse_chunk_[slot] = kNil;
+  const std::uint32_t chain = coarse_head(slot);
   coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   coarse_count_ -= header(chain).live;
   consume_chain(chain, [this](const Key& key) {

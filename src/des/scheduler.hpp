@@ -46,6 +46,13 @@
 // slot, so draining a slot is a sequential read rather than a walk of
 // intrusive links.
 //
+// A wheel level's occupancy bitmap is the only record of which of its
+// slots hold a chain. The per-slot chain heads are allocated without
+// being initialised: a head is written when its slot opens (the insert
+// that sets the slot's bit) and read only while that bit is set, so
+// building a scheduler writes its two bitmaps (4.5 KiB at the defaults)
+// and none of its 144 KiB of heads.
+//
 // The tick being executed is a small calendar queue (Brown, CACM 1988):
 // its drained keys, and every event scheduled into it while it runs —
 // nearly every 50–500 µs network delivery — land by time in
@@ -83,7 +90,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/inline_function.hpp"
@@ -119,8 +128,10 @@ struct SchedulerConfig {
   /// Wheel size = 2^wheel_bits slots. Default 32768 slots * 2^-8 s
   /// = 128 s span — every bounded protocol delay, plus the coarse
   /// scenario scripting (departures, outages) common in experiments,
-  /// lands in an O(1) slot. Cost: 132 KiB per scheduler, touched
-  /// sparsely (only occupied slots are ever read).
+  /// lands in an O(1) slot. Cost: 128 KiB of slot heads plus a 4 KiB
+  /// occupancy bitmap per scheduler. A build writes only the bitmap; a
+  /// head is written when its slot opens, so the table's pages become
+  /// resident as slots are first used.
   int wheel_bits = 15;
   /// Upper (coarse) wheel level: one coarse slot covers
   /// 2^coarse_tick_bits fine ticks. -1 resolves to
@@ -405,7 +416,7 @@ class Scheduler {
     return tick >> coarse_shift_;
   }
   std::int64_t coarse_slot_count() const noexcept {
-    return static_cast<std::int64_t>(coarse_chunk_.size());
+    return static_cast<std::int64_t>(coarse_mask_) + 1;
   }
   std::size_t coarse_slot_of(std::int64_t ctick) const noexcept {
     return static_cast<std::size_t>(ctick) & coarse_mask_;
@@ -454,13 +465,27 @@ class Scheduler {
   void chain_rebuild(std::uint32_t& chain);
   /// A cancel left the slot with one live key fewer: release an emptied
   /// slot, or drop the tombstones of one that is mostly tombstones.
-  /// Returns true when the slot was released.
+  /// Returns true when the slot was released; its head is then stale,
+  /// and the caller closes the slot.
   bool chain_cancelled(std::uint32_t& chain);
   /// Earliest live key time in a chain (kTimeInfinity if none).
   Time chain_min_live(std::uint32_t chain) const;
   /// Every key of a slot shares its tick, tombstones included.
   Time chain_tick_time(std::uint32_t chain) const {
     return chunk_keys(chain)[0].time;
+  }
+
+  // --- slot heads -----------------------------------------------------------
+  /// The newest chunk of an open fine (coarse) slot, read only while the
+  /// slot's occupancy bit is set (checked builds verify it): a closed
+  /// slot's head is stale or was never written.
+  const std::uint32_t& fine_head(std::size_t slot) const noexcept;
+  std::uint32_t& fine_head(std::size_t slot) noexcept {
+    return const_cast<std::uint32_t&>(std::as_const(*this).fine_head(slot));
+  }
+  const std::uint32_t& coarse_head(std::size_t slot) const noexcept;
+  std::uint32_t& coarse_head(std::size_t slot) noexcept {
+    return const_cast<std::uint32_t&>(std::as_const(*this).coarse_head(slot));
   }
 
   // --- wheel primitives -----------------------------------------------------
@@ -547,10 +572,12 @@ class Scheduler {
 
   Heap overflow_;          ///< events beyond the wheel window
   Heap heap_;              ///< kHeap backend: the only structure in use
-  std::vector<std::uint32_t> slot_chunk_;  ///< wheel slot -> newest chunk
+  /// Wheel slot -> newest chunk, not initialised (see fine_head()).
+  std::unique_ptr<std::uint32_t[]> slot_chunk_;
   std::vector<std::uint64_t> slot_bits_;  ///< occupancy bitmap over slots
   std::size_t wheel_count_ = 0;           ///< live events in fine slots
-  std::vector<std::uint32_t> coarse_chunk_;  ///< coarse slot -> newest chunk
+  /// Coarse slot -> newest chunk, not initialised (see coarse_head()).
+  std::unique_ptr<std::uint32_t[]> coarse_chunk_;
   std::vector<std::uint64_t> coarse_occ_;   ///< occupancy bitmap
   std::size_t coarse_count_ = 0;            ///< live events in coarse slots
   int coarse_shift_ = 0;  ///< log2 fine ticks per coarse slot; 0 = disabled

@@ -7,6 +7,12 @@ Metrics::Metrics(MetricsConfig config)
       load_(config.load_window, config.load_sample_every),
       active_cps_("active_cps") {}
 
+CpMetrics& Metrics::add_row(net::NodeId id) {
+  CpMetrics* const row = &per_cp_[id];
+  rows_[id] = row;
+  return *row;
+}
+
 void Metrics::on_probe_sent(net::NodeId cp, net::NodeId /*device*/,
                             double /*t*/, std::uint8_t /*attempt*/) {
   ++probes_sent_;

@@ -36,8 +36,8 @@ struct MetricsConfig {
 /// Everything measured about one CP.
 struct CpMetrics {
   stats::TimeSeries delay_series;       ///< (t, delta) on every update
-  stats::Welford delay_moments;         ///< post-warmup delta samples
-  stats::Welford frequency_moments;     ///< post-warmup 1/delta samples
+  stats::MeanVar delay_moments;         ///< post-warmup delta samples
+  stats::MeanVar frequency_moments;     ///< post-warmup 1/delta samples
   double last_delay = 0.0;
   std::uint64_t cycles_succeeded = 0;
   std::uint64_t probes_sent = 0;
@@ -102,13 +102,14 @@ class Metrics final : public core::ProtocolObserver {
   std::vector<double> detection_latencies() const;
 
  private:
-  /// The CP's row, created on its first event: one probe of the flat
-  /// index, no walk of the id-ordered map.
+  /// The CP's row: one probe of the flat index, no walk of the
+  /// id-ordered map. Only a CP's first event takes the call that
+  /// creates its row.
   CpMetrics& cp_mut(net::NodeId id) {
-    CpMetrics*& row = rows_[id];
-    if (row == nullptr) row = &per_cp_[id];
-    return *row;
+    if (CpMetrics* const* row = rows_.find(id)) return **row;
+    return add_row(id);
   }
+  CpMetrics& add_row(net::NodeId id);
 
   MetricsConfig config_;
   stats::RateMeter load_;

@@ -3,7 +3,8 @@
 // Numerically stable single-pass mean/variance/skewness/kurtosis with O(1)
 // state, plus min/max. Supports merging two accumulators (parallel batch
 // reduction) via the pairwise update. Used for every scalar metric the
-// simulations report.
+// simulations report. MeanVar keeps only the count, mean and M2 of the
+// same update, for per-event accumulators whose readers need no more.
 #pragma once
 
 #include <algorithm>
@@ -111,6 +112,36 @@ class Welford {
   double m1_ = 0, m2_ = 0, m3_ = 0, m4_ = 0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
+};
+
+/// Count, mean and variance only: Welford::add's own m1/m2 lines,
+/// without its m3/m4, min and max, so mean() and variance() are
+/// bit-identical to a Welford fed the same stream.
+class MeanVar {
+ public:
+  void add(double x) noexcept {
+    const double n1 = static_cast<double>(n_);
+    ++n_;
+    const double delta = x - m1_;
+    const double delta_n = delta / static_cast<double>(n_);
+    m1_ += delta_n;
+    m2_ += delta * delta_n * n1;
+  }
+
+  std::uint64_t count() const noexcept { return n_; }
+  bool empty() const noexcept { return n_ == 0; }
+  double mean() const noexcept {
+    return n_ ? m1_ : std::numeric_limits<double>::quiet_NaN();
+  }
+  /// Sample (Bessel-corrected) variance.
+  double variance() const noexcept {
+    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1)
+                  : std::numeric_limits<double>::quiet_NaN();
+  }
+
+ private:
+  std::uint64_t n_ = 0;
+  double m1_ = 0, m2_ = 0;
 };
 
 }  // namespace probemon::stats

@@ -5,16 +5,22 @@
 // of quietly slowing bench_scale or rt_monitor.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <vector>
 
 #include "core/probemon.hpp"
+#include "des/scheduler.hpp"
 #include "net/delay_model.hpp"
 #include "net/loss_model.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
 #include "util/rng.hpp"
+
+#include <unistd.h>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -31,6 +37,15 @@ std::uint64_t heap_bytes_in_use() {
 #else
   return 0;
 #endif
+}
+
+/// Resident set size in KiB (/proc/self/statm), or -1 where unreadable.
+long resident_kib() {
+  std::ifstream statm("/proc/self/statm");
+  long size = 0;
+  long resident = -1;
+  statm >> size >> resident;
+  return resident < 0 ? -1 : resident * (sysconf(_SC_PAGESIZE) / 1024);
 }
 
 TEST(Footprint, EntityStateFitsItsBudget) {
@@ -147,6 +162,34 @@ TEST(Footprint, PresenceWatchHeapBytesStayLean) {
   // glibc 2.36). A capture that spills out of std::function's buffer
   // adds a 32 B block per watch; the bound leaves half of that.
   EXPECT_LT(per_watch, 546.0) << after - before << " heap bytes";
+}
+
+TEST(Footprint, SchedulerBuildTouchesOnlyItsBitmaps) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's allocator";
+#else
+  // A default scheduler allocates 144 KiB of slot heads and writes none
+  // of them: a head is written when its slot opens. Building one writes
+  // its two occupancy bitmaps (4.5 KiB) and a few small blocks. The
+  // child pins glibc's mmap threshold at 64 KiB, so each build's fine
+  // head table is a fresh mapping whose pages stay out of the resident
+  // set until written; 64 builds that filled their tables would add
+  // ~9.5 MiB. The allocator setting dies with the child.
+  EXPECT_EXIT(
+      {
+        mallopt(M_MMAP_THRESHOLD, 64 * 1024);
+        const long before = resident_kib();
+        std::vector<std::unique_ptr<des::Scheduler>> schedulers;
+        for (int i = 0; i < 64; ++i) {
+          schedulers.push_back(std::make_unique<des::Scheduler>());
+        }
+        const long grown = resident_kib() - before;
+        std::fprintf(stderr, "64 builds: resident +%ld KiB\n", grown);
+        std::exit(before >= 0 && grown <= 2048 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "64 builds: resident");
+#endif
 }
 
 }  // namespace

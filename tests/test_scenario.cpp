@@ -278,7 +278,7 @@ class ReferenceTally final : public core::ProtocolObserver {
   MetricsConfig config_;
 };
 
-void expect_same_moments(const stats::Welford& got,
+void expect_same_moments(const stats::MeanVar& got,
                          const stats::Welford& want, net::NodeId id) {
   EXPECT_EQ(got.count(), want.count()) << "cp " << id;
   if (want.count() == 0) return;

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "des/scheduler.hpp"
@@ -611,6 +612,115 @@ TEST(Scheduler, FirstCoarseSlotFollowsInsertsCancelsAndCascades) {
   EXPECT_EQ(sched.coarse_resident(), 2u);
   sched.run_all();
   EXPECT_EQ(fired, (std::vector<double>{200.0, 310.0, 500.0, 600.0}));
+}
+
+TEST(Scheduler, ReopenedSlotsIgnoreTheirStaleHeads) {
+  // A slot's chain head is left as it is when the slot empties and is
+  // written again only by the insert that reopens it. Each way a slot
+  // empties (a fine slot by a drain and by an emptying cancel, a coarse
+  // slot by a cascade and by an emptying cancel) is followed by an
+  // insert that reopens the same slot index after its wheel has
+  // wrapped, while the freed chunks serve other slots. 1 s ticks, 64
+  // fine slots, 32 s coarse slots and 64 of them (a 2048 s span); the
+  // wheel runs in lockstep with the kHeap oracle.
+  SchedulerConfig wheel_config;
+  wheel_config.tick_bits = 0;
+  wheel_config.wheel_bits = 6;
+  wheel_config.coarse_bits = 6;
+  SchedulerConfig heap_config;
+  heap_config.backend = SchedulerBackend::kHeap;
+  Scheduler wheel(wheel_config);
+  Scheduler heap(heap_config);
+  std::vector<TraceEntry> wheel_trace;
+  std::vector<TraceEntry> heap_trace;
+  wheel.set_execution_probe([&wheel_trace](Time t, std::uint64_t seq) {
+    wheel_trace.push_back({t, seq});
+  });
+  heap.set_execution_probe([&heap_trace](Time t, std::uint64_t seq) {
+    heap_trace.push_back({t, seq});
+  });
+  using Ids = std::pair<EventId, EventId>;
+  const auto at = [&](Time t) {
+    return Ids{wheel.schedule_at(t, [] {}), heap.schedule_at(t, [] {})};
+  };
+  const auto cancel = [&](const Ids& ids) {
+    EXPECT_TRUE(wheel.cancel(ids.first));
+    EXPECT_TRUE(heap.cancel(ids.second));
+  };
+  const auto step = [&] {
+    const bool fired = wheel.step();
+    EXPECT_EQ(fired, heap.step());
+    EXPECT_EQ(wheel.now(), heap.now());
+  };
+  // Live events per level; those not counted wait in the executing tick.
+  const auto expect = [&](const char* after, std::size_t fine,
+                          std::size_t coarse, std::size_t overflow) {
+    SCOPED_TRACE(after);
+    EXPECT_EQ(wheel.pending_count(), heap.pending_count());
+    EXPECT_EQ(wheel.next_time(), heap.next_time());
+    EXPECT_EQ(wheel.fine_resident(), fine);
+    EXPECT_EQ(wheel.coarse_resident(), coarse);
+    EXPECT_EQ(wheel.overflow_resident(), overflow);
+  };
+
+  at(5.0);
+  const Ids fine_cancelled = at(10.0);
+  at(20.0);
+  at(100.0);  // coarse slot 3
+  const Ids coarse_cancelled = at(300.0);  // coarse slot 9
+  at(5000.0);  // beyond the coarse span
+  expect("the first schedule", 3, 2, 1);
+  cancel(fine_cancelled);
+  expect("emptying fine slot 10 by a cancel", 2, 2, 1);
+  cancel(coarse_cancelled);
+  expect("emptying coarse slot 9 by a cancel", 2, 1, 1);
+  step();
+  expect("draining fine slot 5", 1, 1, 1);
+  at(30.0);  // these two take the chunks just freed
+  at(40.0);
+  expect("filling slots 30 and 40", 3, 1, 1);
+  step();
+  expect("firing 20", 2, 1, 1);
+  step();
+  expect("firing 30", 1, 1, 1);
+  at(69.5);   // tick 69: fine slot 5 again
+  at(74.0);   // tick 74: fine slot 10 again
+  at(74.25);
+  expect("reopening fine slots 5 and 10", 4, 1, 1);
+  step();
+  expect("firing 40", 3, 1, 1);
+  step();
+  expect("firing 69.5 from reopened slot 5", 2, 1, 1);
+  step();
+  expect("draining reopened slot 10", 0, 1, 1);
+  step();
+  expect("firing 74.25", 0, 1, 1);
+  step();
+  expect("cascading coarse slot 3 and firing 100", 0, 0, 1);
+  at(130.0);
+  at(400.0);  // coarse slot 12
+  expect("scheduling 130 and 400", 1, 1, 1);
+  step();
+  expect("firing 130", 0, 1, 1);
+  at(2150.0);  // coarse tick 67: coarse slot 3 again
+  expect("reopening coarse slot 3", 0, 2, 1);
+  step();
+  expect("cascading slot 12 and firing 400", 0, 1, 1);
+  at(2340.0);  // coarse tick 73: coarse slot 9 again
+  at(2345.0);
+  expect("reopening coarse slot 9", 0, 3, 1);
+  step();
+  expect("cascading reopened slot 3 and firing 2150", 0, 2, 1);
+  step();
+  expect("cascading reopened slot 9 and firing 2340", 1, 0, 1);
+  step();
+  expect("firing 2345", 0, 0, 1);
+  step();
+  expect("firing 5000 from the overflow heap", 0, 0, 0);
+  EXPECT_FALSE(wheel.step());
+  EXPECT_EQ(wheel.pending_count(), 0u);
+  EXPECT_EQ(wheel_trace.size(), 14u);
+  EXPECT_TRUE(wheel_trace == heap_trace);
 }
 
 // Long-haul variant of the trace workload: delays up to days, so events

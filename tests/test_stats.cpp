@@ -1,10 +1,12 @@
-// Tests for the statistics library: Welford moments, time-weighted
-// averages, Student-t quantiles, batch means, histograms, P^2 quantiles,
-// and the fairness index.
+// Tests for the statistics library: Welford moments and their
+// count/mean/variance subset (MeanVar), time-weighted averages, Student-t
+// quantiles, batch means, histograms, P^2 quantiles, and the fairness
+// index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "stats/autocorr.hpp"
@@ -88,6 +90,38 @@ TEST(Welford, IrwinHallSkewAndKurtosis) {
   }
   EXPECT_NEAR(w.skewness(), 0.0, 0.03);
   EXPECT_NEAR(w.kurtosis(), -0.1, 0.05);
+}
+
+TEST(MeanVar, BitIdenticalToWelford) {
+  // Delays and their reciprocals, as Metrics feeds them, and values
+  // near 1e9.
+  util::Rng rng(4);
+  Welford delays, frequencies, offset;
+  MeanVar delays_mv, frequencies_mv, offset_mv;
+  EXPECT_TRUE(delays_mv.empty());
+  EXPECT_TRUE(std::isnan(delays_mv.mean()));
+  for (int i = 0; i < 20000; ++i) {
+    const double delay = rng.uniform(0.05, 10.0);
+    delays.add(delay);
+    delays_mv.add(delay);
+    frequencies.add(1.0 / delay);
+    frequencies_mv.add(1.0 / delay);
+    const double x = 1.0e9 + rng.uniform(-1.0, 1.0);
+    offset.add(x);
+    offset_mv.add(x);
+    if (i == 0) {
+      EXPECT_EQ(delays_mv.mean(), delays.mean());
+      EXPECT_TRUE(std::isnan(delays_mv.variance()));
+    }
+  }
+  for (const auto& [mv, w] : {std::pair{&delays_mv, &delays},
+                              std::pair{&frequencies_mv, &frequencies},
+                              std::pair{&offset_mv, &offset}}) {
+    EXPECT_EQ(mv->count(), w->count());
+    EXPECT_FALSE(mv->empty());
+    EXPECT_EQ(mv->mean(), w->mean());
+    EXPECT_EQ(mv->variance(), w->variance());
+  }
 }
 
 TEST(TimeWeighted, ConstantSignal) {

@@ -52,9 +52,12 @@ it prints no instruction row (no match, or only [vdso] matched).
 Samples are CPU ticks of the kernel's HZ (about 250 per CPU-second on a
 typical host): a one-minute run of a busy thread gives ~15k samples, a
 few-second smoke only a few hundred. Objects shipped without a symbol
-table (libc) resolve to their nearest exported symbol, so a function
-name inside them is approximate; its layer is not, as long as the
-exported neighbour belongs to the same family (pthread_mutex_*).
+table (libc) name only their exported functions. An address that no
+exported function's range covers (glibc's internal allocator code, say)
+prints as the object and offset past its nearest exported symbol,
+`libc.so.6+0x97000 (past __default_morecore)`, and takes that symbol's
+layer, which is right as long as the neighbour belongs to the same
+family (pthread_mutex_*).
 """
 
 import argparse
@@ -100,6 +103,7 @@ LAYERS = [
     ("loop", re.compile(r"runtime::EventLoop::")),
 ]
 LAYER_NAMES = [name for name, _ in LAYERS] + ["other"]
+PAST = re.compile(r" \(past (.+)\)$")
 
 
 def parse_capture(path):
@@ -233,9 +237,47 @@ class Symbolizer:
                 names = out.splitlines()[0::2]
             except OSError:
                 names = []
-            for k, (addr, _) in enumerate(items):
+            for k, (addr, vaddr) in enumerate(items):
                 fn = names[k] if k < len(names) and names[k] != "??" else "?"
-                self.cache[addr] = (fn, obj)
+                self.cache[addr] = (
+                    unresolved_label(obj, vaddr, self.symbols[obj], fn), obj)
+
+
+def unresolved_label(obj, vaddr, ranges, fn):
+    """The name of an address that no nm range of its object named,
+    given addr2line's name `fn` for it.
+
+    In a stripped object addr2line names the nearest preceding dynamic
+    symbol whatever that symbol's size, so `fn` is kept only when an nm
+    range covers the address or the object has none. Otherwise the
+    label is the object's basename and the offset, past that symbol:
+
+    >>> libc = [(0x96030, 0x96063, "__default_morecore"),
+    ...         (0x98930, 0x98c47, "malloc")]
+    >>> unresolved_label("/lib/libc.so.6", 0x97000, libc,
+    ...                  "__default_morecore")
+    'libc.so.6+0x97000 (past __default_morecore)'
+    >>> unresolved_label("/lib/libc.so.6", 0x96040, libc,
+    ...                  "__default_morecore")
+    '__default_morecore'
+    >>> unresolved_label("/usr/bin/app", 0x1234, [], "main")
+    'main'
+    >>> unresolved_label("/lib/libc.so.6", 0x10, libc, "?")
+    'libc.so.6+0x10'
+
+    The layer stays the named symbol's:
+
+    >>> classify([("libc.so.6+0x9a100 (past pthread_mutex_lock)", None)])
+    'mutex'
+    >>> classify([("libc.so.6+0x97000 (past __default_morecore)", None),
+    ...           ("probemon::stats::TimeSeries::add(double, double)",
+    ...            None)])
+    'observers'
+    """
+    if not ranges or any(lo <= vaddr < hi for lo, hi, _ in ranges):
+        return fn
+    label = "%s+%#x" % (os.path.basename(obj), vaddr)
+    return label if fn == "?" else "%s (past %s)" % (label, fn)
 
 
 def interrupted_frame(symbolizer, frames):
@@ -375,7 +417,8 @@ def classify(named):
     for fn, _ in named:
         if not fn:
             continue
-        own = qualified_name(fn)
+        past = PAST.search(fn)
+        own = qualified_name(past.group(1) if past else fn)
         for layer, pattern in LAYERS:
             if pattern.search(own):
                 return layer
