@@ -1,11 +1,19 @@
 // Configuration of the probe protocols, with the paper's parameter values
 // as defaults. Every struct validates itself via validate(), throwing
-// std::invalid_argument with a descriptive message; builders call this
-// before constructing nodes.
+// std::invalid_argument with a descriptive message; an entity validates
+// the config it is given before it reads or keeps any of it.
+//
+// The constants are the same across a fleet, so no entity keeps its own
+// copy: it holds a pointer to the one copy its core::EntityArena
+// interns. Two configs share that copy only when every field listed by
+// fields() is bit-identical, doubles compared by bit pattern, so sharing
+// never changes a computed value (-0.0 and 0.0 stay apart, as do two NaN
+// payloads). A field added to a struct belongs in its fields() too.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
+#include <tuple>
 
 namespace probemon::core {
 
@@ -17,6 +25,10 @@ struct TimeoutConfig {
   double tos = 0.021;
   /// Max retransmissions after the first probe (paper: 3 => 4 probes).
   int max_retransmissions = 3;
+
+  auto fields() const noexcept {
+    return std::tie(tof, tos, max_retransmissions);
+  }
 
   void validate() const {
     if (!(tof > 0)) throw std::invalid_argument("TimeoutConfig: tof > 0");
@@ -32,6 +44,8 @@ struct TimeoutConfig {
 struct ComputeConfig {
   double min = 0.001;
   double max = 0.020;
+
+  auto fields() const noexcept { return std::tie(min, max); }
 
   void validate() const {
     if (!(min >= 0 && max >= min)) {
@@ -60,7 +74,14 @@ struct SappDeviceConfig {
   /// Load-measurement window (seconds).
   double adapt_window = 10.0;
 
+  auto fields() const noexcept {
+    return std::tuple_cat(std::tie(l_ideal, l_nom), compute.fields(),
+                          std::tie(adaptive_delta, overload_factor,
+                                   adapt_period, adapt_window));
+  }
+
   /// Probe-counter increment: Delta = l_ideal / l_nom (paper: 1e5).
+  /// Defined once validate() has passed.
   std::uint64_t delta() const {
     return static_cast<std::uint64_t>(l_ideal / l_nom);
   }
@@ -72,7 +93,12 @@ struct SappDeviceConfig {
     if (!(l_ideal >= l_nom)) {
       throw std::invalid_argument("Sapp: l_ideal >> l_nom required");
     }
-    if (delta() == 0) throw std::invalid_argument("Sapp: delta rounds to 0");
+    // l_ideal >= l_nom > 0 puts the quotient at 1 or above; its cast to
+    // Delta is defined only below 2^64.
+    if (!(l_ideal / l_nom < 0x1p64)) {
+      throw std::invalid_argument(
+          "Sapp: delta = l_ideal / l_nom must fit std::uint64_t");
+    }
     if (adaptive_delta) {
       if (!(overload_factor > 1)) {
         throw std::invalid_argument("Sapp: overload_factor > 1");
@@ -118,6 +144,13 @@ struct SappCpConfig {
   /// stop, which is what the analysis scenarios do).
   bool continue_after_absence = false;
 
+  auto fields() const noexcept {
+    return std::tuple_cat(
+        timeouts.fields(),
+        std::tie(alpha_inc, alpha_dec, beta, l_ideal, delta_min, delta_max,
+                 initial_delay, use_every_reply, continue_after_absence));
+  }
+
   void validate() const {
     timeouts.validate();
     if (!(alpha_inc > 1)) throw std::invalid_argument("SappCp: alpha_inc > 1");
@@ -151,6 +184,10 @@ struct DcppDeviceConfig {
   /// eventually be answered" holds without retransmission storms.
   ComputeConfig compute{0.00005, 0.0003};
 
+  auto fields() const noexcept {
+    return std::tuple_cat(std::tie(delta_min, d_min), compute.fields());
+  }
+
   double l_nom() const { return 1.0 / delta_min; }
   double f_max() const { return 1.0 / d_min; }
 
@@ -169,7 +206,42 @@ struct DcppCpConfig {
   TimeoutConfig timeouts{};
   bool continue_after_absence = false;
 
+  auto fields() const noexcept {
+    return std::tuple_cat(timeouts.fields(), std::tie(continue_after_absence));
+  }
+
   void validate() const { timeouts.validate(); }
 };
+
+/// The naive baseline's control point (core::FixedRateControlPoint).
+struct FixedRateCpConfig {
+  TimeoutConfig timeouts{};
+  /// Fixed inter-cycle delay (seconds). The UPnP-ish default of one
+  /// probe per second per CP, the kind of value a naive implementor
+  /// picks to satisfy "detect absence in the order of one second".
+  double period = 1.0;
+  bool continue_after_absence = false;
+
+  auto fields() const noexcept {
+    return std::tuple_cat(timeouts.fields(),
+                          std::tie(period, continue_after_absence));
+  }
+
+  void validate() const {
+    timeouts.validate();
+    if (!(period > 0)) {
+      throw std::invalid_argument("FixedRateCp: period > 0");
+    }
+  }
+};
+
+/// `config`, once it has passed its validate(): lets a constructor
+/// validate in its member initialisers, before anything reads or keeps
+/// the config.
+template <class Config>
+const Config& validated(const Config& config) {
+  config.validate();
+  return config;
+}
 
 }  // namespace probemon::core

@@ -17,17 +17,18 @@ ControlPointBase::ControlPointBase(des::Clock& clock, net::Link& link,
       link_(link),
       observer_(observer),
       device_(device),
-      cycle_(timeouts),
-      arena_(arena),
-      continue_after_absence_(continue_after_absence) {
-  // Attach only once cycle_ has validated the timeouts: a throwing
-  // constructor must not leave the link pointing at this object.
+      cycle_(arena.intern(validated(timeouts))),
+      arena_(arena) {
+  state_.continue_after_absence = continue_after_absence;
+  // Attach only once the timeouts are validated: a throwing constructor
+  // must not leave the link pointing at this object.
   id_ = link_.attach(*this);
   arena_.add_cp();
 }
 
 ControlPointBase::~ControlPointBase() {
   stop();
+  arena_.release(cycle_.timeouts());
   arena_.remove_cp();
 }
 
@@ -130,7 +131,7 @@ void ControlPointBase::handle_success(const net::Message& reply, double t) {
 void ControlPointBase::handle_failure(double t) {
   if (!state_.running) return;
   mark_absent(t, /*learned=*/false);
-  if (continue_after_absence_) {
+  if (state_.continue_after_absence) {
     schedule_cycle(t, std::max(0.0, delay_after_failure()));
   }
 }

@@ -25,12 +25,15 @@
 // (des/clock.hpp: on the reactor every now() is a steady-clock read).
 //
 // Mutable monitoring state (running flag, presence verdict, absence
-// time, current delay, the overlay) is the object's first member, right
-// after the vptr, followed by what every reply and timer touches — the
-// timer's event id, the addresses, the cycle FSM. Each event finds them
-// in lines it prefetched a few events ahead (des/scheduler.hpp): a
-// reply's delivery loads the CP's first four lines, the timer event
-// every line of the base.
+// time, current delay, the overlay, the failure policy) is the object's
+// first member, right after the vptr, followed by what every reply and
+// timer touches — the timer's event id, the addresses, the cycle FSM.
+// Each event finds them in lines it prefetched a few events ahead
+// (des/scheduler.hpp): a reply's delivery loads the CP's first four
+// lines, the timer event every line of the base. The protocol constants
+// are not among them: the FSM and the subclasses hold pointers to their
+// EntityArena's shared copies, which a fleet's events keep in cache, so
+// a SAPP CP and its adaptation state fit in those four lines.
 #pragma once
 
 #include <array>
@@ -60,6 +63,8 @@ struct CpState {
   bool running = false;
   bool device_present = true;
   bool notified_peers = false;
+  /// Keep probing after declaring the device absent (the config's flag).
+  bool continue_after_absence = false;
 };
 
 class ControlPointBase : public net::INetworkClient {
@@ -127,6 +132,9 @@ class ControlPointBase : public net::INetworkClient {
   virtual void on_stale_reply(const net::Message& /*reply*/, double /*t*/) {}
 
   ProtocolObserver* observer() noexcept { return observer_; }
+  /// Where a subclass interns its own config, and releases it in its
+  /// destructor.
+  EntityArena& arena() noexcept { return arena_; }
 
  private:
   /// The one timer's event. It captures the CP alone, and when the
@@ -163,9 +171,8 @@ class ControlPointBase : public net::INetworkClient {
   des::EventId timer_;
   net::NodeId device_;
   net::NodeId id_ = net::kInvalidNode;
-  ProbeCycle cycle_;
+  ProbeCycle cycle_;  ///< reads the arena's shared TimeoutConfig
   EntityArena& arena_;
-  bool continue_after_absence_;
 };
 
 }  // namespace probemon::core

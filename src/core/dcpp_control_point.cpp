@@ -9,12 +9,12 @@ DcppControlPoint::DcppControlPoint(des::Clock& clock, net::Link& link,
                                    EntityArena& arena, net::NodeId device,
                                    DcppCpConfig config,
                                    ProtocolObserver* observer)
-    : ControlPointBase(clock, link, arena, device, config.timeouts,
+    : ControlPointBase(clock, link, arena, device, validated(config).timeouts,
                        config.continue_after_absence, observer),
-      config_(config),
-      last_grant_(std::numeric_limits<double>::quiet_NaN()) {
-  config_.validate();
-}
+      config_(&arena.intern(config)),
+      last_grant_(std::numeric_limits<double>::quiet_NaN()) {}
+
+DcppControlPoint::~DcppControlPoint() { arena().release(*config_); }
 
 double DcppControlPoint::delay_after_success(const net::Message& reply,
                                              double /*t*/) {

@@ -15,8 +15,10 @@ class DcppControlPoint final : public ControlPointBase {
   DcppControlPoint(des::Clock& clock, net::Link& link, EntityArena& arena,
                    net::NodeId device, DcppCpConfig config,
                    ProtocolObserver* observer = nullptr);
+  ~DcppControlPoint() override;
 
-  const DcppCpConfig& config() const noexcept { return config_; }
+  /// The arena's shared copy of the config this CP was built with.
+  const DcppCpConfig& config() const noexcept { return *config_; }
   /// Most recent grant received from the device (NaN before the first).
   double last_grant() const noexcept { return last_grant_; }
 
@@ -25,7 +27,7 @@ class DcppControlPoint final : public ControlPointBase {
   double delay_after_failure() override;
 
  private:
-  DcppCpConfig config_;
+  const DcppCpConfig* config_;
   double last_grant_;
 };
 

@@ -11,9 +11,13 @@ BasicDcppDevice<Server>::BasicDcppDevice(typename Server::Clock& clock,
                                          net::Link& link, EntityArena& arena,
                                          DcppDeviceConfig config,
                                          ProtocolObserver* observer)
-    : BasicDevice<Server>(clock, link, arena, config.compute, observer),
-      config_(config) {
-  config_.validate();
+    : BasicDevice<Server>(clock, link, arena, validated(config).compute,
+                          observer),
+      config_(&arena.intern(config)) {}
+
+template <class Server>
+BasicDcppDevice<Server>::~BasicDcppDevice() {
+  this->arena().release(*config_);
 }
 
 template <class Server>
@@ -29,12 +33,12 @@ double BasicDcppDevice<Server>::grant(double nt, double t,
 template <class Server>
 void BasicDcppDevice<Server>::fill_reply(const net::Message& /*probe*/,
                                          double t, net::Message& reply) {
-  const double wait = grant(nt_, t, config_);
+  const double wait = grant(nt_, t, *config_);
   const double granted = t + wait;
-  PROBEMON_INVARIANT(granted >= nt_ && wait + 1e-12 >= config_.d_min,
+  PROBEMON_INVARIANT(granted >= nt_ && wait + 1e-12 >= config_->d_min,
                      "DCPP grant broke the schedule: nt " << nt_ << " -> "
                          << granted << ", wait " << wait << " (d_min "
-                         << config_.d_min << ")");
+                         << config_->d_min << ")");
   if (ProtocolObserver* observer = this->observer()) {
     observer->on_slot_granted(this->id(), t, nt_, granted);
   }

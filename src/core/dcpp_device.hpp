@@ -34,8 +34,10 @@ class BasicDcppDevice : public BasicDevice<Server> {
   BasicDcppDevice(typename Server::Clock& clock, net::Link& link,
                   EntityArena& arena, DcppDeviceConfig config,
                   ProtocolObserver* observer = nullptr);
+  ~BasicDcppDevice() override;
 
-  const DcppDeviceConfig& config() const noexcept { return config_; }
+  /// The arena's shared copy of the config this device was built with.
+  const DcppDeviceConfig& config() const noexcept { return *config_; }
 
   /// Latest granted slot instant (the schedule frontier).
   double next_slot() const noexcept { return nt_; }
@@ -50,7 +52,7 @@ class BasicDcppDevice : public BasicDevice<Server> {
                   net::Message& reply) final;
 
  private:
-  DcppDeviceConfig config_;
+  const DcppDeviceConfig* config_;
   double nt_ = 0.0;
 };
 

@@ -7,13 +7,13 @@ namespace probemon::core {
 template <class Server>
 BasicDevice<Server>::BasicDevice(typename Server::Clock& clock,
                                  net::Link& link, EntityArena& arena,
-                                 ComputeConfig compute,
+                                 const ComputeConfig& compute,
                                  ProtocolObserver* observer)
     : clock_(clock),
       link_(link),
       arena_(arena),
       observer_(observer),
-      server_(clock, compute) {
+      server_(clock, arena, compute) {
   state_.id = link_.attach(*this);
   arena_.add_device();
   // Make the per-device stream unique even with several devices.
@@ -23,7 +23,10 @@ BasicDevice<Server>::BasicDevice(typename Server::Clock& clock,
 template <class Server>
 BasicDevice<Server>::~BasicDevice() {
   if (link_.attached(state_.id)) link_.detach(state_.id);
-  if constexpr (kSerial) arena_.queue_clear(server_.queue);
+  if constexpr (kSerial) {
+    arena_.queue_clear(server_.queue);
+    arena_.release(*server_.compute);
+  }
   arena_.remove_device();
 }
 
@@ -117,7 +120,7 @@ void BasicDevice<Server>::start_service()
   answer(probe, clock_.now(), reply);
 
   const double compute =
-      server_.rng.uniform(server_.compute.min, server_.compute.max);
+      server_.rng.uniform(server_.compute->min, server_.compute->max);
   // The completion event. When the scheduler's dispatch pipeline asks,
   // it starts loading the device's cache lines (des/scheduler.hpp).
   struct Completion {

@@ -24,7 +24,8 @@
 // the event prefetched a few events ahead (des/scheduler.hpp: a probe's
 // delivery loads the first four, the completion event the base's). The
 // queued probes sit in the `core::EntityArena`'s shared node pool, so
-// an idle device carries no deque and no heap node.
+// an idle device carries no deque and no heap node, and its configs are
+// pointers to the arena's shared copies.
 //
 // On the reactor, go_silent(), come_back(), present() and
 // probes_received() are safe from any thread; everything else is
@@ -64,15 +65,16 @@ struct DeviceState {
 struct SerialServer {
   using Clock = des::Simulation;
 
-  SerialServer(des::Simulation& sim, ComputeConfig config)
-      : compute(config), rng(sim.rng().fork("device.compute")) {
-    compute.validate();
-  }
+  /// Reads the arena's shared copy of the device's ComputeConfig.
+  SerialServer(des::Simulation& sim, EntityArena& arena,
+               const ComputeConfig& config)
+      : compute(&arena.intern(validated(config))),
+        rng(sim.rng().fork("device.compute")) {}
 
   ServiceQueue queue;  ///< the probe in service included while `busy`
   bool busy = false;
   std::uint64_t epoch = 0;  ///< bumped on go_silent
-  ComputeConfig compute;
+  const ComputeConfig* compute;  ///< released by the device's destructor
   util::Rng rng;
 };
 
@@ -81,7 +83,8 @@ struct SerialServer {
 struct InlineServer {
   using Clock = des::Clock;
 
-  InlineServer(des::Clock& /*clock*/, ComputeConfig /*config*/) noexcept {}
+  InlineServer(des::Clock& /*clock*/, EntityArena& /*arena*/,
+               const ComputeConfig& /*config*/) noexcept {}
 };
 
 template <class Server>
@@ -90,7 +93,7 @@ class BasicDevice : public net::INetworkClient {
   static constexpr bool kSerial = std::is_same_v<Server, SerialServer>;
 
   BasicDevice(typename Server::Clock& clock, net::Link& link,
-              EntityArena& arena, ComputeConfig compute,
+              EntityArena& arena, const ComputeConfig& compute,
               ProtocolObserver* observer);
   ~BasicDevice() override;
 
@@ -150,6 +153,9 @@ class BasicDevice : public net::INetworkClient {
 
   des::Clock& engine_clock() noexcept { return clock_; }
   ProtocolObserver* observer() noexcept { return observer_; }
+  /// Where a subclass interns its own config, and releases it in its
+  /// destructor.
+  EntityArena& arena() noexcept { return arena_; }
   void notify_delta_changed(std::uint64_t delta) {
     if (observer_) observer_->on_delta_changed(id(), clock_.now(), delta);
   }

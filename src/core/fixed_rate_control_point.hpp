@@ -13,44 +13,29 @@
 
 namespace probemon::core {
 
-struct FixedRateCpConfig {
-  TimeoutConfig timeouts{};
-  /// Fixed inter-cycle delay (seconds). The UPnP-ish default of one
-  /// probe per second per CP, the kind of value a naive implementor
-  /// picks to satisfy "detect absence in the order of one second".
-  double period = 1.0;
-  bool continue_after_absence = false;
-
-  void validate() const {
-    timeouts.validate();
-    if (!(period > 0)) {
-      throw std::invalid_argument("FixedRateCp: period > 0");
-    }
-  }
-};
-
 class FixedRateControlPoint final : public ControlPointBase {
  public:
   FixedRateControlPoint(des::Clock& clock, net::Link& link,
                         EntityArena& arena, net::NodeId device,
                         FixedRateCpConfig config,
                         ProtocolObserver* observer = nullptr)
-      : ControlPointBase(clock, link, arena, device, config.timeouts,
+      : ControlPointBase(clock, link, arena, device,
+                         validated(config).timeouts,
                          config.continue_after_absence, observer),
-        config_(config) {
-    config_.validate();
-  }
+        config_(&arena.intern(config)) {}
+  ~FixedRateControlPoint() override { arena().release(*config_); }
 
-  const FixedRateCpConfig& config() const noexcept { return config_; }
+  /// The arena's shared copy of the config this CP was built with.
+  const FixedRateCpConfig& config() const noexcept { return *config_; }
 
  protected:
   double delay_after_success(const net::Message&, double) override {
-    return config_.period;
+    return config_->period;
   }
-  double delay_after_failure() override { return config_.period; }
+  double delay_after_failure() override { return config_->period; }
 
  private:
-  FixedRateCpConfig config_;
+  const FixedRateCpConfig* config_;
 };
 
 }  // namespace probemon::core

@@ -6,9 +6,8 @@
 
 namespace probemon::core {
 
-ProbeCycle::ProbeCycle(const TimeoutConfig& timeouts) : timeouts_(timeouts) {
-  timeouts_.validate();
-}
+ProbeCycle::ProbeCycle(const TimeoutConfig& timeouts)
+    : timeouts_(&validated(timeouts)) {}
 
 void ProbeCycle::start(double now) {
   if (active_) throw std::logic_error("ProbeCycle::start: cycle active");
@@ -20,7 +19,7 @@ void ProbeCycle::start(double now) {
 
 bool ProbeCycle::expire(double now) {
   PROBEMON_CONTRACT(active_, "probe cycle timeout with no cycle active");
-  if (attempt_ < timeouts_.max_retransmissions) {
+  if (attempt_ < timeouts_->max_retransmissions) {
     ++attempt_;
     record_send(now);
     return true;
@@ -42,10 +41,10 @@ bool ProbeCycle::offer_reply(const net::Message& reply) {
 }
 
 void ProbeCycle::record_send(double now) {
-  PROBEMON_INVARIANT(attempt_ <= timeouts_.max_retransmissions,
+  PROBEMON_INVARIANT(attempt_ <= timeouts_->max_retransmissions,
                      "probe cycle " << cycle_ << " transmitting attempt "
                          << int(attempt_) << " beyond the paper's bound of "
-                         << timeouts_.max_retransmissions
+                         << timeouts_->max_retransmissions
                          << " retransmissions");
   last_send_time_ = now;
   ++probes_sent_;

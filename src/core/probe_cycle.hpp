@@ -26,8 +26,11 @@ namespace probemon::core {
 
 class ProbeCycle {
  public:
-  /// Throws std::invalid_argument on an invalid TimeoutConfig.
+  /// Throws std::invalid_argument on an invalid TimeoutConfig. The FSM
+  /// reads `timeouts` in place (a control point's is its arena's shared
+  /// copy), so it must outlive the cycle.
   explicit ProbeCycle(const TimeoutConfig& timeouts);
+  ProbeCycle(const TimeoutConfig&& timeouts) = delete;
 
   /// Begin the next cycle with attempt 0 sent at `now`: the owner sends
   /// (cycle(), 0) and arms its timer for timeout(). Throws
@@ -52,8 +55,10 @@ class ProbeCycle {
   /// Wait after the most recent send: TOF after attempt 0, TOS after a
   /// retransmission.
   double timeout() const noexcept {
-    return attempt_ == 0 ? timeouts_.tof : timeouts_.tos;
+    return attempt_ == 0 ? timeouts_->tof : timeouts_->tos;
   }
+
+  const TimeoutConfig& timeouts() const noexcept { return *timeouts_; }
 
   bool active() const noexcept { return active_; }
   std::uint64_t cycle() const noexcept { return cycle_; }
@@ -70,7 +75,7 @@ class ProbeCycle {
  private:
   void record_send(double now);
 
-  TimeoutConfig timeouts_;
+  const TimeoutConfig* timeouts_;
   std::uint64_t cycle_ = 0;
   double last_send_time_ = 0;
   std::uint64_t cycles_succeeded_ = 0;

@@ -21,6 +21,9 @@ class SappAdaptation {
         delta_(config.initial_delay),
         l_exp_(std::numeric_limits<double>::quiet_NaN()) {}
 
+  /// The rule's constants, read in place: the caller's config outlives
+  /// the adaptation.
+  const SappCpConfig& config() const noexcept { return *config_; }
   /// Current inter-probe-cycle delay.
   double delta() const noexcept { return delta_; }
   /// Last experienced-load estimate (NaN before two observations).

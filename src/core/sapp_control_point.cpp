@@ -6,12 +6,11 @@ SappControlPoint::SappControlPoint(des::Clock& clock, net::Link& link,
                                    EntityArena& arena, net::NodeId device,
                                    SappCpConfig config,
                                    ProtocolObserver* observer)
-    : ControlPointBase(clock, link, arena, device, config.timeouts,
+    : ControlPointBase(clock, link, arena, device, validated(config).timeouts,
                        config.continue_after_absence, observer),
-      config_(config),
-      adaptation_(config_) {
-  config_.validate();
-}
+      adaptation_(arena.intern(config)) {}
+
+SappControlPoint::~SappControlPoint() { arena().release(config()); }
 
 double SappControlPoint::delay_after_success(const net::Message& reply,
                                              double t) {
@@ -25,7 +24,7 @@ double SappControlPoint::delay_after_success(const net::Message& reply,
 }
 
 void SappControlPoint::on_stale_reply(const net::Message& reply, double t) {
-  if (!config_.use_every_reply) return;
+  if (!config().use_every_reply) return;
   // Duplicate replies (the device answers every probe of a retransmitted
   // cycle) are load observations too: their (pc, t) pair spans only the
   // inter-duplicate gap, so L_exp spikes and the delay doubles. The new

@@ -32,8 +32,10 @@ class SappControlPoint final : public ControlPointBase {
   SappControlPoint(des::Clock& clock, net::Link& link, EntityArena& arena,
                    net::NodeId device, SappCpConfig config,
                    ProtocolObserver* observer = nullptr);
+  ~SappControlPoint() override;
 
-  const SappCpConfig& config() const noexcept { return config_; }
+  /// The arena's shared copy of the config this CP was built with.
+  const SappCpConfig& config() const noexcept { return adaptation_.config(); }
 
   /// Current inter-probe-cycle delay delta (the adaptation state).
   double delta() const noexcept { return adaptation_.delta(); }
@@ -45,12 +47,11 @@ class SappControlPoint final : public ControlPointBase {
 
  protected:
   double delay_after_success(const net::Message& reply, double t) override;
-  double delay_after_failure() override { return config_.delta_max; }
+  double delay_after_failure() override { return config().delta_max; }
   void on_stale_reply(const net::Message& reply, double t) override;
 
  private:
-  SappCpConfig config_;
-  SappAdaptation adaptation_;
+  SappAdaptation adaptation_;  ///< holds the shared config's address
 };
 
 }  // namespace probemon::core

@@ -35,7 +35,8 @@ class BasicSappDevice : public BasicDevice<Server> {
                   ProtocolObserver* observer = nullptr);
   ~BasicSappDevice() override;
 
-  const SappDeviceConfig& config() const noexcept { return config_; }
+  /// The arena's shared copy of the config this device was built with.
+  const SappDeviceConfig& config() const noexcept { return *config_; }
   std::uint64_t probe_counter() const noexcept { return pc_; }
   std::uint64_t delta() const noexcept { return delta_; }
 
@@ -57,10 +58,9 @@ class BasicSappDevice : public BasicDevice<Server> {
   void arm_adaptation();
   void adapt_delta();
 
-  SappDeviceConfig config_;
+  const SappDeviceConfig* config_;
   std::uint64_t pc_ = 0;
   std::uint64_t delta_;
-  std::uint64_t base_delta_;
   /// Load window and evaluation timer; only with adaptive_delta.
   std::unique_ptr<Adaptation> adaptation_;
 };

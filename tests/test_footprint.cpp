@@ -55,16 +55,21 @@ TEST(Footprint, EntityStateFitsItsBudget) {
   EXPECT_LE(sizeof(CpState), 40u);
   // One event id for both the probe timeout and the inter-cycle delay,
   // and no stored callbacks: a CP is its state, identity, the cycle FSM
-  // and the protocol's own state. Each budget is the one a wrapper and
-  // its arena record had together, less the arena handle.
-  EXPECT_LE(sizeof(ControlPointBase), 200u);
-  EXPECT_LE(sizeof(SappControlPoint), 360u);
-  EXPECT_LE(sizeof(DcppControlPoint), 264u);
+  // and the protocol's own state. No entity copies a config: each holds
+  // a pointer to its arena's shared copy. So a SAPP CP, adaptation state
+  // included, fits in the four lines a delivery prefetches. Budgets as
+  // measured with g++ 12 on x86-64.
+  EXPECT_LE(sizeof(ProbeCycle), 56u);
+  EXPECT_LE(sizeof(ControlPointBase), 152u);
+  EXPECT_LE(sizeof(SappControlPoint), 200u);
+  EXPECT_LE(sizeof(DcppControlPoint), 168u);
+  EXPECT_LE(sizeof(FixedRateControlPoint), 160u);
   // A simulator device is its state, its port and the serial server
-  // (queue head, epoch, compute config and stream) plus the protocol's
-  // rule fields; SAPP's adaptive-Delta window sits behind one pointer.
-  EXPECT_LE(sizeof(DcppDevice), 184u);
-  EXPECT_LE(sizeof(SappDevice), 248u);
+  // (queue head, epoch, compute config pointer and stream) plus the
+  // protocol's rule fields; SAPP's adaptive-Delta window sits behind one
+  // pointer.
+  EXPECT_LE(sizeof(DcppDevice), 152u);
+  EXPECT_LE(sizeof(SappDevice), 168u);
 }
 
 TEST(Footprint, ReactorDevicesFitTheirBudget) {
@@ -73,8 +78,8 @@ TEST(Footprint, ReactorDevicesFitTheirBudget) {
   // fields. Budgets as measured with g++ 12 on x86-64.
   EXPECT_EQ(sizeof(runtime::AsyncDeviceBase) + sizeof(SerialServer),
             sizeof(DeviceBase));
-  EXPECT_LE(sizeof(runtime::AsyncDcppDevice), 104u);
-  EXPECT_LE(sizeof(runtime::AsyncSappDevice), 160u);
+  EXPECT_LE(sizeof(runtime::AsyncDcppDevice), 80u);
+  EXPECT_LE(sizeof(runtime::AsyncSappDevice), 96u);
 }
 
 TEST(Footprint, ReactorControlPointsFitTheirBudget) {
@@ -85,8 +90,8 @@ TEST(Footprint, ReactorControlPointsFitTheirBudget) {
   EXPECT_LE(sizeof(runtime::AsyncControlPointBase), 80u);
   EXPECT_LE(sizeof(runtime::AsyncDcppControlPoint),
             sizeof(runtime::AsyncControlPointBase) + sizeof(DcppControlPoint));
-  EXPECT_LE(sizeof(runtime::AsyncDcppControlPoint), 296u);
-  EXPECT_LE(sizeof(runtime::AsyncSappControlPoint), 392u);
+  EXPECT_LE(sizeof(runtime::AsyncDcppControlPoint), 248u);
+  EXPECT_LE(sizeof(runtime::AsyncSappControlPoint), 280u);
 }
 
 TEST(Footprint, FleetHeapBytesPerEntityStayLean) {
@@ -122,8 +127,9 @@ TEST(Footprint, FleetHeapBytesPerEntityStayLean) {
   const std::uint64_t held = after - before;
   const double per_entity =
       static_cast<double>(held) / static_cast<double>(kGroups * (1 + kCps));
-  // ~438 B per entity today; the bound leaves ~10 % headroom.
-  EXPECT_LT(per_entity, 480.0) << held << " heap bytes";
+  // ~339 B per entity (g++ 12, glibc 2.36), with every entity pointing
+  // at one shared copy of its configs; the bound leaves ~10 % headroom.
+  EXPECT_LT(per_entity, 375.0) << held << " heap bytes";
 }
 
 TEST(Footprint, PresenceWatchHeapBytesStayLean) {
@@ -158,10 +164,10 @@ TEST(Footprint, PresenceWatchHeapBytesStayLean) {
   if (after <= before) GTEST_SKIP() << "heap accounting unavailable";
   const double per_watch =
       static_cast<double>(after - before) / static_cast<double>(kWatches);
-  // ~530 B per watch, with or without the row-holding callback (g++ 12,
-  // glibc 2.36). A capture that spills out of std::function's buffer
-  // adds a 32 B block per watch; the bound leaves half of that.
-  EXPECT_LT(per_watch, 546.0) << after - before << " heap bytes";
+  // ~489 B per watch (g++ 12, glibc 2.36). A capture that spills out of
+  // std::function's buffer adds a 32 B block per watch; the bound leaves
+  // half of that.
+  EXPECT_LT(per_watch, 505.0) << after - before << " heap bytes";
 }
 
 TEST(Footprint, SchedulerBuildTouchesOnlyItsBitmaps) {

@@ -17,9 +17,10 @@ constexpr double kTos = 0.021;
 
 struct Harness {
   explicit Harness(int max_retransmissions = 3)
-      : cycle(TimeoutConfig{kTof, kTos, max_retransmissions}) {}
+      : timeouts{kTof, kTos, max_retransmissions}, cycle(timeouts) {}
 
   des::Scheduler sched;
+  TimeoutConfig timeouts;  ///< read in place by the cycle
   ProbeCycle cycle;
   des::EventId timer;
   std::vector<std::pair<std::uint64_t, std::uint8_t>> sent;
@@ -205,10 +206,14 @@ TEST(ProbeCycle, LastSendTimeTracksRetransmissions) {
 
 TEST(ProbeCycle, ValidatesConstruction) {
   using Bad = std::invalid_argument;
-  EXPECT_THROW(ProbeCycle(TimeoutConfig{0.0, kTos, 3}), Bad);
-  EXPECT_THROW(ProbeCycle(TimeoutConfig{kTof, -1.0, 3}), Bad);
-  EXPECT_THROW(ProbeCycle(TimeoutConfig{kTof, kTos, -1}), Bad);
-  EXPECT_NO_THROW(ProbeCycle(TimeoutConfig{kTof, kTos, 0}));
+  const TimeoutConfig zero_tof{0.0, kTos, 3};
+  const TimeoutConfig negative_tos{kTof, -1.0, 3};
+  const TimeoutConfig negative_retransmissions{kTof, kTos, -1};
+  const TimeoutConfig no_retransmissions{kTof, kTos, 0};
+  EXPECT_THROW(ProbeCycle{zero_tof}, Bad);
+  EXPECT_THROW(ProbeCycle{negative_tos}, Bad);
+  EXPECT_THROW(ProbeCycle{negative_retransmissions}, Bad);
+  EXPECT_NO_THROW(ProbeCycle{no_retransmissions});
 }
 
 }  // namespace

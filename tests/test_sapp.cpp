@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/probemon.hpp"
@@ -320,6 +323,54 @@ TEST(SappDeviceConfig, Validation) {
   c.adaptive_delta = true;
   c.overload_factor = 1.0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+TEST(SappDeviceConfig, RejectsDeltaThatDoesNotFit) {
+  // Delta = l_ideal / l_nom is cast to std::uint64_t, which is undefined
+  // for a quotient of 2^64 or more: both validate() and the device's
+  // constructor must reject the config before anything casts it.
+  struct Case {
+    double l_ideal;
+    double l_nom;
+    const char* message;
+  };
+  const char* const kTooLarge =
+      "Sapp: delta = l_ideal / l_nom must fit std::uint64_t";
+  const Case cases[] = {
+      {1e30, 10.0, kTooLarge},
+      {std::numeric_limits<double>::infinity(), 10.0, kTooLarge},
+      {1e6, 0.0, "Sapp: l_nom > 0"},
+  };
+  des::Simulation sim(4);
+  auto net = net::Network::make_paper_default(sim.scheduler(), sim.rng());
+  EntityArena arena;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.l_ideal << " / " << c.l_nom);
+    SappDeviceConfig config;
+    config.l_ideal = c.l_ideal;
+    config.l_nom = c.l_nom;
+    const auto expect_rejected = [&](auto&& build) {
+      try {
+        build();
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), c.message);
+      }
+    };
+    expect_rejected([&] { config.validate(); });
+    expect_rejected([&] { SappDevice device(sim, *net, arena, config); });
+  }
+  EXPECT_EQ(arena.device_in_use(), 0u);
+  EXPECT_EQ(arena.interned<SappDeviceConfig>(), 0u);
+  EXPECT_EQ(arena.interned<ComputeConfig>(), 0u);
+  // 2^64 itself does not fit; the largest double below it does.
+  SappDeviceConfig edge;
+  edge.l_nom = 1.0;
+  edge.l_ideal = 0x1p64;
+  EXPECT_THROW(edge.validate(), std::invalid_argument);
+  edge.l_ideal = std::nextafter(0x1p64, 0.0);
+  EXPECT_NO_THROW(edge.validate());
+  EXPECT_EQ(edge.delta(), std::uint64_t{0xffff'ffff'ffff'f800});
 }
 
 TEST(SappCpConfig, Validation) {

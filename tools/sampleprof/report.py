@@ -40,6 +40,12 @@ Layers (first match per frame, in this order):
     loop          runtime::EventLoop's own code
     other         anything else (libc/libstdc++ reached from no layer)
 
+In the innermost-function table, stripped code is folded: the rows
+`obj+0x... (past SYM)` of one object and neighbour become one row that
+counts its addresses, `libc.so.6 (past __default_morecore), 107
+addresses`, so glibc's allocator shows as one row, not a hundred rows of
+0.1 % each below the --top cut. --hot keeps the per-address rows.
+
 --hot FUNC adds a per-instruction view of every function whose demangled
 name contains FUNC: the samples interrupted inside it, counted per
 instruction address, with the instruction (objdump) and the source line
@@ -104,6 +110,7 @@ LAYERS = [
 ]
 LAYER_NAMES = [name for name, _ in LAYERS] + ["other"]
 PAST = re.compile(r" \(past (.+)\)$")
+UNRESOLVED = re.compile(r"^(?P<obj>.+)\+0x[0-9a-f]+ \(past (?P<sym>.+)\)$")
 
 
 def parse_capture(path):
@@ -278,6 +285,40 @@ def unresolved_label(obj, vaddr, ranges, fn):
         return fn
     label = "%s+%#x" % (os.path.basename(obj), vaddr)
     return label if fn == "?" else "%s (past %s)" % (label, fn)
+
+
+def fold_unresolved(leaf):
+    """Innermost-function counts with the rows of stripped code folded:
+    the `obj+0x... (past SYM)` rows of one object and neighbour become
+    one row, named with the number of addresses it holds. Other rows,
+    an offset with no neighbour among them, stay as they are.
+
+    >>> leaf = collections.Counter({
+    ...     "libc.so.6+0x97000 (past __default_morecore)": 3,
+    ...     "libc.so.6+0x97afc (past __default_morecore)": 2,
+    ...     "libc.so.6+0xe1230 (past timer_settime)": 1,
+    ...     "libc.so.6+0x10": 1,
+    ...     "malloc": 4})
+    >>> for fn, n in fold_unresolved(leaf).most_common():
+    ...     print(n, fn)
+    5 libc.so.6 (past __default_morecore), 2 addresses
+    4 malloc
+    1 libc.so.6 (past timer_settime), 1 address
+    1 libc.so.6+0x10
+    """
+    folded = collections.Counter()
+    addresses = collections.Counter()
+    for fn, n in leaf.items():
+        match = UNRESOLVED.match(fn)
+        key = "%s (past %s)" % match.group("obj", "sym") if match else fn
+        folded[key] += n
+        if match:
+            addresses[key] += 1
+    return collections.Counter({
+        ("%s, %d address%s" % (fn, addresses[fn],
+                               "" if addresses[fn] == 1 else "es")
+         if fn in addresses else fn): n
+        for fn, n in folded.items()})
 
 
 def interrupted_frame(symbolizer, frames):
@@ -457,8 +498,8 @@ def main():
     stacks = [sample_frames(symbolizer, frames) for _, frames in chosen]
 
     layers = collections.Counter(classify(named) for named in stacks)
-    leaf = collections.Counter(
-        (named[0][0] or "?") if named else "?" for named in stacks)
+    leaf = fold_unresolved(collections.Counter(
+        (named[0][0] or "?") if named else "?" for named in stacks))
     total = len(chosen)
     print("# %s: %d of %d samples (threads: %s)" % (
         label, total, len(samples),
